@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.stats import norm
@@ -24,7 +24,6 @@ from scipy.stats import norm
 from .errors import IntegrationError, SolverError, ValidationError
 from .estimands import (
     AverageDerivativeEffect,
-    Estimand,
     Quantile,
     TailConditionalExpectation,
 )

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .distributions import KINDS, ROLES
 from .errors import ConfigError
 from .estimands import CATALOG, Estimand, from_config
 from .estimation import (
@@ -21,9 +22,6 @@ from .estimation import (
 )
 
 SECTIONS = ("data", "estimand", "learners", "run")
-
-ROLES = ("outcome", "exposure", "covariate", "mediator")
-KINDS = ("continuous", "binary", "discrete")
 
 # Estimand parameters that must be spelled out in the config even when the
 # catalog class has a default, so a run never silently targets an

@@ -4,15 +4,18 @@ Everything in this module is immutable and pure.  A schema declares, for
 each column, a role (outcome, exposure, covariate, mediator) and a kind
 (continuous, binary, discrete); roles are never inferred from data.  A
 ``DiscreteDistribution`` is an explicit finite-support law used by the
-verification oracle: atoms are identified by exact float equality and
-duplicates are merged by summing probability.  ``MixturePath`` represents
-the line segment (1 - t) * base + t * contaminant, the paths along which
-functionals are differentiated.
+verification oracle: a validated array of distinct atoms plus a probability
+vector.  ``MixturePath`` represents the line segment (1 - t) * base + t *
+contaminant, the paths along which functionals are differentiated; every
+law on a path shares one union support.  Atoms are grouped into cells by
+one primitive, ``np.unique`` over rows with ``return_inverse``, so a cell
+total is a weighted ``np.bincount``.  A grouping belongs to the support and
+is computed once for it.
 """
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -92,21 +95,27 @@ class Schema:
 
     def validate_values(self, values: Sequence[float]) -> tuple[float, ...]:
         """Check one row against column kinds and return it as a float tuple."""
-        if len(values) != self.arity:
-            raise SchemaError(
-                f"row has {len(values)} values but schema has {self.arity} columns"
-            )
-        out = []
-        for col, v in zip(self.columns, values):
-            v = float(v)
-            if not np.isfinite(v):
-                raise SchemaError(f"column {col.name!r}: non-finite value {v!r}")
-            if col.kind == "binary" and v not in (0.0, 1.0):
-                raise SchemaError(f"column {col.name!r} is binary but saw value {v!r}")
-            if col.kind == "discrete" and v != int(v):
-                raise SchemaError(f"column {col.name!r} is discrete but saw value {v!r}")
-            out.append(v)
-        return tuple(out)
+        return tuple(_checked_rows(self, [values], "row")[0].tolist())
+
+
+def _checked_rows(schema: Schema, values, what: str) -> np.ndarray:
+    """Rows as an (n, arity) float array, checked against the column kinds."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != schema.arity:
+        raise SchemaError(
+            f"{what} values must have shape (n, {schema.arity}); got {arr.shape}"
+        )
+    if arr.shape[0] == 0:
+        raise SchemaError(f"{what} must contain at least one row")
+    if not np.all(np.isfinite(arr)):
+        raise SchemaError(f"{what} contains non-finite values")
+    for j, col in enumerate(schema.columns):
+        colvals = arr[:, j]
+        if col.kind == "binary" and not np.all((colvals == 0.0) | (colvals == 1.0)):
+            raise SchemaError(f"column {col.name!r} is binary but has other values")
+        if col.kind == "discrete" and not np.all(colvals == np.round(colvals)):
+            raise SchemaError(f"column {col.name!r} is discrete but has non-integer values")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -131,21 +140,7 @@ class Dataset:
     """
 
     def __init__(self, schema: Schema, values: np.ndarray | Sequence[Sequence[float]]):
-        arr = np.asarray(values, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != schema.arity:
-            raise SchemaError(
-                f"dataset values must have shape (n, {schema.arity}); got {arr.shape}"
-            )
-        if arr.shape[0] == 0:
-            raise SchemaError("dataset must contain at least one row")
-        if not np.all(np.isfinite(arr)):
-            raise SchemaError("dataset contains non-finite values")
-        for j, col in enumerate(schema.columns):
-            colvals = arr[:, j]
-            if col.kind == "binary" and not np.all((colvals == 0.0) | (colvals == 1.0)):
-                raise SchemaError(f"column {col.name!r} is binary but has other values")
-            if col.kind == "discrete" and not np.all(colvals == np.round(colvals)):
-                raise SchemaError(f"column {col.name!r} is discrete but has non-integer values")
+        arr = _checked_rows(schema, values, "dataset")
         arr = arr.copy()
         arr.setflags(write=False)
         self._schema = schema
@@ -174,13 +169,44 @@ class Dataset:
         return self._values[:, self._schema.index_of(name)]
 
 
+def _records(rows: np.ndarray) -> np.ndarray:
+    """Each row as one record, so that rows compare field by field (in
+    lexicographic order); rows without columns are all the same record."""
+    rows = np.ascontiguousarray(rows, dtype=float)
+    if rows.shape[1] == 0:
+        return np.zeros(rows.shape[0], dtype=[("c", float)])
+    return rows.view([(f"c{j}", float) for j in range(rows.shape[1])])[:, 0]
+
+
+def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The grouping primitive: the distinct rows of ``rows`` in order of first
+    occurrence, and for each row the index of its distinct row."""
+    _, first, cell = np.unique(_records(rows), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rows[first[order]], rank[cell]
+
+
+def find_rows(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Index of each of ``rows`` among the distinct rows ``keys``; -1 where a
+    row is not among them."""
+    k, r = _records(keys), _records(rows)
+    order = np.argsort(k)
+    at = order[np.searchsorted(k, r, sorter=order).clip(max=len(k) - 1)]
+    return np.where(k[at] == r, at, -1)
+
+
 class DiscreteDistribution:
-    """Finite-support probability law over observation tuples.
+    """Finite-support probability law: a support array of distinct atoms,
+    checked against the schema once, plus a probability vector.
 
     Duplicate support points (exact float equality of the whole tuple) are
-    merged by summing their probabilities.  Probabilities must be
-    nonnegative and sum to one within ``PROB_SUM_TOL``; they are stored as
-    given, never renormalized.
+    merged by summing their probabilities; atoms keep the order of their
+    first occurrence.  Probabilities must be nonnegative and sum to one
+    within ``PROB_SUM_TOL``; they are stored as given, never renormalized.
+    The groupings made by ``cells`` are cached with the support and shared
+    by every law on it along a ``MixturePath``.
     """
 
     def __init__(
@@ -195,24 +221,33 @@ class DiscreteDistribution:
             )
         if len(support) == 0:
             raise SchemaError("discrete distribution needs at least one atom")
-        merged: dict[tuple[float, ...], float] = {}
-        for point, p in zip(support, probs):
-            p = float(p)
-            if p < 0.0:
-                raise SchemaError(f"negative probability {p!r} for atom {tuple(point)!r}")
-            key = schema.validate_values(point)
-            merged[key] = merged.get(key, 0.0) + p
-        total = sum(merged.values())
+        values = _checked_rows(schema, support, "discrete distribution")
+        p = np.array(probs, dtype=float)
+        negative = np.flatnonzero(p < 0.0)
+        if negative.size:
+            i = negative[0]
+            raise SchemaError(
+                f"negative probability {float(p[i])!r} for atom {tuple(values[i].tolist())!r}"
+            )
+        values, cell = _group_rows(values)
+        p = np.bincount(cell, weights=p)
+        total = float(p.sum())
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise SchemaError(f"probabilities sum to {total!r}, not 1")
-        self._schema = schema
-        self._support = tuple(merged.keys())
-        self._probs = np.array(list(merged.values()), dtype=float)
-        self._probs.setflags(write=False)
-        self._index = {pt: i for i, pt in enumerate(self._support)}
-        values = np.array(self._support, dtype=float)
         values.setflags(write=False)
+        p.setflags(write=False)
+        self._schema = schema
         self._values = values
+        self._probs = p
+        self._cells: dict = {}
+
+    def _reweighted(self, probs: np.ndarray) -> "DiscreteDistribution":
+        """The law with ``probs`` on this law's support and groupings."""
+        law = object.__new__(DiscreteDistribution)
+        law._schema, law._values, law._cells = self._schema, self._values, self._cells
+        probs.setflags(write=False)
+        law._probs = probs
+        return law
 
     @property
     def schema(self) -> Schema:
@@ -220,7 +255,7 @@ class DiscreteDistribution:
 
     @property
     def support(self) -> tuple[tuple[float, ...], ...]:
-        return self._support
+        return tuple(map(tuple, self._values.tolist()))
 
     @property
     def probs(self) -> np.ndarray:
@@ -233,12 +268,21 @@ class DiscreteDistribution:
 
     @property
     def n_atoms(self) -> int:
-        return len(self._support)
+        return self._values.shape[0]
+
+    def cells(self, *roles: str) -> tuple[np.ndarray, np.ndarray]:
+        """Group the atoms by their values in the columns of ``roles``: the
+        distinct value rows (columns by ``roles``, then schema order; rows in
+        order of first occurrence) and each atom's row index, its cell."""
+        found = self._cells.get(roles)
+        if found is None:
+            columns = [i for role in roles for i in self._schema.indices_with_role(role)]
+            found = self._cells[roles] = _group_rows(self._values[:, columns])
+        return found
 
     def prob_of(self, point: Sequence[float]) -> float:
-        key = tuple(float(v) for v in point)
-        i = self._index.get(key)
-        return float(self._probs[i]) if i is not None else 0.0
+        i = find_rows(self._values, np.asarray([point], dtype=float))[0]
+        return float(self._probs[i]) if i >= 0 else 0.0
 
     def sample(self, n: int, rng: np.random.Generator) -> Dataset:
         """Draw n i.i.d. rows from this law."""
@@ -248,36 +292,44 @@ class DiscreteDistribution:
 
 @dataclass(frozen=True)
 class MixturePath:
-    """The segment of laws (1 - t) * base + t * contaminant, for t in [0, 1]."""
+    """The segment of laws (1 - t) * base + t * contaminant, for t in [0, 1].
+
+    Every law on the path lives on one union support: the base atoms, then
+    the contaminant atoms the base lacks.  When the contaminant adds none (a
+    point mass at a base atom, say) it is the base's own support, groupings
+    included.
+    """
 
     base: DiscreteDistribution
     contaminant: DiscreteDistribution
+    _union: DiscreteDistribution = field(init=False, repr=False, compare=False)
+    _contaminant_probs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.base.schema != self.contaminant.schema:
+        base, cont = self.base, self.contaminant
+        if base.schema != cont.schema:
             raise SchemaError("mixture path requires base and contaminant to share a schema")
+        # grouping both supports' atoms, base first, puts the base atoms at 0 .. k-1
+        values, cell = _group_rows(np.concatenate([base.values, cont.values]))
+        k, size = base.n_atoms, len(values)
+        if size > k:
+            base_probs = np.bincount(cell[:k], weights=base.probs, minlength=size)
+            base = DiscreteDistribution(base.schema, values, base_probs)
+        object.__setattr__(self, "_union", base)
+        q = np.bincount(cell[k:], weights=cont.probs, minlength=size)
+        object.__setattr__(self, "_contaminant_probs", q)
 
 
 def mixture_at(path: MixturePath, t: float) -> DiscreteDistribution:
     """Law of the path at parameter t.
 
-    The support is the union of both supports (base atoms first, then new
-    contaminant atoms); each atom's probability is the affine combination
-    (1 - t) * p_base + t * p_contaminant.
+    The law lives on the path's union support; each atom's probability is
+    the affine combination (1 - t) * p_base + t * p_contaminant.
     """
     if not 0.0 <= t <= 1.0:
         raise SchemaError(f"mixture parameter t={t!r} outside [0, 1]")
-    base, cont = path.base, path.contaminant
-    support = list(base.support)
-    probs = [(1.0 - t) * p for p in base.probs]
-    for i, atom in enumerate(cont.support):
-        j = base._index.get(atom)
-        if j is None:
-            support.append(atom)
-            probs.append(t * cont.probs[i])
-        else:
-            probs[j] += t * cont.probs[i]
-    return DiscreteDistribution(base.schema, support, probs)
+    union = path._union
+    return union._reweighted((1.0 - t) * union.probs + t * path._contaminant_probs)
 
 
 def point_mass(obs: Observation) -> DiscreteDistribution:

@@ -18,15 +18,22 @@ targeted updates from them.  Two point-evaluation functionals (density at
 a point, regression function at a point of a continuous regressor) are
 deliberately constructible but every operation on them raises: they admit
 no finite-variance influence function, so no root-n estimator exists.
+
+On a finite-support law (a support array plus a probability vector) the
+plug-ins and the exact nuisances are cell sums: ``law.cells(*roles)``
+groups the atoms once per support, and each cell mass or conditional mean
+is a weighted ``np.bincount`` over that grouping.  The plug-ins never call
+``eif_terms``, so the derivative check of the influence function is not
+circular.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from .distributions import Dataset, DiscreteDistribution, Observation, Schema
+from .distributions import Dataset, DiscreteDistribution, Observation, Schema, find_rows
 from .errors import (
     NotPathwiseDifferentiableError,
     NuisanceError,
@@ -177,74 +184,87 @@ def eif_array(
 
 
 # ---------------------------------------------------------------------------
-# grouping helpers for finite-support laws
+# cell sums on finite-support laws
 # ---------------------------------------------------------------------------
 
 
-def _role_columns(law: DiscreteDistribution):
-    schema = law.schema
-    V = law.values
-    out_idx = schema.indices_with_role("outcome")
-    exp_idx = schema.indices_with_role("exposure")
-    cov_idx = schema.indices_with_role("covariate")
-    med_idx = schema.indices_with_role("mediator")
-    return (
-        V[:, out_idx[0]] if out_idx else None,
-        V[:, exp_idx[0]] if exp_idx else None,
-        V[:, list(cov_idx)],
-        V[:, list(med_idx)],
+def _columns_of(law: DiscreteDistribution, **roles: bool) -> ColumnSet:
+    """Role columns of a law's atoms; the outcome is always required."""
+    cols = ColumnSet.from_matrix(law.schema, law.values)
+    cols.require(outcome=True, **roles)
+    return cols
+
+
+def _cell_mean(cell: np.ndarray, weights: np.ndarray, values) -> np.ndarray:
+    """Weighted mean of ``values`` within each cell; NaN in a cell of zero weight."""
+    mass = np.bincount(cell, weights=weights)
+    return np.divide(
+        np.bincount(cell, weights=weights * values), mass,
+        out=np.full(mass.shape, np.nan), where=mass > 0.0,
     )
 
 
-def _keys(arr2d: np.ndarray):
-    return [tuple(row) for row in arr2d]
+def _total(terms: np.ndarray) -> float:
+    """Sum from left to right.  Plug-in values feed finite differences with
+    steps near 1e-6, so their last bits decide which atom gives a trial's
+    worst derivative error; a fixed order keeps recorded sweeps reproducible."""
+    return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
 
 
-class _CellTable:
-    """Weighted group sums over atoms, keyed by exact value tuples."""
-
-    def __init__(self):
-        self.weight: dict = {}
-        self.weighted_sum: dict = {}
-
-    def add(self, key, p: float, value: float = 0.0) -> None:
-        self.weight[key] = self.weight.get(key, 0.0) + p
-        self.weighted_sum[key] = self.weighted_sum.get(key, 0.0) + p * value
-
-    def mean(self, key, what: str):
-        w = self.weight.get(key, 0.0)
-        if w <= 0.0:
-            raise PositivityError(f"conditioning cell {key!r} has zero probability ({what})")
-        return self.weighted_sum[key] / w
-
-    def mean_table(self, what: str) -> dict:
-        out = {}
-        for key, w in self.weight.items():
-            if w > 0.0:
-                out[key] = self.weighted_sum[key] / w
-        return out
+def _defined(values: np.ndarray, need: np.ndarray, keys: np.ndarray, what: str) -> np.ndarray:
+    """Per-cell ``values`` where ``need`` holds and 0 elsewhere.  A needed
+    value that is undefined (NaN: its cell has zero probability) raises."""
+    bad = need & np.isnan(values)
+    if bad.any():
+        cell = tuple(keys[np.argmax(bad)].tolist())
+        raise PositivityError(f"{what} undefined at cell {cell!r}, which has zero probability")
+    return np.where(need, values, 0.0)
 
 
-def _marginal(keys, probs) -> dict:
-    out: dict = {}
-    for key, p in zip(keys, probs):
-        out[key] = out.get(key, 0.0) + float(p)
-    return out
+def _reader(keys: np.ndarray, table: np.ndarray, what: str, default: Optional[float] = None):
+    """Nuisance function reading ``table`` at the cell of each query row,
+    given as column blocks in the order of the keys' columns.  A row outside
+    the cells or at a NaN reads ``default``, or raises without one."""
+
+    def read(*blocks):
+        rows = np.column_stack([np.asarray(b, dtype=float) for b in blocks])
+        at = find_rows(keys, rows)
+        out = np.where(at >= 0, table[at], np.nan)
+        if default is not None:
+            return np.where(np.isnan(out), default, out)
+        return _defined(out, np.ones(out.shape, dtype=bool), rows, what)
+
+    return read
 
 
-def _lookup(table: dict, what: str, default=None):
-    def call(keys):
-        out = np.empty(len(keys), dtype=float)
-        for i, key in enumerate(keys):
-            if key in table:
-                out[i] = table[key]
-            elif default is not None:
-                out[i] = default
-            else:
-                raise PositivityError(f"{what} undefined at cell {key!r} (zero probability)")
-        return out
+def _standardized_terms(law: DiscreteDistribution, arm: float) -> np.ndarray:
+    """P(Z=z) E[Y | X=arm, Z=z] for each covariate cell of positive mass."""
+    c = _columns_of(law, exposure=True)
+    p = law.probs
+    zkeys, z = law.cells("covariate")
+    pz = np.bincount(z, weights=p)
+    live = pz > 0.0
+    m = _defined(_cell_mean(z, p * (c.x == arm), c.y), live, zkeys, f"outcome mean at X={arm:g}")
+    return (pz * m)[live]
 
-    return call
+
+def _residuals(law: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Probability, Y - E[Y|Z] and X - E[X|Z] of each atom of positive
+    probability (an atom of zero probability may sit in a cell with no mean)."""
+    c = _columns_of(law, exposure=True)
+    p = law.probs
+    _, z = law.cells("covariate")
+    live = p > 0.0
+    ry = c.y - _cell_mean(z, p, c.y)[z]
+    rx = c.x - _cell_mean(z, p, c.x)[z]
+    return p[live], ry[live], rx[live]
+
+
+def _outcome_cdf(law: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct outcome values in increasing order and the cdf at each."""
+    keys, cell = law.cells("outcome")
+    order = np.argsort(keys[:, 0], kind="stable")
+    return keys[order, 0], np.cumsum(np.bincount(cell, weights=law.probs)[order])
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +282,7 @@ class PopulationMean(Estimand):
         return frozenset()
 
     def plugin_value(self, law: DiscreteDistribution) -> float:
-        y, _, _, _ = _role_columns(law)
-        _need_outcome(y)
-        return float(np.dot(law.probs, y))
+        return float(np.dot(law.probs, _columns_of(law).y))
 
     def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
         cols.require(outcome=True)
@@ -290,10 +308,9 @@ class AverageDensity(Estimand):
         return frozenset({"marginal_density"})
 
     def plugin_value(self, law: DiscreteDistribution) -> float:
-        y, _, _, _ = _role_columns(law)
-        _need_outcome(y)
-        pmf = _marginal([(v,) for v in y], law.probs)
-        return float(sum(p * p for p in pmf.values()))
+        _columns_of(law)
+        pmf = np.bincount(law.cells("outcome")[1], weights=law.probs)
+        return _total(pmf * pmf)
 
     def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
         cols.require(outcome=True)
@@ -332,11 +349,9 @@ class Covariance(Estimand):
         return frozenset({"mean_y", "mean_x"})
 
     def plugin_value(self, law: DiscreteDistribution) -> float:
-        y, x, _, _ = _role_columns(law)
-        _need_outcome(y)
-        _need_exposure(x)
+        c = _columns_of(law, exposure=True)
         p = law.probs
-        return float(np.dot(p, (y - np.dot(p, y)) * (x - np.dot(p, x))))
+        return float(np.dot(p, (c.y - np.dot(p, c.y)) * (c.x - np.dot(p, c.x))))
 
     def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
         cols.require(outcome=True, exposure=True)
@@ -384,20 +399,7 @@ class PotentialOutcomeMean(Estimand):
         return frozenset({"outcome_mean", "propensity"})
 
     def plugin_value(self, law: DiscreteDistribution) -> float:
-        table = _arm_means(law, (float(self.x),))
-        pz = table["pz"]
-        m = table["m"]
-        total = 0.0
-        for zkey, w in pz.items():
-            if w <= 0.0:
-                continue
-            cell = (float(self.x),) + zkey
-            if cell not in m:
-                raise PositivityError(
-                    f"cell X={self.x}, Z={zkey!r} has zero probability but P(Z={zkey!r}) > 0"
-                )
-            total += w * m[cell]
-        return float(total)
+        return _total(_standardized_terms(law, float(self.x)))
 
     def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
         u, _ = _pom_terms(cols, nuis, self.x)
@@ -422,22 +424,8 @@ class Ate(Estimand):
         return frozenset({"outcome_mean", "propensity"})
 
     def plugin_value(self, law: DiscreteDistribution) -> float:
-        table = _arm_means(law, (1.0, 0.0))
-        pz = table["pz"]
-        m = table["m"]
-        total = 0.0
-        for zkey, w in pz.items():
-            if w <= 0.0:
-                continue
-            for arm, sign in ((1.0, 1.0), (0.0, -1.0)):
-                cell = (arm,) + zkey
-                if cell not in m:
-                    raise PositivityError(
-                        f"cell X={int(arm)}, Z={zkey!r} has zero probability "
-                        f"but P(Z={zkey!r}) > 0"
-                    )
-                total += sign * w * m[cell]
-        return float(total)
+        terms = (_standardized_terms(law, 1.0), -_standardized_terms(law, 0.0))
+        return _total(np.column_stack(terms).ravel())
 
     def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
         u1, _ = _pom_terms(cols, nuis, 1)
@@ -462,17 +450,8 @@ class ExpectedConditionalCovariance(Estimand):
         return frozenset({"conditional_mean_y", "conditional_mean_x"})
 
     def plugin_value(self, law: DiscreteDistribution) -> float:
-        y, x, Z, _ = _role_columns(law)
-        _need_outcome(y)
-        _need_exposure(x)
-        gy, gx = _z_means(law, y, x, Z)
-        zkeys = _keys(Z)
-        total = 0.0
-        for i, p in enumerate(law.probs):
-            if p <= 0.0:
-                continue
-            total += p * (y[i] - gy[zkeys[i]]) * (x[i] - gx[zkeys[i]])
-        return float(total)
+        p, ry, rx = _residuals(law)
+        return _total(p * ry * rx)
 
     def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
         cols.require(outcome=True, exposure=True)
@@ -503,19 +482,9 @@ class PartiallyLinearCoefficient(Estimand):
         )
 
     def plugin_value(self, law: DiscreteDistribution) -> float:
-        y, x, Z, _ = _role_columns(law)
-        _need_outcome(y)
-        _need_exposure(x)
-        gy, gx = _z_means(law, y, x, Z)
-        zkeys = _keys(Z)
-        num = 0.0
-        den = 0.0
-        for i, p in enumerate(law.probs):
-            if p <= 0.0:
-                continue
-            rx = x[i] - gx[zkeys[i]]
-            num += p * rx * (y[i] - gy[zkeys[i]])
-            den += p * rx * rx
+        p, ry, rx = _residuals(law)
+        num = _total(p * rx * ry)
+        den = _total(p * rx * rx)
         if den <= 0.0:
             raise PositivityError("exposure has no residual variance given covariates")
         return float(num / den)
@@ -658,16 +627,10 @@ class Quantile(Estimand):
         return frozenset({"density_at_quantile"})
 
     def plugin_value(self, law: DiscreteDistribution) -> float:
-        y, _, _, _ = _role_columns(law)
-        _need_outcome(y)
-        pmf = _marginal([(v,) for v in y], law.probs)
-        points = sorted(pmf.keys())
-        acc = 0.0
-        for (value,) in points:
-            acc += pmf[(value,)]
-            if acc >= self.tau - 1e-15:
-                return float(value)
-        return float(points[-1][0])
+        _columns_of(law)
+        points, cdf = _outcome_cdf(law)
+        reached = np.flatnonzero(cdf >= self.tau - 1e-15)
+        return float(points[reached[0] if reached.size else -1])
 
     def eif_values(self, cols: ColumnSet, nuis: NuisanceSet, psi: float) -> np.ndarray:
         cols.require(outcome=True)
@@ -712,8 +675,7 @@ class TailConditionalExpectation(Estimand):
         return frozenset({"outcome_cdf"})
 
     def plugin_value(self, law: DiscreteDistribution) -> float:
-        y, _, _, _ = _role_columns(law)
-        _need_outcome(y)
+        y = _columns_of(law).y
         inside = y <= self.threshold
         mass = float(np.dot(law.probs, inside))
         if mass <= 0.0:
@@ -775,14 +737,12 @@ class ConditionalCdf(Estimand):
 
     def plugin_value(self, law: DiscreteDistribution) -> float:
         self.validate_schema(law.schema)
-        y, x, _, _ = _role_columns(law)
-        _need_outcome(y)
-        _need_exposure(x)
-        at_level = x == self.x
+        c = _columns_of(law, exposure=True)
+        at_level = c.x == self.x
         px = float(np.dot(law.probs, at_level))
         if px <= 0.0:
             raise PositivityError(f"exposure level {self.x!r} has zero probability")
-        return float(np.dot(law.probs, at_level * (y <= self.y)) / px)
+        return float(np.dot(law.probs, at_level * (c.y <= self.y)) / px)
 
     def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
         cols.require(outcome=True, exposure=True)
@@ -836,39 +796,28 @@ class InterventionalDirectEffect(Estimand):
                 )
 
     def plugin_value(self, law: DiscreteDistribution) -> float:
-        y, x, Z, M = _role_columns(law)
-        _need_outcome(y)
-        _need_exposure(x)
-        if M.shape[1] == 0:
-            raise SchemaError("interventional direct effect needs a mediator column")
+        c = _columns_of(law, exposure=True, mediator=True)
         p = law.probs
-        zkeys = _keys(Z)
-        mkeys = _keys(M)
-        pz = _marginal(zkeys, p)
-        # cell tables keyed by (z, x) and (z, x, m)
-        zx = _marginal([(zk, xv) for zk, xv in zip(zkeys, x)], p)
-        zxm = _marginal([(zk, xv, mk) for zk, xv, mk in zip(zkeys, x, mkeys)], p)
-        b_table = _CellTable()
-        for i, pi in enumerate(p):
-            b_table.add((zkeys[i], x[i], mkeys[i]), float(pi), float(y[i]))
-        x1, x0 = float(self.x1), float(self.x0)
-        total = 0.0
-        for zkey, wz in pz.items():
-            if wz <= 0.0:
-                continue
-            w_x0 = zx.get((zkey, x0), 0.0)
-            if w_x0 <= 0.0:
-                raise PositivityError(
-                    f"cell X={self.x0}, Z={zkey!r} has zero probability"
-                )
-            inner = 0.0
-            for (zk, xv, mk), w_cell in zxm.items():
-                if zk != zkey or xv != x0 or w_cell <= 0.0:
-                    continue
-                f_m_given_x0 = w_cell / w_x0
-                inner += b_table.mean((zkey, x1, mk), "mediated outcome") * f_m_given_x0
-            total += wz * inner
-        return float(total)
+        zkeys, z = law.cells("covariate")
+        keys, cell = law.cells("covariate", "exposure", "mediator")
+        _, zm = law.cells("covariate", "mediator")
+        at_x0 = p * (c.x == self.x0)
+        pz, pz_x0 = np.bincount(z, weights=p), np.bincount(z, weights=at_x0)
+        lost = (pz > 0.0) & (pz_x0 <= 0.0)
+        if lost.any():
+            zkey = tuple(zkeys[np.argmax(lost)].tolist())
+            raise PositivityError(f"cell X={self.x0}, Z={zkey!r} has zero probability")
+        # b(m, z) = E[Y | M=m, X=x1, Z=z] for each (z, x0, m) cell with mass,
+        # weighted by f(m | x0, z) = P(z, x0, m) / P(z, x0) and summed within z
+        first = np.unique(cell, return_index=True)[1]  # each cell's first atom
+        z_of, zm_of, x_of = z[first], zm[first], c.x[first]
+        mass = np.bincount(cell, weights=p)
+        used = (x_of == self.x0) & (mass > 0.0)
+        b = _cell_mean(zm, p * (c.x == self.x1), c.y)[zm_of]
+        b = _defined(b, used, keys, "mediated outcome mean")[used]
+        zu = z_of[used]
+        inner = np.bincount(zu, weights=b * (mass[used] / pz_x0[zu]), minlength=len(zkeys))
+        return _total((pz * inner)[pz > 0.0])
 
     def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
         cols.require(outcome=True, exposure=True, mediator=True)
@@ -942,30 +891,20 @@ class IncrementalPropensity(Estimand):
         return frozenset({"outcome_mean", "propensity"})
 
     def plugin_value(self, law: DiscreteDistribution) -> float:
-        y, x, Z, _ = _role_columns(law)
-        _need_outcome(y)
-        _need_exposure(x)
+        c = _columns_of(law, exposure=True)
         p = law.probs
-        zkeys = _keys(Z)
-        pz = _marginal(zkeys, p)
-        zx = _marginal([(zk, xv) for zk, xv in zip(zkeys, x)], p)
-        m_table = _CellTable()
-        for i, pi_atom in enumerate(p):
-            m_table.add((zkeys[i], x[i]), float(pi_atom), float(y[i]))
-        eps = self.epsilon
-        total = 0.0
-        for zkey, wz in pz.items():
-            if wz <= 0.0:
-                continue
-            pi_z = zx.get((zkey, 1.0), 0.0) / wz
-            g1 = eps * pi_z / (eps * pi_z + 1.0 - pi_z)
-            term = 0.0
-            if g1 > 0.0:
-                term += g1 * m_table.mean((zkey, 1.0), "outcome mean, arm 1")
-            if g1 < 1.0:
-                term += (1.0 - g1) * m_table.mean((zkey, 0.0), "outcome mean, arm 0")
-            total += wz * term
-        return float(total)
+        zkeys, z = law.cells("covariate")
+        pz = np.bincount(z, weights=p)
+        live = pz > 0.0
+        pi = np.where(live, _cell_mean(z, p, c.x == 1.0), 0.0)
+        g1 = self.epsilon * pi / (self.epsilon * pi + 1.0 - pi)
+        # an arm without mass in a cell carries no weight there
+        m1 = _cell_mean(z, p * (c.x == 1.0), c.y)
+        m0 = _cell_mean(z, p * (c.x == 0.0), c.y)
+        m1 = _defined(m1, live & (g1 > 0.0), zkeys, "outcome mean, arm 1")
+        m0 = _defined(m0, live & (g1 < 1.0), zkeys, "outcome mean, arm 0")
+        term = np.where(g1 > 0.0, g1 * m1, 0.0) + np.where(g1 < 1.0, (1.0 - g1) * m0, 0.0)
+        return _total((pz * term)[live])
 
     def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
         cols.require(outcome=True, exposure=True)
@@ -1080,44 +1019,6 @@ class ConditionalMeanAt(Estimand):
 
 
 # ---------------------------------------------------------------------------
-# shared discrete-law helpers
-# ---------------------------------------------------------------------------
-
-
-def _need_outcome(y) -> None:
-    if y is None:
-        raise SchemaError("estimand needs an outcome column")
-
-
-def _need_exposure(x) -> None:
-    if x is None:
-        raise SchemaError("estimand needs an exposure column")
-
-
-def _arm_means(law: DiscreteDistribution, arms) -> dict:
-    """Marginal covariate weights and per-(arm, z) outcome means."""
-    y, x, Z, _ = _role_columns(law)
-    _need_outcome(y)
-    _need_exposure(x)
-    zkeys = _keys(Z)
-    pz = _marginal(zkeys, law.probs)
-    table = _CellTable()
-    for i, p in enumerate(law.probs):
-        table.add((x[i],) + zkeys[i], float(p), float(y[i]))
-    return {"pz": pz, "m": table.mean_table("outcome mean")}
-
-
-def _z_means(law: DiscreteDistribution, y, x, Z):
-    zkeys = _keys(Z)
-    ty = _CellTable()
-    tx = _CellTable()
-    for i, p in enumerate(law.probs):
-        ty.add(zkeys[i], float(p), float(y[i]))
-        tx.add(zkeys[i], float(p), float(x[i]))
-    return ty.mean_table("conditional outcome mean"), tx.mean_table("conditional exposure mean")
-
-
-# ---------------------------------------------------------------------------
 # exact nuisances on a finite-support law
 # ---------------------------------------------------------------------------
 
@@ -1125,125 +1026,70 @@ def _z_means(law: DiscreteDistribution, y, x, Z):
 def exact_nuisances(spec: Estimand, law: DiscreteDistribution) -> NuisanceSet:
     """Exact nuisance functions computed from an explicit finite-support law.
 
-    Conditional means and laws are cell sums; looking one up at a cell the
-    law gives zero probability raises ``PositivityError``.  Estimands
-    without a finite-support analogue of a slot (a continuous density at
-    the quantile, a joint density in a continuous exposure) cannot be
-    served and raise ``ValidationError``.
+    Conditional means and laws are cell sums over the law's groupings;
+    looking one up at a cell the law gives zero probability raises
+    ``PositivityError``.  Estimands without a finite-support oracle need a
+    slot with no finite-support analogue (a continuous density at the
+    quantile, a joint density in a continuous exposure) and raise
+    ``ValidationError``.
     """
     needs = spec.nuisance_requirements()
-    unsupported = needs & {
-        "density_at_quantile",
-        "joint_density",
-        "joint_density_grad",
-        "outcome_mean_grad",
-    }
-    if unsupported:
+    if not spec.discrete_oracle:
         raise ValidationError(
-            f"finite-support laws cannot provide {sorted(unsupported)}; "
-            "use a smooth family for this estimand"
+            f"finite-support laws cannot provide the nuisances of {spec.name} "
+            f"({', '.join(sorted(needs))}); use a smooth family for this estimand"
         )
-    y, x, Z, M = _role_columns(law)
+    c = ColumnSet.from_matrix(law.schema, law.values)
     p = law.probs
-    zkeys = _keys(Z)
     fills: dict = {}
 
     if "outcome_mean" in needs:
-        table = _CellTable()
-        for i, pi in enumerate(p):
-            table.add((x[i],) + zkeys[i], float(pi), float(y[i]))
-        means = table.mean_table("outcome mean")
-        lookup = _lookup(means, "outcome mean")
-        fills["outcome_mean"] = lambda xv, Zv, _f=lookup: _f(
-            [(float(a),) + tuple(r) for a, r in zip(np.asarray(xv), np.atleast_2d(Zv))]
-        )
-    if "propensity" in needs:
-        pz = _marginal(zkeys, p)
-        zx = _marginal([(zk, xv) for zk, xv in zip(zkeys, x)], p)
-        table = {
-            zk: zx.get((zk, 1.0), 0.0) / w for zk, w in pz.items() if w > 0.0
-        }
-        lookup = _lookup(table, "propensity")
-        fills["propensity"] = lambda Zv, _f=lookup: _f([tuple(r) for r in np.atleast_2d(Zv)])
-    if "conditional_mean_y" in needs or "conditional_mean_x" in needs:
-        gy, gx = _z_means(law, y, x, Z)
-        if "conditional_mean_y" in needs:
-            lookup_y = _lookup(gy, "conditional outcome mean")
-            fills["conditional_mean_y"] = lambda Zv, _f=lookup_y: _f(
-                [tuple(r) for r in np.atleast_2d(Zv)]
-            )
-        if "conditional_mean_x" in needs:
-            lookup_x = _lookup(gx, "conditional exposure mean")
-            fills["conditional_mean_x"] = lambda Zv, _f=lookup_x: _f(
-                [tuple(r) for r in np.atleast_2d(Zv)]
-            )
+        keys, cell = law.cells("exposure", "covariate")
+        fills["outcome_mean"] = _reader(keys, _cell_mean(cell, p, c.y), "outcome mean")
+    if needs & {"propensity", "conditional_mean_y", "conditional_mean_x"}:
+        zkeys, z = law.cells("covariate")
+        for slot, values, what in (
+            ("propensity", c.x == 1.0, "propensity"),
+            ("conditional_mean_y", c.y, "conditional outcome mean"),
+            ("conditional_mean_x", c.x, "conditional exposure mean"),
+        ):
+            if slot in needs:
+                fills[slot] = _reader(zkeys, _cell_mean(z, p, values), what)
     if "exposure_residual_var" in needs:
-        _, gx = _z_means(law, y, x, Z)
-        var = 0.0
-        for i, pi in enumerate(p):
-            if pi > 0.0:
-                var += pi * (x[i] - gx[zkeys[i]]) ** 2
-        fills["exposure_residual_var"] = float(var)
+        p_live, _, rx = _residuals(law)
+        fills["exposure_residual_var"] = _total(p_live * rx**2)
     if "marginal_density" in needs:
-        pmf = _marginal([(v,) for v in y], p)
-        lookup = _lookup(pmf, "outcome mass", default=0.0)
-        fills["marginal_density"] = lambda yv, _f=lookup: _f(
-            [(float(v),) for v in np.asarray(yv)]
+        keys, cell = law.cells("outcome")
+        fills["marginal_density"] = _reader(
+            keys, np.bincount(cell, weights=p), "outcome mass", default=0.0
         )
     if "outcome_cdf" in needs:
-        pmf = _marginal([(v,) for v in y], p)
-        points = np.array(sorted(v for (v,) in pmf.keys()))
-        cum = np.cumsum([pmf[(v,)] for v in points])
+        points, cum = _outcome_cdf(law)
 
-        def _cdf(yv, _pts=points, _cum=cum):
-            pos = np.searchsorted(_pts, np.asarray(yv, dtype=float), side="right")
-            out = np.zeros(len(np.atleast_1d(pos)))
-            pos = np.atleast_1d(pos)
-            nonzero = pos > 0
-            out[nonzero] = _cum[pos[nonzero] - 1]
-            return out
+        def _cdf(yv):
+            pos = np.searchsorted(points, np.atleast_1d(np.asarray(yv, dtype=float)), side="right")
+            return np.where(pos > 0, cum[pos - 1], 0.0)
 
         fills["outcome_cdf"] = _cdf
     if "exposure_prob" in needs:
-        px = _marginal([(v,) for v in x], p)
-        lookup = _lookup(px, "exposure probability", default=0.0)
-        fills["exposure_prob"] = lambda xv, _f=lookup: _f(
-            [(float(v),) for v in np.asarray(xv)]
+        keys, cell = law.cells("exposure")
+        fills["exposure_prob"] = _reader(
+            keys, np.bincount(cell, weights=p), "exposure probability", default=0.0
         )
     if "mean_y" in needs:
-        fills["mean_y"] = float(np.dot(p, y))
+        fills["mean_y"] = float(np.dot(p, c.y))
     if "mean_x" in needs:
-        fills["mean_x"] = float(np.dot(p, x))
+        fills["mean_x"] = float(np.dot(p, c.x))
     if needs & {"mediated_outcome", "mediator_law", "mediator_support"}:
-        mkeys = _keys(M)
-        b_table = _CellTable()
-        zxm = _marginal(
-            [(zk, xv, mk) for zk, xv, mk in zip(zkeys, x, mkeys)], p
-        )
-        zx = _marginal([(zk, xv) for zk, xv in zip(zkeys, x)], p)
-        for i, pi in enumerate(p):
-            b_table.add((zkeys[i], x[i], mkeys[i]), float(pi), float(y[i]))
-        b_means = b_table.mean_table("mediated outcome mean")
-        blookup = _lookup(b_means, "mediated outcome mean")
-        fills["mediated_outcome"] = lambda Mv, xv, Zv, _f=blookup: _f(
-            [
-                (tuple(zr), float(a), tuple(mr))
-                for mr, a, zr in zip(np.atleast_2d(Mv), np.asarray(xv), np.atleast_2d(Zv))
-            ]
-        )
-        law_table = {}
-        for (zk, xv, mk), w in zxm.items():
-            wx = zx.get((zk, xv), 0.0)
-            if wx > 0.0 and w > 0.0:
-                law_table[(zk, xv, mk)] = w / wx
-        mlookup = _lookup(law_table, "mediator law", default=0.0)
-        fills["mediator_law"] = lambda Mv, xv, Zv, _f=mlookup: _f(
-            [
-                (tuple(zr), float(a), tuple(mr))
-                for mr, a, zr in zip(np.atleast_2d(Mv), np.asarray(xv), np.atleast_2d(Zv))
-            ]
-        )
-        fills["mediator_support"] = tuple(sorted({mk for mk in mkeys}))
+        keys, cell = law.cells("mediator", "exposure", "covariate")
+        _, given = law.cells("exposure", "covariate")
+        fills["mediated_outcome"] = _reader(keys, _cell_mean(cell, p, c.y), "mediated outcome mean")
+        # f(m | x, z) = P(M=m, X=x, Z=z) / P(X=x, Z=z); each cell's first atom gives its (x, z)
+        first = np.unique(cell, return_index=True)[1]
+        mass, given_mass = np.bincount(cell, weights=p), np.bincount(given, weights=p)[given[first]]
+        f_m = np.divide(mass, given_mass, out=np.zeros_like(mass), where=given_mass > 0.0)
+        fills["mediator_law"] = _reader(keys, f_m, "mediator law", default=0.0)
+        fills["mediator_support"] = tuple(sorted(map(tuple, law.cells("mediator")[0].tolist())))
     return NuisanceSet(**fills)
 
 

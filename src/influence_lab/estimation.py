@@ -7,9 +7,8 @@ errors come from the sample variance of the influence function values.
 """
 from __future__ import annotations
 
-import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np

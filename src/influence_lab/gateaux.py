@@ -24,7 +24,7 @@ derivatives need densities).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -32,33 +32,19 @@ import numpy as np
 from .distributions import (
     DiscreteDistribution,
     MixturePath,
-    Observation,
     Schema,
     Column,
     mixture_at,
-    point_mass,
 )
-from .errors import (
-    DerivativeUnstableError,
-    IntegrationError,
-    PositivityError,
-    ValidationError,
-    VerificationError,
-)
+from .errors import DerivativeUnstableError, ValidationError, VerificationError
 from .estimands import (
     Ate,
     AverageDensity,
     AverageDerivativeEffect,
+    CATALOG,
     ColumnSet,
-    ConditionalCdf,
-    Covariance,
     Estimand,
-    ExpectedConditionalCovariance,
-    IncrementalPropensity,
-    InterventionalDirectEffect,
     NuisanceSet,
-    PartiallyLinearCoefficient,
-    PopulationMean,
     PotentialOutcomeMean,
     Quantile,
     TailConditionalExpectation,
@@ -236,30 +222,17 @@ def numerical_gateaux(spec: Estimand, path: MixturePath, at_t: float = 0.0) -> t
 def _min_conditioning_cell(spec: Estimand, law: DiscreteDistribution) -> float:
     """Smallest probability among the cells the estimand conditions on."""
     needs = spec.nuisance_requirements()
-    V = law.values
-    p = law.probs
-    schema = law.schema
-    cov = list(schema.indices_with_role("covariate"))
-    exp_idx = schema.indices_with_role("exposure")
-    cells: dict = {}
+    groupings = []
     if {"outcome_mean", "propensity", "conditional_mean_y", "conditional_mean_x",
         "mediated_outcome", "mediator_law"} & needs:
-        keys = []
-        for row in V:
-            zkey = tuple(row[j] for j in cov)
-            keys.append(zkey)
-        for key, prob in zip(keys, p):
-            cells[key] = cells.get(key, 0.0) + prob
-        if {"outcome_mean", "propensity", "mediated_outcome", "mediator_law"} & needs and exp_idx:
-            xcol = V[:, exp_idx[0]]
-            finer: dict = {}
-            for row, prob, xv in zip(V, p, xcol):
-                key = (tuple(row[j] for j in cov), xv)
-                finer[key] = finer.get(key, 0.0) + prob
-            cells.update(finer)
-    if not cells:
+        groupings.append(("covariate",))
+        if ({"outcome_mean", "propensity", "mediated_outcome", "mediator_law"} & needs
+                and law.schema.indices_with_role("exposure")):
+            groupings.append(("covariate", "exposure"))
+    if not groupings:
         return 1.0
-    return float(min(cells.values()))
+    return float(min(np.bincount(law.cells(*roles)[1], weights=law.probs).min()
+                     for roles in groupings))
 
 
 def verify_eif(
@@ -281,8 +254,8 @@ def verify_eif(
         )
     if contaminants is None:
         labeled = [
-            (point_mass(Observation(atom, base.schema)), f"atom:{i}")
-            for i, atom in enumerate(base.support)
+            (DiscreteDistribution(base.schema, base.values[i : i + 1], [1.0]), f"atom:{i}")
+            for i in range(base.n_atoms)
         ]
     else:
         labeled = [(q, f"law:{i}") for i, q in enumerate(contaminants)]
@@ -401,17 +374,12 @@ def von_mises_remainder(
             bound += math.sqrt(ratio_sq) * math.sqrt(diff_sq)
         bound_kind = "cauchy_schwarz"
     elif isinstance(spec, AverageDensity):
-        iy = base.schema.sole_index("outcome")
-        pmf_p: dict = {}
-        for row, prob in zip(base.values, base.probs):
-            pmf_p[row[iy]] = pmf_p.get(row[iy], 0.0) + prob
-        pmf_q: dict = {}
-        for row, prob in zip(contaminant.values, contaminant.probs):
-            pmf_q[row[iy]] = pmf_q.get(row[iy], 0.0) + prob
-        keys = set(pmf_p) | set(pmf_q)
-        bound = float(
-            sum((pmf_p.get(k, 0.0) - pmf_q.get(k, 0.0)) ** 2 for k in keys)
-        )
+        # the two endpoints of their path share one support and its groupings
+        path = MixturePath(base, contaminant)
+        p_end, q_end = mixture_at(path, 0.0), mixture_at(path, 1.0)
+        _, y = p_end.cells("outcome")
+        gap = np.bincount(y, weights=p_end.probs) - np.bincount(y, weights=q_end.probs)
+        bound = float(np.dot(gap, gap))
         bound_kind = "exact_squared_mass"
     return RemainderReport(
         spec=spec, psi_base=psi_p, psi_contaminant=psi_q,
@@ -505,8 +473,6 @@ def random_law(
                         support.append((z, x, m, v))
     else:
         raise ValidationError(f"no random-law generator for schema {schema!r}")
-    if len(support) > max(max_support, 32):
-        support = support[: max(max_support, 32)]
     probs = rng.dirichlet(np.ones(len(support)))
     # keep every cell comfortably above the skip threshold
     probs = 0.9 * probs + 0.1 / len(support)
@@ -521,22 +487,7 @@ def contaminant_law(
     probs = rng.dirichlet(np.ones(base.n_atoms))
     probs = 0.9 * probs + 0.1 / base.n_atoms
     probs = probs / probs.sum()
-    return DiscreteDistribution(base.schema, base.support, probs)
-
-
-def _sweep_spec_for(rng: np.random.Generator, name: str, law: DiscreteDistribution):
-    """Instantiate a sweep estimand with parameters that fit the law."""
-    iy = law.schema.indices_with_role("outcome")[0]
-    ys = sorted(set(law.values[:, iy]))
-    if name == "tail_conditional_expectation":
-        return TailConditionalExpectation(threshold=float(ys[len(ys) // 2]))
-    if name == "conditional_cdf":
-        ix = law.schema.sole_index("exposure")
-        xs = sorted(set(law.values[:, ix]))
-        return ConditionalCdf(y=float(ys[len(ys) // 2]), x=float(xs[0]))
-    if name == "incremental_propensity":
-        return IncrementalPropensity(epsilon=float(rng.uniform(0.5, 3.0)))
-    raise ValidationError(f"unknown sweep estimand {name!r}")
+    return DiscreteDistribution(base.schema, base.values, probs)
 
 
 SWEEP_PLAN: tuple[tuple[str, Schema], ...] = (
@@ -555,26 +506,25 @@ SWEEP_PLAN: tuple[tuple[str, Schema], ...] = (
 )
 
 
-def _build_sweep_spec(rng, entry: str, law: DiscreteDistribution) -> Estimand:
-    if entry == "population_mean":
-        return PopulationMean()
-    if entry == "average_density":
-        return AverageDensity()
-    if entry == "covariance":
-        return Covariance()
-    if entry == "potential_outcome_mean:1":
-        return PotentialOutcomeMean(1)
-    if entry == "potential_outcome_mean:0":
-        return PotentialOutcomeMean(0)
-    if entry == "ate":
-        return Ate()
-    if entry == "expected_conditional_covariance":
-        return ExpectedConditionalCovariance()
-    if entry == "partially_linear_coefficient":
-        return PartiallyLinearCoefficient()
-    if entry == "interventional_direct_effect":
-        return InterventionalDirectEffect(x1=1, x0=0)
-    return _sweep_spec_for(rng, entry, law)
+def _middle_outcome(law: DiscreteDistribution) -> float:
+    ys = np.unique(law.values[:, law.schema.sole_index("outcome")])
+    return float(ys[len(ys) // 2])
+
+
+# Parameters of the SWEEP_PLAN entries that take any, fitted to the trial's
+# law; every entry's class is the CATALOG entry named before any ":".  Only
+# incremental_propensity draws from the rng, after the law.
+_SWEEP_PARAMS: dict[str, Callable[[np.random.Generator, DiscreteDistribution], dict]] = {
+    "tail_conditional_expectation": lambda rng, law: {"threshold": _middle_outcome(law)},
+    "conditional_cdf": lambda rng, law: {
+        "y": _middle_outcome(law),
+        "x": float(law.values[:, law.schema.sole_index("exposure")].min()),
+    },
+    "potential_outcome_mean:1": lambda rng, law: {"x": 1},
+    "potential_outcome_mean:0": lambda rng, law: {"x": 0},
+    "incremental_propensity": lambda rng, law: {"epsilon": float(rng.uniform(0.5, 3.0))},
+    "interventional_direct_effect": lambda rng, law: {"x1": 1, "x0": 0},
+}
 
 
 @dataclass(frozen=True)
@@ -634,7 +584,8 @@ def oracle_sweep(
     for entry, schema in plan:
         for _ in range(trials):
             law = random_law(rng, schema, max_support=max_support)
-            spec = _build_sweep_spec(rng, entry, law)
+            params = _SWEEP_PARAMS.get(entry, lambda rng, law: {})(rng, law)
+            spec = CATALOG[entry.split(":")[0]](**params)
             if at_t == 0.0:
                 batch = verify_eif(spec, law, tolerance=tolerance)
             else:

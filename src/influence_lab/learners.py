@@ -9,8 +9,7 @@ the Gaussian kernel, never by finite differences.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -560,7 +560,6 @@ def run_replications(
     if method == "tmle" and results:
         extras["max_tmle_score"] = max(item["tmle_score"] for item in results)
         extras["max_tmle_aipw_gap"] = max(item["tmle_aipw_gap"] for item in results)
-        extras["mean_se"] = float(np.mean(ses))
     return MetricsReport(
         dgp=dgp.name,
         estimand=spec.describe(),

@@ -13,6 +13,7 @@ from influence_lab import (
     parse_config,
     parse_config_file,
 )
+from influence_lab.cli import main as cli_main
 from influence_lab.config import METHOD_ALIASES
 
 MINIMAL = """\
@@ -357,6 +358,20 @@ class TestSimulateAndReport:
         assert len(result["psi_hats"]) == 12
         assert len(result["ses"]) == 12
         assert result["excluded"] == []
+
+    def test_simulate_result_is_deterministic_except_mean_runtime(self, tmp_path, capsys):
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            code = cli_main([
+                "simulate", "--dgp", "ate-linear", "--estimand", "ate", "--method", "tmle",
+                "--n", "200", "--reps", "4", "--seed", "5", "--folds", "2", "--out", str(out),
+            ])
+            assert code == 0, capsys.readouterr().err
+        a, b = (json.loads(out.read_text())["result"] for out in outs)
+        assert a.pop("mean_runtime") >= 0.0
+        assert b.pop("mean_runtime") >= 0.0
+        assert a == b
+        assert set(a["extras"]) == {"max_tmle_score", "max_tmle_aipw_gap"}
 
     def test_report_renders_aligned_table(self, tmp_path):
         out = self._simulate(tmp_path)

@@ -1,0 +1,326 @@
+"""Property tests for finite-support laws, their plug-in values and their
+exact nuisances.
+
+Random laws range over the four sweep schemas and include duplicate atoms
+and atoms of zero probability.  Every plug-in value and every exact
+nuisance slot is compared with a direct per-atom sum written here, and an
+undefined conditional mean must raise ``PositivityError`` on both sides.
+"""
+from collections import namedtuple
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from influence_lab import (
+    Ate,
+    AverageDensity,
+    ConditionalCdf,
+    Covariance,
+    DiscreteDistribution,
+    ExpectedConditionalCovariance,
+    IncrementalPropensity,
+    InterventionalDirectEffect,
+    MixturePath,
+    PartiallyLinearCoefficient,
+    PopulationMean,
+    PositivityError,
+    PotentialOutcomeMean,
+    Quantile,
+    TailConditionalExpectation,
+    exact_nuisances,
+    mixture_at,
+)
+from influence_lab.gateaux import EXPOSURE_OUTCOME, FULL_SCHEMA, MEDIATION_SCHEMA, OUTCOME_ONLY
+
+SPECS = {
+    OUTCOME_ONLY: (
+        PopulationMean(), AverageDensity(), TailConditionalExpectation(threshold=0.0),
+        Quantile(tau=0.5),
+    ),
+    EXPOSURE_OUTCOME: (Covariance(), ConditionalCdf(y=0.0, x=1.0)),
+    FULL_SCHEMA: (
+        PotentialOutcomeMean(1), PotentialOutcomeMean(0), Ate(),
+        ExpectedConditionalCovariance(), PartiallyLinearCoefficient(),
+        IncrementalPropensity(epsilon=2.0),
+    ),
+    MEDIATION_SCHEMA: (InterventionalDirectEffect(x1=1, x0=0),),
+}
+LEVELS = {"binary": (0.0, 1.0), "discrete": (0.0, 1.0, 2.0)}
+OUTCOMES = (-1.5, -0.25, 0.0, 0.5, 2.0)
+BOUNDED = settings(max_examples=50, deadline=None)
+UNDEFINED = "undefined"
+
+
+@st.composite
+def raw_laws(draw, schema=None):
+    """(schema, rows, probs) with repeated rows and zero weights allowed."""
+    if schema is None:
+        schema = draw(st.sampled_from(tuple(SPECS)))
+    value = st.tuples(*(
+        st.sampled_from(OUTCOMES if c.kind == "continuous" else LEVELS[c.kind])
+        for c in schema.columns
+    ))
+    rows = draw(st.lists(value, min_size=1, max_size=10))
+    weights = draw(st.lists(st.integers(0, 3), min_size=len(rows), max_size=len(rows)))
+    if not any(weights):
+        weights[0] = 1
+    return schema, rows, [w / sum(weights) for w in weights]
+
+
+@st.composite
+def law_pairs(draw):
+    """Two laws on one schema; the second supplies off-support query rows."""
+    schema, rows, probs = draw(raw_laws())
+    _, other_rows, other_probs = draw(raw_laws(schema))
+    return (
+        DiscreteDistribution(schema, rows, probs),
+        DiscreteDistribution(schema, other_rows, other_probs),
+    )
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except PositivityError:
+        return UNDEFINED
+
+
+def assert_same(got, want):
+    if want is UNDEFINED or got is UNDEFINED:
+        assert got is want
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# direct per-atom sums
+# ---------------------------------------------------------------------------
+
+Atom = namedtuple("Atom", "p z x y m")
+
+
+def atoms(law, rows=None):
+    """Atoms (or query rows, with p = 0) split by role; z and m are tuples."""
+    roles = [c.role for c in law.schema.columns]
+    probs = law.probs.tolist() if rows is None else [0.0] * len(rows)
+    out = []
+    for p, row in zip(probs, law.support if rows is None else rows):
+        pick = [tuple(v for v, r in zip(row, roles) if r == role)
+                for role in ("covariate", "exposure", "outcome", "mediator")]
+        out.append(Atom(p, pick[0], pick[1][0] if pick[1] else None, pick[2][0], pick[3]))
+    return out
+
+
+def mass(law, keep):
+    return sum(a.p for a in atoms(law) if keep(a))
+
+
+def cond_mean(law, value, keep):
+    """E[value | keep]; raises PositivityError when keep has no mass."""
+    w = mass(law, keep)
+    if w <= 0.0:
+        raise PositivityError("zero-probability cell")
+    return sum(a.p * value(a) for a in atoms(law) if keep(a)) / w
+
+
+def live_z(law):
+    return {a.z for a in atoms(law) if mass(law, lambda b: b.z == a.z) > 0.0}
+
+
+def arm_mean(law, arm, z):
+    return cond_mean(law, lambda a: a.y, lambda a: a.z == z and a.x == arm)
+
+
+def reference_plugin(spec, law):
+    A = atoms(law)
+    ey = sum(a.p * a.y for a in A)
+    if isinstance(spec, PopulationMean):
+        return ey
+    if isinstance(spec, AverageDensity):
+        return sum(mass(law, lambda a: a.y == v) ** 2 for v in {a.y for a in A})
+    if isinstance(spec, TailConditionalExpectation):
+        return cond_mean(law, lambda a: a.y, lambda a: a.y <= spec.threshold)
+    if isinstance(spec, Quantile):
+        cum = 0.0
+        for v in sorted({a.y for a in A}):
+            cum += mass(law, lambda a: a.y == v)
+            if cum >= spec.tau - 1e-15:
+                break
+        return v
+    if isinstance(spec, Covariance):
+        ex = sum(a.p * a.x for a in A)
+        return sum(a.p * (a.y - ey) * (a.x - ex) for a in A)
+    if isinstance(spec, ConditionalCdf):
+        return cond_mean(law, lambda a: float(a.y <= spec.y), lambda a: a.x == spec.x)
+    if isinstance(spec, PotentialOutcomeMean):
+        return sum(mass(law, lambda a: a.z == z) * arm_mean(law, spec.x, z) for z in live_z(law))
+    if isinstance(spec, Ate):
+        return sum(
+            mass(law, lambda a: a.z == z) * (arm_mean(law, 1, z) - arm_mean(law, 0, z))
+            for z in live_z(law)
+        )
+    if isinstance(spec, (ExpectedConditionalCovariance, PartiallyLinearCoefficient)):
+        g = {z: (cond_mean(law, lambda a: a.y, lambda a: a.z == z),
+                 cond_mean(law, lambda a: a.x, lambda a: a.z == z)) for z in live_z(law)}
+        live = [(a.p, a.y - g[a.z][0], a.x - g[a.z][1]) for a in A if a.p > 0.0]
+        num = sum(p * ry * rx for p, ry, rx in live)
+        if isinstance(spec, ExpectedConditionalCovariance):
+            return num
+        den = sum(p * rx * rx for p, ry, rx in live)
+        if den <= 0.0:
+            raise PositivityError("no residual exposure variance")
+        return num / den
+    if isinstance(spec, IncrementalPropensity):
+        total = 0.0
+        for z in live_z(law):
+            pz = mass(law, lambda a: a.z == z)
+            pi = mass(law, lambda a: a.z == z and a.x == 1.0) / pz
+            g1 = spec.epsilon * pi / (spec.epsilon * pi + 1.0 - pi)
+            term = g1 * arm_mean(law, 1.0, z) if g1 > 0.0 else 0.0
+            term += (1.0 - g1) * arm_mean(law, 0.0, z) if g1 < 1.0 else 0.0
+            total += pz * term
+        return total
+    if isinstance(spec, InterventionalDirectEffect):
+        total = 0.0
+        for z in live_z(law):
+            p_x0 = mass(law, lambda a: a.z == z and a.x == spec.x0)
+            if p_x0 <= 0.0:
+                raise PositivityError("no mass on the x0 arm")
+            inner = 0.0
+            for mk in {a.m for a in A}:
+                w = mass(law, lambda a: (a.z, a.x, a.m) == (z, spec.x0, mk))
+                if w > 0.0:
+                    b = cond_mean(law, lambda a: a.y,
+                                  lambda a: (a.z, a.x, a.m) == (z, spec.x1, mk))
+                    inner += b * w / p_x0
+            total += mass(law, lambda a: a.z == z) * inner
+        return total
+    raise AssertionError(f"no reference for {spec.name}")
+
+
+def reference_slot(slot, law, q):
+    """Exact nuisance ``slot`` at one query row ``q``, by direct sums."""
+    if slot == "outcome_mean":
+        return cond_mean(law, lambda a: a.y, lambda a: (a.z, a.x) == (q.z, q.x))
+    if slot == "propensity":
+        return cond_mean(law, lambda a: float(a.x == 1.0), lambda a: a.z == q.z)
+    if slot == "conditional_mean_y":
+        return cond_mean(law, lambda a: a.y, lambda a: a.z == q.z)
+    if slot == "conditional_mean_x":
+        return cond_mean(law, lambda a: a.x, lambda a: a.z == q.z)
+    if slot == "marginal_density":
+        return mass(law, lambda a: a.y == q.y)
+    if slot == "outcome_cdf":
+        return mass(law, lambda a: a.y <= q.y)
+    if slot == "exposure_prob":
+        return mass(law, lambda a: a.x == q.x)
+    if slot == "mediated_outcome":
+        return cond_mean(law, lambda a: a.y, lambda a: (a.z, a.x, a.m) == (q.z, q.x, q.m))
+    if slot == "mediator_law":
+        given = mass(law, lambda a: (a.z, a.x) == (q.z, q.x))
+        if given <= 0.0:
+            return 0.0
+        return mass(law, lambda a: (a.z, a.x, a.m) == (q.z, q.x, q.m)) / given
+    raise AssertionError(slot)
+
+
+def call_slot(fn, slot, q):
+    """Call a nuisance function at one query row, with the slot's arguments."""
+    Z, M = np.array([q.z]), np.array([q.m])
+    x, y = np.array([q.x]), np.array([q.y])
+    args = {
+        "outcome_mean": (x, Z), "propensity": (Z,), "conditional_mean_y": (Z,),
+        "conditional_mean_x": (Z,), "marginal_density": (y,), "outcome_cdf": (y,),
+        "exposure_prob": (x,), "mediated_outcome": (M, x, Z), "mediator_law": (M, x, Z),
+    }[slot]
+    values = fn(*args)
+    assert values.shape == (1,)
+    return float(values[0])
+
+
+# ---------------------------------------------------------------------------
+# properties
+# ---------------------------------------------------------------------------
+
+
+@BOUNDED
+@given(raw_laws())
+def test_atoms_keep_first_occurrence_order_and_duplicates_merge(raw):
+    schema, rows, probs = raw
+    law = DiscreteDistribution(schema, rows, probs)
+    merged: dict = {}
+    for row, p in zip(rows, probs):
+        key = tuple(float(v) for v in row)
+        merged[key] = merged.get(key, 0.0) + p
+    assert law.support == tuple(merged)
+    assert law.probs.tolist() == list(merged.values())
+    for key, p in merged.items():
+        assert law.prob_of(key) == p
+
+
+@BOUNDED
+@given(law_pairs())
+def test_plugin_values_match_per_atom_sums(pair):
+    law, _ = pair
+    for spec in SPECS[law.schema]:
+        assert_same(outcome(lambda: spec.plugin_value(law)),
+                    outcome(lambda: reference_plugin(spec, law)))
+
+
+@BOUNDED
+@given(law_pairs())
+def test_exact_nuisances_match_per_atom_sums(pair):
+    law, other = pair
+    queries = atoms(law, law.support) + atoms(law, other.support)
+    for spec in SPECS[law.schema]:
+        if isinstance(spec, Quantile):
+            continue
+        nuis = exact_nuisances(spec, law)
+        for slot in sorted(spec.nuisance_requirements()):
+            value = getattr(nuis, slot)
+            if slot == "exposure_residual_var":
+                A = [a for a in atoms(law) if a.p > 0.0]
+                gx = {a.z: cond_mean(law, lambda b: b.x, lambda b: b.z == a.z) for a in A}
+                assert value == pytest.approx(
+                    sum(a.p * (a.x - gx[a.z]) ** 2 for a in A), rel=1e-12, abs=1e-12)
+            elif slot in ("mean_y", "mean_x"):
+                want = sum(a.p * (a.y if slot == "mean_y" else a.x) for a in atoms(law))
+                assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
+            elif slot == "mediator_support":
+                assert value == tuple(sorted({a.m for a in atoms(law)}))
+            else:
+                for q in queries:
+                    assert_same(outcome(lambda: call_slot(value, slot, q)),
+                                outcome(lambda: reference_slot(slot, law, q)))
+
+
+@BOUNDED
+@given(raw_laws(FULL_SCHEMA), st.sampled_from(LEVELS["binary"]))
+def test_lookup_at_a_zero_probability_cell_raises(raw, x):
+    schema, rows, probs = raw
+    # covariate level 3 is never drawn: its only atom has probability zero
+    law = DiscreteDistribution(schema, rows + [(3.0, x, 0.0)], probs + [0.0])
+    nuis = exact_nuisances(Ate(), law)
+    with pytest.raises(PositivityError):
+        nuis.propensity(np.array([[3.0]]))
+    for arm in (0.0, 1.0):
+        with pytest.raises(PositivityError):
+            nuis.outcome_mean(np.array([arm]), np.array([[3.0]]))
+
+
+@BOUNDED
+@given(law_pairs(), st.floats(0.0, 1.0))
+def test_mixture_reproduces_endpoints_and_is_affine(pair, t):
+    base, cont = pair
+    path = MixturePath(base, cont)
+    new = [a for a in cont.support if a not in base.support]
+    for s, want in ((0.0, base), (1.0, cont), (t, None)):
+        law = mixture_at(path, s)
+        assert law.support == base.support + tuple(new)
+        for a, p in zip(law.support, law.probs.tolist()):
+            if want is None:
+                assert p == (1.0 - t) * base.prob_of(a) + t * cont.prob_of(a)
+            else:
+                assert p == want.prob_of(a)
