@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import norm
 
+from ._normal import normal_cdf, normal_pdf
 from .errors import IntegrationError, SolverError, ValidationError
 from .estimands import (
     AverageDerivativeEffect,
@@ -62,14 +62,14 @@ class NormalMixture:
         y = np.asarray(y, dtype=float)
         total = np.zeros_like(y)
         for w, m, s in zip(self.weights, self.means, self.sds):
-            total = total + w * norm.pdf(y, loc=m, scale=s)
+            total = total + w * normal_pdf(y, loc=m, scale=s)
         return total
 
     def cdf(self, y):
         y = np.asarray(y, dtype=float)
         total = np.zeros_like(y)
         for w, m, s in zip(self.weights, self.means, self.sds):
-            total = total + w * norm.cdf(y, loc=m, scale=s)
+            total = total + w * normal_cdf(y, loc=m, scale=s)
         return total
 
     def partial_mean(self, c: float) -> float:
@@ -77,7 +77,7 @@ class NormalMixture:
         total = 0.0
         for w, m, s in zip(self.weights, self.means, self.sds):
             alpha = (c - m) / s
-            total += w * (m * norm.cdf(alpha) - s * norm.pdf(alpha))
+            total += w * (m * normal_cdf(alpha) - s * normal_pdf(alpha))
         return float(total)
 
     def mean(self) -> float:
@@ -144,7 +144,7 @@ class GaussianRegressionFamily:
     def xz_density(self, x, z):
         x = np.asarray(x, dtype=float)
         z = np.asarray(z, dtype=float)
-        return norm.pdf(x, loc=self.a0 + self.a1 * z, scale=self.sd_x) * norm.pdf(
+        return normal_pdf(x, loc=self.a0 + self.a1 * z, scale=self.sd_x) * normal_pdf(
             z, loc=self.mu_z, scale=self.sd_z
         )
 

@@ -11,6 +11,14 @@ Each estimand is a small frozen dataclass exposing three pure operations:
   batch of observations given fitted or exact nuisances and a candidate
   parameter value.
 
+Nuisances enter through a table: ``nuisance_values(cols, nuis)`` calls
+each slot the influence function reads once, at the rows of ``cols``; it
+is the only place slots are called at sample rows.  ``eif_terms`` and
+``plugin_estimate`` are arithmetic on ``nuis.table(spec, cols)``, which a
+``NuisanceSet`` (exact or hand-made) evaluates on the spot and cross-fitted
+nuisances built once per fold.  Values that are not per row (a density at
+the quantile, a cdf at a threshold) come from ``nuis.probe``.
+
 For every estimand except the quantile the influence function is affine in
 psi, phi(o; psi) = u(o) - s(o) * psi, and ``eif_terms`` returns the (u, s)
 arrays; estimators build plug-in, one-step, estimating-equation, and
@@ -41,9 +49,6 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-
-CENTERING_TOL = 1e-10
-
 
 # ---------------------------------------------------------------------------
 # observation batches and nuisance containers
@@ -79,16 +84,20 @@ class ColumnSet:
     def from_dataset(dataset: Dataset) -> "ColumnSet":
         return ColumnSet.from_matrix(dataset.schema, dataset.values)
 
-    def require(self, **roles: bool) -> None:
-        for role, needed in roles.items():
-            if not needed:
-                continue
-            if role == "outcome" and self.y is None:
-                raise SchemaError("estimand needs an outcome column")
-            if role == "exposure" and self.x is None:
-                raise SchemaError("estimand needs an exposure column")
-            if role == "mediator" and (self.M is None or self.M.shape[1] == 0):
-                raise SchemaError("estimand needs at least one mediator column")
+    def take(self, rows: np.ndarray) -> "ColumnSet":
+        """The same roles at a subset of the rows."""
+        pick = lambda a: None if a is None else a[rows]
+        return ColumnSet(n=len(rows), y=pick(self.y), x=pick(self.x), Z=pick(self.Z),
+                         M=pick(self.M))
+
+    def require(self, outcome: bool = False, exposure: bool = False,
+                mediator: bool = False) -> None:
+        if outcome and self.y is None:
+            raise SchemaError("estimand needs an outcome column")
+        if exposure and self.x is None:
+            raise SchemaError("estimand needs an exposure column")
+        if mediator and (self.M is None or self.M.shape[1] == 0):
+            raise SchemaError("estimand needs at least one mediator column")
 
 
 @dataclass(frozen=True)
@@ -123,6 +132,18 @@ class NuisanceSet:
         if missing:
             raise NuisanceError(f"missing nuisance slots: {', '.join(missing)}")
 
+    def table(self, spec: "Estimand", cols: ColumnSet) -> dict:
+        """The per-row nuisance values ``spec`` reads at the rows of ``cols``."""
+        return spec.nuisance_values(cols, self)
+
+    def probe(self, name: str, *args) -> np.ndarray:
+        """A function-valued slot at points that are not sample rows."""
+        self.require(name)
+        return np.asarray(getattr(self, name)(*args), dtype=float)
+
+    def fold_average(self, fn: Callable[["NuisanceSet"], float]) -> float:
+        return fn(self)
+
 
 # ---------------------------------------------------------------------------
 # estimand base
@@ -151,6 +172,11 @@ class Estimand:
 
     def plugin_value(self, law: DiscreteDistribution) -> float:
         raise NotImplementedError
+
+    def nuisance_values(self, cols: ColumnSet, nuis: NuisanceSet) -> dict:
+        """Every per-row nuisance value the influence function reads, as
+        arrays over the rows of ``cols``; pooled scalars are repeated."""
+        return {}
 
     def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
         raise NotImplementedError
@@ -312,16 +338,21 @@ class AverageDensity(Estimand):
         pmf = np.bincount(law.cells("outcome")[1], weights=law.probs)
         return _total(pmf * pmf)
 
-    def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
+    def nuisance_values(self, cols: ColumnSet, nuis: NuisanceSet) -> dict:
         cols.require(outcome=True)
         nuis.require("marginal_density")
-        f = np.asarray(nuis.marginal_density(cols.y), dtype=float)
+        return {"marginal_density": np.asarray(nuis.marginal_density(cols.y), dtype=float)}
+
+    def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
+        f = nuis.table(self, cols)["marginal_density"]
         return 2.0 * f, np.full(cols.n, 2.0)
 
     def plugin_estimate(self, cols: ColumnSet, nuis: NuisanceSet) -> float:
         cols.require(outcome=True)
         nuis.require("marginal_density")
-        return integrated_squared_density(nuis.marginal_density, cols.y)
+        return nuis.fold_average(
+            lambda fold: integrated_squared_density(fold.marginal_density, cols.y)
+        )
 
 
 def integrated_squared_density(density, sample_y: np.ndarray, points: int = 4096) -> float:
@@ -353,32 +384,50 @@ class Covariance(Estimand):
         p = law.probs
         return float(np.dot(p, (c.y - np.dot(p, c.y)) * (c.x - np.dot(p, c.x))))
 
-    def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
+    def nuisance_values(self, cols: ColumnSet, nuis: NuisanceSet) -> dict:
         cols.require(outcome=True, exposure=True)
         nuis.require("mean_y", "mean_x")
-        u = (cols.y - nuis.mean_y) * (cols.x - nuis.mean_x)
-        return u, np.ones(cols.n)
+        return {"mean_y": np.full(cols.n, nuis.mean_y), "mean_x": np.full(cols.n, nuis.mean_x)}
+
+    def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
+        v = nuis.table(self, cols)
+        return (cols.y - v["mean_y"]) * (cols.x - v["mean_x"]), np.ones(cols.n)
 
     def plugin_estimate(self, cols: ColumnSet, nuis: NuisanceSet) -> float:
         u, _ = self.eif_terms(cols, nuis)
         return float(np.mean(u))
 
 
-def _pom_terms(cols: ColumnSet, nuis: NuisanceSet, arm: int):
-    """Uncentered augmented inverse-probability terms for one exposure arm."""
+def _arm_values(cols: ColumnSet, nuis: NuisanceSet, arms: tuple) -> dict:
+    """pi(Z) and, under key ``m<arm>``, m(arm, Z) for each arm."""
     cols.require(outcome=True, exposure=True)
     nuis.require("outcome_mean", "propensity")
-    pi = np.asarray(nuis.propensity(cols.Z), dtype=float)
+    values = {"propensity": np.asarray(nuis.propensity(cols.Z), dtype=float)}
+    for arm in arms:
+        m_arm = nuis.outcome_mean(np.full(cols.n, float(arm)), cols.Z)
+        values[f"m{arm}"] = np.asarray(m_arm, dtype=float)
+    return values
+
+
+def _propensity(values: dict) -> np.ndarray:
+    """The table's propensity, refused unless strictly inside (0, 1)."""
+    pi = values["propensity"]
     bad = (pi <= 0.0) | (pi >= 1.0)
     if np.any(bad):
         raise PositivityError(
             f"propensity outside (0, 1) at {int(bad.sum())} rows; "
             "trim or bound the propensity model"
         )
+    return pi
+
+
+def _pom_terms(cols: ColumnSet, values: dict, arm: int) -> np.ndarray:
+    """Uncentered augmented inverse-probability terms for one exposure arm."""
+    pi = _propensity(values)
     arm_prob = pi if arm == 1 else 1.0 - pi
-    m_arm = np.asarray(nuis.outcome_mean(np.full(cols.n, float(arm)), cols.Z), dtype=float)
+    m_arm = values[f"m{arm}"]
     indicator = (cols.x == float(arm)).astype(float)
-    return indicator / arm_prob * (cols.y - m_arm) + m_arm, m_arm
+    return indicator / arm_prob * (cols.y - m_arm) + m_arm
 
 
 @dataclass(frozen=True)
@@ -401,17 +450,14 @@ class PotentialOutcomeMean(Estimand):
     def plugin_value(self, law: DiscreteDistribution) -> float:
         return _total(_standardized_terms(law, float(self.x)))
 
+    def nuisance_values(self, cols: ColumnSet, nuis: NuisanceSet) -> dict:
+        return _arm_values(cols, nuis, (self.x,))
+
     def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
-        u, _ = _pom_terms(cols, nuis, self.x)
-        return u, np.ones(cols.n)
+        return _pom_terms(cols, nuis.table(self, cols), self.x), np.ones(cols.n)
 
     def plugin_estimate(self, cols: ColumnSet, nuis: NuisanceSet) -> float:
-        cols.require(exposure=True)
-        nuis.require("outcome_mean")
-        m_arm = np.asarray(
-            nuis.outcome_mean(np.full(cols.n, float(self.x)), cols.Z), dtype=float
-        )
-        return float(np.mean(m_arm))
+        return float(np.mean(nuis.table(self, cols)[f"m{self.x}"]))
 
 
 @dataclass(frozen=True)
@@ -427,17 +473,26 @@ class Ate(Estimand):
         terms = (_standardized_terms(law, 1.0), -_standardized_terms(law, 0.0))
         return _total(np.column_stack(terms).ravel())
 
+    def nuisance_values(self, cols: ColumnSet, nuis: NuisanceSet) -> dict:
+        return _arm_values(cols, nuis, (1, 0))
+
     def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
-        u1, _ = _pom_terms(cols, nuis, 1)
-        u0, _ = _pom_terms(cols, nuis, 0)
-        return u1 - u0, np.ones(cols.n)
+        v = nuis.table(self, cols)
+        return _pom_terms(cols, v, 1) - _pom_terms(cols, v, 0), np.ones(cols.n)
 
     def plugin_estimate(self, cols: ColumnSet, nuis: NuisanceSet) -> float:
-        cols.require(exposure=True)
-        nuis.require("outcome_mean")
-        m1 = np.asarray(nuis.outcome_mean(np.ones(cols.n), cols.Z), dtype=float)
-        m0 = np.asarray(nuis.outcome_mean(np.zeros(cols.n), cols.Z), dtype=float)
-        return float(np.mean(m1 - m0))
+        v = nuis.table(self, cols)
+        return float(np.mean(v["m1"] - v["m0"]))
+
+
+def _residual_values(cols: ColumnSet, nuis: NuisanceSet) -> dict:
+    """E[Y | Z] and E[X | Z] at the rows."""
+    cols.require(outcome=True, exposure=True)
+    nuis.require("conditional_mean_y", "conditional_mean_x")
+    return {
+        "conditional_mean_y": np.asarray(nuis.conditional_mean_y(cols.Z), dtype=float),
+        "conditional_mean_x": np.asarray(nuis.conditional_mean_x(cols.Z), dtype=float),
+    }
 
 
 @dataclass(frozen=True)
@@ -453,12 +508,13 @@ class ExpectedConditionalCovariance(Estimand):
         p, ry, rx = _residuals(law)
         return _total(p * ry * rx)
 
+    def nuisance_values(self, cols: ColumnSet, nuis: NuisanceSet) -> dict:
+        return _residual_values(cols, nuis)
+
     def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
-        cols.require(outcome=True, exposure=True)
-        nuis.require("conditional_mean_y", "conditional_mean_x")
-        gy = np.asarray(nuis.conditional_mean_y(cols.Z), dtype=float)
-        gx = np.asarray(nuis.conditional_mean_x(cols.Z), dtype=float)
-        return (cols.y - gy) * (cols.x - gx), np.ones(cols.n)
+        v = nuis.table(self, cols)
+        u = (cols.y - v["conditional_mean_y"]) * (cols.x - v["conditional_mean_x"])
+        return u, np.ones(cols.n)
 
     def plugin_estimate(self, cols: ColumnSet, nuis: NuisanceSet) -> float:
         u, _ = self.eif_terms(cols, nuis)
@@ -489,23 +545,23 @@ class PartiallyLinearCoefficient(Estimand):
             raise PositivityError("exposure has no residual variance given covariates")
         return float(num / den)
 
+    def nuisance_values(self, cols: ColumnSet, nuis: NuisanceSet) -> dict:
+        nuis.require("exposure_residual_var")
+        values = _residual_values(cols, nuis)
+        values["exposure_residual_var"] = np.full(cols.n, float(nuis.exposure_residual_var))
+        return values
+
     def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
-        cols.require(outcome=True, exposure=True)
-        nuis.require("conditional_mean_y", "conditional_mean_x", "exposure_residual_var")
-        den = float(nuis.exposure_residual_var)
-        if den <= 0.0:
+        v = nuis.table(self, cols)
+        den = v["exposure_residual_var"]
+        if np.any(den <= 0.0):
             raise PositivityError("exposure has no residual variance given covariates")
-        gy = np.asarray(nuis.conditional_mean_y(cols.Z), dtype=float)
-        gx = np.asarray(nuis.conditional_mean_x(cols.Z), dtype=float)
-        rx = cols.x - gx
-        return rx * (cols.y - gy) / den, rx * rx / den
+        rx = cols.x - v["conditional_mean_x"]
+        return rx * (cols.y - v["conditional_mean_y"]) / den, rx * rx / den
 
     def plugin_estimate(self, cols: ColumnSet, nuis: NuisanceSet) -> float:
-        cols.require(outcome=True, exposure=True)
-        nuis.require("conditional_mean_y", "conditional_mean_x")
-        gy = np.asarray(nuis.conditional_mean_y(cols.Z), dtype=float)
-        gx = np.asarray(nuis.conditional_mean_x(cols.Z), dtype=float)
-        rx = cols.x - gx
+        v = nuis.table(self, cols)
+        gy, rx = v["conditional_mean_y"], cols.x - v["conditional_mean_x"]
         den = float(np.mean(rx * rx))
         if den <= 0.0:
             raise PositivityError("exposure has no residual variance given covariates")
@@ -577,25 +633,23 @@ class AverageDerivativeEffect(Estimand):
             "a finite-support law has no derivative in x"
         )
 
-    def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
+    def nuisance_values(self, cols: ColumnSet, nuis: NuisanceSet) -> dict:
         cols.require(outcome=True, exposure=True)
-        nuis.require(
-            "outcome_mean", "outcome_mean_grad", "joint_density", "joint_density_grad"
-        )
-        f = np.asarray(nuis.joint_density(cols.x, cols.Z), dtype=float)
+        slots = ("joint_density", "joint_density_grad", "outcome_mean", "outcome_mean_grad")
+        nuis.require(*slots)
+        return {s: np.asarray(getattr(nuis, s)(cols.x, cols.Z), dtype=float) for s in slots}
+
+    def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
+        v = nuis.table(self, cols)
+        f = v["joint_density"]
         if np.any(f <= 0.0):
             raise PositivityError("joint exposure density vanished at an observation")
-        fprime = np.asarray(nuis.joint_density_grad(cols.x, cols.Z), dtype=float)
-        m = np.asarray(nuis.outcome_mean(cols.x, cols.Z), dtype=float)
-        mprime = np.asarray(nuis.outcome_mean_grad(cols.x, cols.Z), dtype=float)
         w, wprime = self.weight_at(cols.x)
-        score = -wprime - w * fprime / f
-        return score * (cols.y - m) + w * mprime, np.ones(cols.n)
+        score = -wprime - w * v["joint_density_grad"] / f
+        return score * (cols.y - v["outcome_mean"]) + w * v["outcome_mean_grad"], np.ones(cols.n)
 
     def plugin_estimate(self, cols: ColumnSet, nuis: NuisanceSet) -> float:
-        cols.require(exposure=True)
-        nuis.require("outcome_mean_grad")
-        mprime = np.asarray(nuis.outcome_mean_grad(cols.x, cols.Z), dtype=float)
+        mprime = nuis.table(self, cols)["outcome_mean_grad"]
         w, _ = self.weight_at(cols.x)
         return float(np.mean(w * mprime))
 
@@ -634,8 +688,7 @@ class Quantile(Estimand):
 
     def eif_values(self, cols: ColumnSet, nuis: NuisanceSet, psi: float) -> np.ndarray:
         cols.require(outcome=True)
-        nuis.require("density_at_quantile")
-        dens = float(np.asarray(nuis.density_at_quantile(np.asarray([psi])), dtype=float)[0])
+        dens = float(nuis.probe("density_at_quantile", np.asarray([psi]))[0])
         if dens <= 0.0:
             raise PositivityError(f"outcome density at the quantile is {dens!r}; need > 0")
         theta = (cols.y - psi >= 0.0).astype(float)
@@ -686,8 +739,7 @@ class TailConditionalExpectation(Estimand):
 
     def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
         cols.require(outcome=True)
-        nuis.require("outcome_cdf")
-        F = float(np.asarray(nuis.outcome_cdf(np.asarray([self.threshold])), dtype=float)[0])
+        F = float(nuis.probe("outcome_cdf", np.asarray([self.threshold]))[0])
         if F <= 0.0:
             raise PositivityError(
                 f"outcome distribution puts no mass at or below {self.threshold!r}"
@@ -746,8 +798,7 @@ class ConditionalCdf(Estimand):
 
     def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
         cols.require(outcome=True, exposure=True)
-        nuis.require("exposure_prob")
-        px = float(np.asarray(nuis.exposure_prob(np.asarray([self.x])), dtype=float)[0])
+        px = float(nuis.probe("exposure_prob", np.asarray([self.x]))[0])
         if px <= 0.0:
             raise PositivityError(f"exposure level {self.x!r} has zero probability")
         at_level = (cols.x == self.x).astype(float)
@@ -819,53 +870,48 @@ class InterventionalDirectEffect(Estimand):
         inner = np.bincount(zu, weights=b * (mass[used] / pz_x0[zu]), minlength=len(zkeys))
         return _total((pz * inner)[pz > 0.0])
 
-    def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
+    def nuisance_values(self, cols: ColumnSet, nuis: NuisanceSet) -> dict:
         cols.require(outcome=True, exposure=True, mediator=True)
         nuis.require("mediated_outcome", "mediator_law", "propensity", "mediator_support")
         n = cols.n
-        pi = np.asarray(nuis.propensity(cols.Z), dtype=float)
-        if np.any((pi <= 0.0) | (pi >= 1.0)):
-            raise PositivityError("propensity outside (0, 1); trim or bound the model")
-        x1, x0 = float(self.x1), float(self.x0)
-        p_x1 = pi if self.x1 == 1 else 1.0 - pi
-        p_x0 = pi if self.x0 == 1 else 1.0 - pi
-        x1_vec = np.full(n, x1)
-        f_m_x1 = np.asarray(nuis.mediator_law(cols.M, x1_vec, cols.Z), dtype=float)
-        f_m_x0 = np.asarray(nuis.mediator_law(cols.M, np.full(n, x0), cols.Z), dtype=float)
-        if np.any(f_m_x1 <= 0.0):
-            raise PositivityError("mediator law vanished under the x1 arm")
-        b_obs = np.asarray(nuis.mediated_outcome(cols.M, x1_vec, cols.Z), dtype=float)
+        x1_vec, x0_vec = np.full(n, float(self.x1)), np.full(n, float(self.x0))
+        values = {"propensity": np.asarray(nuis.propensity(cols.Z), dtype=float)}
+        for key, slot, arm in (
+            ("mediator_law_x1", nuis.mediator_law, x1_vec),
+            ("mediator_law_x0", nuis.mediator_law, x0_vec),
+            ("mediated_outcome", nuis.mediated_outcome, x1_vec),
+        ):
+            values[key] = np.asarray(slot(cols.M, arm, cols.Z), dtype=float)
         # a(z) = sum_m b(m, x1, z) f(m | x0, z) over the mediator support
-        a = np.zeros(n)
-        for m_point in nuis.mediator_support:
-            M_rep = np.tile(np.asarray(m_point, dtype=float), (n, 1))
-            b_m = np.asarray(nuis.mediated_outcome(M_rep, x1_vec, cols.Z), dtype=float)
-            f_m = np.asarray(
-                nuis.mediator_law(M_rep, np.full(n, x0), cols.Z), dtype=float
-            )
-            a += b_m * f_m
-        at_x1 = (cols.x == x1).astype(float)
-        at_x0 = (cols.x == x0).astype(float)
-        u = (
-            at_x1 * f_m_x0 / (f_m_x1 * p_x1) * (cols.y - b_obs)
-            + at_x0 / p_x0 * (b_obs - a)
-            + a
-        )
-        return u, np.ones(n)
-
-    def plugin_estimate(self, cols: ColumnSet, nuis: NuisanceSet) -> float:
-        cols.require(exposure=True, mediator=True)
-        nuis.require("mediated_outcome", "mediator_law", "mediator_support")
-        n = cols.n
-        x1_vec = np.full(n, float(self.x1))
-        x0_vec = np.full(n, float(self.x0))
         a = np.zeros(n)
         for m_point in nuis.mediator_support:
             M_rep = np.tile(np.asarray(m_point, dtype=float), (n, 1))
             b_m = np.asarray(nuis.mediated_outcome(M_rep, x1_vec, cols.Z), dtype=float)
             f_m = np.asarray(nuis.mediator_law(M_rep, x0_vec, cols.Z), dtype=float)
             a += b_m * f_m
-        return float(np.mean(a))
+        values["mediated_mean"] = a
+        return values
+
+    def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
+        v = nuis.table(self, cols)
+        pi = _propensity(v)
+        p_x1 = pi if self.x1 == 1 else 1.0 - pi
+        p_x0 = pi if self.x0 == 1 else 1.0 - pi
+        f_m_x1, f_m_x0 = v["mediator_law_x1"], v["mediator_law_x0"]
+        if np.any(f_m_x1 <= 0.0):
+            raise PositivityError("mediator law vanished under the x1 arm")
+        b_obs, a = v["mediated_outcome"], v["mediated_mean"]
+        at_x1 = (cols.x == float(self.x1)).astype(float)
+        at_x0 = (cols.x == float(self.x0)).astype(float)
+        u = (
+            at_x1 * f_m_x0 / (f_m_x1 * p_x1) * (cols.y - b_obs)
+            + at_x0 / p_x0 * (b_obs - a)
+            + a
+        )
+        return u, np.ones(cols.n)
+
+    def plugin_estimate(self, cols: ColumnSet, nuis: NuisanceSet) -> float:
+        return float(np.mean(nuis.table(self, cols)["mediated_mean"]))
 
 
 @dataclass(frozen=True)
@@ -906,18 +952,16 @@ class IncrementalPropensity(Estimand):
         term = np.where(g1 > 0.0, g1 * m1, 0.0) + np.where(g1 < 1.0, (1.0 - g1) * m0, 0.0)
         return _total((pz * term)[live])
 
+    def nuisance_values(self, cols: ColumnSet, nuis: NuisanceSet) -> dict:
+        return _arm_values(cols, nuis, (1, 0))
+
     def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
-        cols.require(outcome=True, exposure=True)
-        nuis.require("outcome_mean", "propensity")
-        pi = np.asarray(nuis.propensity(cols.Z), dtype=float)
-        if np.any((pi <= 0.0) | (pi >= 1.0)):
-            raise PositivityError("propensity outside (0, 1); trim or bound the model")
+        v = nuis.table(self, cols)
+        pi, m1, m0 = _propensity(v), v["m1"], v["m0"]
         eps = self.epsilon
         denom = eps * pi + 1.0 - pi
         g1 = eps * pi / denom
         g0 = 1.0 - g1
-        m1 = np.asarray(nuis.outcome_mean(np.ones(cols.n), cols.Z), dtype=float)
-        m0 = np.asarray(nuis.outcome_mean(np.zeros(cols.n), cols.Z), dtype=float)
         at1 = (cols.x == 1.0).astype(float)
         at0 = 1.0 - at1
         u = (
@@ -928,14 +972,10 @@ class IncrementalPropensity(Estimand):
         return u, np.ones(cols.n)
 
     def plugin_estimate(self, cols: ColumnSet, nuis: NuisanceSet) -> float:
-        cols.require(exposure=True)
-        nuis.require("outcome_mean", "propensity")
-        pi = np.asarray(nuis.propensity(cols.Z), dtype=float)
-        eps = self.epsilon
+        v = nuis.table(self, cols)
+        pi, eps = v["propensity"], self.epsilon
         g1 = eps * pi / (eps * pi + 1.0 - pi)
-        m1 = np.asarray(nuis.outcome_mean(np.ones(cols.n), cols.Z), dtype=float)
-        m0 = np.asarray(nuis.outcome_mean(np.zeros(cols.n), cols.Z), dtype=float)
-        return float(np.mean(g1 * m1 + (1.0 - g1) * m0))
+        return float(np.mean(g1 * v["m1"] + (1.0 - g1) * v["m0"]))
 
 
 # ---------------------------------------------------------------------------
@@ -953,69 +993,41 @@ _POINT_EVAL_MESSAGE = (
 
 
 @dataclass(frozen=True)
-class DensityAtPoint(Estimand):
+class _PointEvaluation(Estimand):
+    """Base of the rejected functionals: every operation raises."""
+
+    what: ClassVar[str] = ""
+    discrete_oracle: ClassVar[bool] = False
+
+    def _reject(self, *args):
+        raise NotPathwiseDifferentiableError(_POINT_EVAL_MESSAGE.format(what=self.what))
+
+    nuisance_requirements = plugin_value = nuisance_values = _reject
+    eif_terms = eif_values = plugin_estimate = _reject
+
+
+@dataclass(frozen=True)
+class DensityAtPoint(_PointEvaluation):
     """Rejected: the density evaluated at a single point."""
 
     y: float = 0.0
     name: ClassVar[str] = "density_at_point"
-    discrete_oracle: ClassVar[bool] = False
+    what: ClassVar[str] = "the density at a point"
 
     def params(self) -> dict:
         return {"y": self.y}
 
-    def _reject(self):
-        raise NotPathwiseDifferentiableError(
-            _POINT_EVAL_MESSAGE.format(what="the density at a point")
-        )
-
-    def nuisance_requirements(self) -> frozenset:
-        self._reject()
-
-    def plugin_value(self, law: DiscreteDistribution) -> float:
-        self._reject()
-
-    def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
-        self._reject()
-
-    def eif_values(self, cols: ColumnSet, nuis: NuisanceSet, psi: float) -> np.ndarray:
-        self._reject()
-
-    def plugin_estimate(self, cols: ColumnSet, nuis: NuisanceSet) -> float:
-        self._reject()
-
 
 @dataclass(frozen=True)
-class ConditionalMeanAt(Estimand):
+class ConditionalMeanAt(_PointEvaluation):
     """Rejected: E[Y | X = x] at a point of a continuous exposure."""
 
     x: float = 0.0
     name: ClassVar[str] = "conditional_mean_at"
-    discrete_oracle: ClassVar[bool] = False
+    what: ClassVar[str] = "the regression function at a point of a continuous exposure"
 
     def params(self) -> dict:
         return {"x": self.x}
-
-    def _reject(self):
-        raise NotPathwiseDifferentiableError(
-            _POINT_EVAL_MESSAGE.format(
-                what="the regression function at a point of a continuous exposure"
-            )
-        )
-
-    def nuisance_requirements(self) -> frozenset:
-        self._reject()
-
-    def plugin_value(self, law: DiscreteDistribution) -> float:
-        self._reject()
-
-    def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
-        self._reject()
-
-    def eif_values(self, cols: ColumnSet, nuis: NuisanceSet, psi: float) -> np.ndarray:
-        self._reject()
-
-    def plugin_estimate(self, cols: ColumnSet, nuis: NuisanceSet) -> float:
-        self._reject()
 
 
 # ---------------------------------------------------------------------------

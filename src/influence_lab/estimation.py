@@ -4,32 +4,41 @@ Folds, per-fold nuisance fitting, and the debiasing constructions: plug-in,
 one-step correction, estimating-equation solve, and the targeted
 (fluctuation-based) estimator for arm means and their contrast.  Standard
 errors come from the sample variance of the influence function values.
+
+Each nuisance is evaluated once per row: after the fits on each fold's
+complement, the estimand's ``nuisance_values`` runs once per fold, on that
+fold's held-out rows, and fills one table of n-row arrays.  The estimators
+compute the influence-function terms (u, s) once from it; plug-in,
+one-step, estimating-equation and targeted values are arithmetic on those
+arrays.  Values that are not per row (a density at the estimated quantile,
+a cdf at a threshold) go through ``probe``, the average over fold fits.
 """
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.stats import norm
 
+from ._normal import normal_ppf
 from .distributions import Dataset
 from .errors import (
+    InfluenceLabError,
     NuisanceError,
+    NumericalError,
     PositivityError,
     SolverError,
     ValidationError,
 )
 from .estimands import (
     Ate,
-    AverageDensity,
     ColumnSet,
     Estimand,
     NuisanceSet,
     PotentialOutcomeMean,
     Quantile,
-    integrated_squared_density,
 )
 from .learners import (
     FeatureMap,
@@ -46,6 +55,8 @@ EIF_MAGNITUDE_BOUND = 1e8
 QUANTILE_SOLVER_TOL = 1e-10
 QUANTILE_SOLVER_MAX_ITER = 200
 TMLE_SCORE_TOL = 1e-10
+# numpy and Python numerical failures inside a fold become NumericalError
+_FOREIGN_NUMERICAL = (np.linalg.LinAlgError, FloatingPointError, ZeroDivisionError, OverflowError)
 
 
 # ---------------------------------------------------------------------------
@@ -152,17 +163,7 @@ class LearnerSettings:
         )
 
     def to_json(self) -> dict:
-        return {
-            "outcome_model": self.outcome_model,
-            "outcome_degree": self.outcome_degree,
-            "outcome_interactions": self.outcome_interactions,
-            "propensity_model": self.propensity_model,
-            "propensity_degree": self.propensity_degree,
-            "propensity_interactions": self.propensity_interactions,
-            "ridge_lambda": self.ridge_lambda,
-            "bandwidth": self.bandwidth,
-            "trim": self.trim,
-        }
+        return dataclasses.asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +191,7 @@ def _as_flat(values) -> np.ndarray:
 class _ArmRegression:
     """One regression per exposure level; evaluation selects by level."""
 
-    def __init__(self, levels: Sequence[float], fits: dict, feature_fn: Callable):
-        self.levels = tuple(levels)
+    def __init__(self, fits: dict, feature_fn: Callable):
         self.fits = fits
         self.feature_fn = feature_fn
 
@@ -230,7 +230,7 @@ def _fit_outcome_mean(y, x, Z, settings: LearnerSettings, binary_exposure: bool)
                     f"fewer than two training rows with exposure level {level!r}"
                 )
             fits[level] = fitter(Z[mask], y[mask])
-        return _ArmRegression(tuple(fits), fits, feature_fn), None
+        return _ArmRegression(fits, feature_fn), None
     # continuous exposure: one fit on the joint (x, Z) coordinates
     V = _design(x, Z)
     if settings.outcome_model == "ols":
@@ -307,10 +307,9 @@ def _fit_fold_slots(
     reqs: frozenset,
     settings: LearnerSettings,
     binary_exposure: bool,
-) -> tuple[dict, dict]:
+) -> dict:
     """Fit every required slot on the training rows of one fold."""
     slots: dict = {}
-    artifacts: dict = {}
     y = cols.y[train] if cols.y is not None else None
     x = cols.x[train] if cols.x is not None else None
     Z = cols.Z[train] if cols.Z is not None else None
@@ -339,7 +338,6 @@ def _fit_fold_slots(
             slots["exposure_residual_var"] = float(np.mean(resid**2))
     if "marginal_density" in reqs or "density_at_quantile" in reqs:
         density = fit_kde(y, settings.bandwidth)
-        artifacts["density"] = density
         if "marginal_density" in reqs:
             slots["marginal_density"] = density
         if "density_at_quantile" in reqs:
@@ -350,7 +348,6 @@ def _fit_fold_slots(
         slots["exposure_prob"] = _frequency_table(x)
     if "joint_density" in reqs or "joint_density_grad" in reqs:
         joint = fit_kde(_design(x, Z), settings.bandwidth)
-        artifacts["joint_density"] = joint
         # The average-derivative identity needs w*f -> 0 at the edge of the
         # exposure range; surface visibly non-vanishing mass there.
         dens = joint.density_at(_design(x, Z))
@@ -376,118 +373,112 @@ def _fit_fold_slots(
             p_one = _fit_probability(m_flat, _design(x, Z), settings)
             slots["mediator_law"] = p_one  # wrapped into f(M | x, Z) later
         if "mediated_outcome" in reqs:
-            fmap = settings.outcome_features()
-            fit = fit_ols(
-                fmap.transform(_design(m_flat, x, Z)), y, settings.ridge_lambda
-            ) if settings.outcome_model == "ols" else fit_kernel_regression(
-                _design(m_flat, x, Z), y, settings.bandwidth
-            )
-            if settings.outcome_model == "ols":
-                slots["mediated_outcome"] = (
-                    lambda Mq, xq, Zq, _f=fit, _m=fmap: _f.predict(
-                        _m.transform(_design(_as_flat(Mq), xq, Zq))
-                    )
-                )
-            else:
-                slots["mediated_outcome"] = (
-                    lambda Mq, xq, Zq, _f=fit: _f.predict(_design(_as_flat(Mq), xq, Zq))
-                )
+            b = _fit_conditional_mean(y, _design(m_flat, x, Z), settings)
+            slots["mediated_outcome"] = lambda Mq, xq, Zq: b(_design(_as_flat(Mq), xq, Zq))
         if "mediator_support" in reqs:
             slots["mediator_support"] = tuple(sorted(set(m_flat.tolist())))
     if "mean_y" in reqs:
         slots["mean_y"] = float(np.mean(y))
     if "mean_x" in reqs:
         slots["mean_x"] = float(np.mean(x))
-    return slots, artifacts
+    return slots
 
 
-_SCALAR_SLOTS = ("mean_y", "mean_x", "exposure_residual_var")
-_CLIPPED_SLOTS = ("propensity", "mediator_law")
+_POOLED_SLOTS = ("mean_y", "mean_x", "exposure_residual_var", "mediator_support")
 
 
+def _pooled(name: str, per_fold: list):
+    """A scalar slot pooled over folds; the mediator support is the union."""
+    if name == "mediator_support":
+        return tuple(sorted(set().union(*[set(s) for s in per_fold])))
+    return float(np.mean(per_fold))
+
+
+def _clipped(raw: Callable, trim: float) -> Callable:
+    return lambda *args: np.clip(np.asarray(raw(*args), dtype=float), trim, 1.0 - trim)
+
+
+def _mediator_law_from_p(p_one: Callable, trim: float) -> Callable:
+    def law(Mq, xq, Zq):
+        p1 = np.clip(np.asarray(p_one(_design(xq, Zq)), dtype=float), trim, 1.0 - trim)
+        m = _as_flat(Mq)
+        return np.where(m == 1.0, p1, 1.0 - p1)
+
+    return law
+
+
+def _in_fold(k: int, step: Callable, *args):
+    """Run one fold's step.  A package error keeps its type and names the
+    fold; a numpy or Python numerical failure becomes ``NumericalError``."""
+    try:
+        return step(*args)
+    except InfluenceLabError as exc:
+        raise type(exc)(f"fold {k}: {exc}") from exc
+    except _FOREIGN_NUMERICAL as exc:
+        raise NumericalError(f"fold {k}: {type(exc).__name__}: {exc}") from exc
+
+
+@dataclass(eq=False)
 class CrossFittedNuisances:
-    """Per-fold nuisance fits presenting the one-set slot interface.
+    """Per-fold nuisance fits and the table of their values at the sample.
 
-    Function-valued slots route row-aligned inputs (first argument of length
-    n) to the fit trained on the complement of each row's fold; any other
-    input is answered with the equal-weight average over fold fits (used for
-    scalar probes like a density at the estimated quantile).  Scalar slots
-    are pooled across folds.
+    ``values`` holds, for each entry of the estimand's ``nuisance_values``,
+    one array over the n sample rows; row i comes from the fits trained
+    without row i's fold.  ``table`` hands it only to the estimand that was
+    fit, on the rows it was fit on.  ``probe`` evaluates a function-valued
+    slot at any other points as the equal-weight average over fold fits.
+    ``folds`` are the per-fold nuisance sets with pooled scalar slots; their
+    propensity is raw, and the table and ``probe`` clip it to
+    [trim, 1 - trim].
     """
 
-    def __init__(
-        self,
-        plan: FoldPlan,
-        fold_slots: Sequence[dict],
-        fold_artifacts: Sequence[dict],
-        trim: float,
-        trim_count: int,
-    ):
-        self.plan = plan
-        self.fold_slots = list(fold_slots)
-        self.fold_artifacts = list(fold_artifacts)
-        self.trim = trim
-        self.trim_count = trim_count
-        names = set(self.fold_slots[0])
-        for name in names:
-            setattr(self, name, self._combined(name))
+    plan: FoldPlan
+    spec: Estimand
+    cols: ColumnSet
+    folds: list
+    values: dict
+    trim: float
+    trim_count: int
 
     def require(self, *slot_names: str) -> None:
-        missing = [s for s in slot_names if getattr(self, s, None) is None]
-        if missing:
-            raise NuisanceError(f"missing nuisance slots: {', '.join(missing)}")
+        self.folds[0].require(*slot_names)
 
-    def _combined(self, name: str):
-        per_fold = [slots[name] for slots in self.fold_slots]
-        if name == "mediator_support":
-            merged = sorted(set().union(*[set(s) for s in per_fold]))
-            return tuple(merged)
-        if name in _SCALAR_SLOTS:
-            return float(np.mean(per_fold))
-        if name == "mediator_law":
-            per_fold = [self._mediator_law_from_p(p) for p in per_fold]
-        elif name == "propensity":
-            per_fold = [self._clipped(p) for p in per_fold]
-        plan = self.plan
-
-        def routed(*args):
-            first = np.asarray(args[0])
-            row_aligned = first.ndim >= 1 and first.shape[0] == plan.n
-            if plan.K == 1:
-                return np.asarray(per_fold[0](*args), dtype=float)
-            if row_aligned:
-                out = np.empty(plan.n, dtype=float)
-                for k in range(plan.K):
-                    rows = plan.fold_rows(k)
-                    sub = tuple(np.asarray(a)[rows] for a in args)
-                    out[rows] = per_fold[k](*sub)
-                return out
-            stacked = np.stack(
-                [np.asarray(f(*args), dtype=float) for f in per_fold]
+    def table(self, spec: Estimand, cols: ColumnSet) -> dict:
+        fitted = (self.cols.y, self.cols.x, self.cols.Z, self.cols.M)
+        same = all(np.array_equal(a, b) for a, b in zip((cols.y, cols.x, cols.Z, cols.M), fitted))
+        if spec != self.spec or not same:
+            raise ValidationError(
+                f"these nuisances were cross-fitted for {self.spec.name} on one "
+                f"dataset of {self.plan.n} rows and serve only that pair"
             )
-            return stacked.mean(axis=0)
+        return self.values
 
-        return routed
+    def probe(self, name: str, *args) -> np.ndarray:
+        self.require(name)
+        return self._combined(name)(*args)
 
-    def _clipped(self, raw: Callable) -> Callable:
-        lo, hi = self.trim, 1.0 - self.trim
-        return lambda *args: np.clip(np.asarray(raw(*args), dtype=float), lo, hi)
+    def fold_average(self, fn: Callable[[NuisanceSet], float]) -> float:
+        """``fn`` of each fold's nuisances, weighted by the fold's share of
+        the rows (each row's table values come from its own fold)."""
+        total = 0.0
+        for k, fold in enumerate(self.folds):
+            total += self.plan.fold_rows(k).size / self.plan.n * fn(fold)
+        return total
 
-    def _mediator_law_from_p(self, p_one: Callable) -> Callable:
-        lo, hi = self.trim, 1.0 - self.trim
+    def _combined(self, name: str) -> Callable:
+        """Equal-weight average over folds of one function-valued slot."""
+        per_fold = [getattr(fold, name) for fold in self.folds]
+        if name == "propensity":
+            per_fold = [_clipped(f, self.trim) for f in per_fold]
 
-        def law(Mq, xq, Zq):
-            p1 = np.clip(np.asarray(p_one(_design(xq, Zq)), dtype=float), lo, hi)
-            m = _as_flat(Mq)
-            return np.where(m == 1.0, p1, 1.0 - p1)
+        def averaged(*args):
+            return np.stack([np.asarray(f(*args), dtype=float) for f in per_fold]).mean(axis=0)
 
-        return law
+        return averaged
 
-    def __getattr__(self, name: str):
-        # unfitted slots read as absent, matching the plain nuisance container
-        if name in NuisanceSet.__dataclass_fields__:
-            return None
-        raise AttributeError(name)
+
+def _outside(raw: np.ndarray, trim: float) -> int:
+    return int(((raw < trim) | (raw > 1.0 - trim)).sum())
 
 
 def fit_cross_fitted_nuisances(
@@ -497,7 +488,8 @@ def fit_cross_fitted_nuisances(
     plan: Optional[FoldPlan] = None,
     seed: int = 0,
 ) -> CrossFittedNuisances:
-    """Fit every slot the estimand needs, once per fold, on fold complements."""
+    """Fit every slot the estimand needs on each fold's complement, then
+    evaluate the estimand's nuisance table once per fold, on its rows."""
     spec.validate_schema(dataset.schema)
     cols = ColumnSet.from_dataset(dataset)
     if plan is None:
@@ -509,32 +501,35 @@ def fit_cross_fitted_nuisances(
     binary_exposure = bool(
         exposure_idx and dataset.schema.columns[exposure_idx[0]].kind != "continuous"
     )
-    fold_slots, fold_artifacts = [], []
-    for k in range(plan.K):
-        train = plan.training_rows(k)
-        try:
-            slots, artifacts = _fit_fold_slots(
-                cols, train, reqs, settings, binary_exposure
-            )
-        except Exception as exc:
-            raise type(exc)(f"fold {k}: {exc}") from exc
-        fold_slots.append(slots)
-        fold_artifacts.append(artifacts)
-
-    trim_count = 0
-    for name in _CLIPPED_SLOTS:
-        if name not in fold_slots[0]:
-            continue
-        for k in range(plan.K):
-            rows = plan.fold_rows(k)
-            if name == "propensity":
-                raw = np.asarray(fold_slots[k][name](cols.Z[rows]), dtype=float)
-            else:
-                raw = np.asarray(
-                    fold_slots[k][name](_design(cols.x[rows], cols.Z[rows])), dtype=float
-                )
-            trim_count += int(((raw < settings.trim) | (raw > 1.0 - settings.trim)).sum())
-    return CrossFittedNuisances(plan, fold_slots, fold_artifacts, settings.trim, trim_count)
+    fold_slots = [
+        _in_fold(k, _fit_fold_slots, cols, plan.training_rows(k), reqs, settings,
+                 binary_exposure)
+        for k in range(plan.K)
+    ]
+    pooled = {
+        name: _pooled(name, [slots[name] for slots in fold_slots])
+        for name in _POOLED_SLOTS if name in fold_slots[0]
+    }
+    trim = settings.trim
+    folds, values, trim_count = [], {}, 0
+    for k, slots in enumerate(fold_slots):
+        rows = plan.fold_rows(k)
+        held_out = cols.take(rows)
+        functions = {name: f for name, f in slots.items() if name not in pooled}
+        if "mediator_law" in functions:
+            raw = functions["mediator_law"](_design(held_out.x, held_out.Z))
+            trim_count += _outside(np.asarray(raw, dtype=float), trim)
+            functions["mediator_law"] = _mediator_law_from_p(functions["mediator_law"], trim)
+        folds.append(NuisanceSet(**functions, **pooled))
+        table = _in_fold(k, spec.nuisance_values, held_out, folds[-1])
+        # the raw propensity at the held-out rows gives the trim count, then
+        # is clipped in place: one pass serves both
+        if "propensity" in table:
+            trim_count += _outside(table["propensity"], trim)
+            table["propensity"] = np.clip(table["propensity"], trim, 1.0 - trim)
+        for name, column in table.items():
+            values.setdefault(name, np.empty(plan.n))[rows] = column
+    return CrossFittedNuisances(plan, spec, cols, folds, values, trim, trim_count)
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +582,7 @@ def wald_interval(eif_values: np.ndarray, psi_hat: float, alpha: float = DEFAULT
             stacklevel=2,
         )
     se = sd / np.sqrt(phi.size)
-    z = float(norm.ppf(1.0 - alpha / 2.0))
+    z = float(normal_ppf(1.0 - alpha / 2.0))
     return se, psi_hat - z * se, psi_hat + z * se
 
 
@@ -609,23 +604,18 @@ def _assemble(spec, method, psi, eif, alpha, diagnostics) -> EstimateReport:
     )
 
 
-def _base_diagnostics(nuis) -> dict:
+def _base_diagnostics(nuis, **extra) -> dict:
     if isinstance(nuis, CrossFittedNuisances):
-        return {"fold_count": nuis.plan.K, "trim_count": nuis.trim_count}
-    return {"fold_count": 1, "trim_count": 0}
+        return {"fold_count": nuis.plan.K, "trim_count": nuis.trim_count, **extra}
+    return {"fold_count": 1, "trim_count": 0, **extra}
 
 
-def _plugin_value(spec: Estimand, cols: ColumnSet, nuis) -> float:
-    if isinstance(spec, AverageDensity) and isinstance(nuis, CrossFittedNuisances):
-        # cross-fitted squared-density integral: fold-size weighted average of
-        # each fold's own integral so the plug-in matches the routed EIF values
-        total = 0.0
-        for k in range(nuis.plan.K):
-            density = nuis.fold_artifacts[k]["density"]
-            weight = nuis.plan.fold_rows(k).size / nuis.plan.n
-            total += weight * integrated_squared_density(density, cols.y)
-        return total
-    return spec.plugin_estimate(cols, nuis)
+def _eif(spec: Estimand, cols: ColumnSet, nuis) -> Callable[[float], np.ndarray]:
+    """psi -> influence values; an affine estimand's (u, s) are computed once."""
+    if not spec.affine:
+        return lambda psi: spec.eif_values(cols, nuis, psi)
+    u, s = spec.eif_terms(cols, nuis)
+    return lambda psi: u - s * psi
 
 
 def _check_eif_magnitude(phi: np.ndarray) -> None:
@@ -645,25 +635,23 @@ def _check_eif_magnitude(phi: np.ndarray) -> None:
 def plugin(spec: Estimand, dataset: Dataset, nuis, alpha: float = DEFAULT_ALPHA):
     """Plug-in estimate; no debiasing, interval from the EIF at the plug-in."""
     cols = ColumnSet.from_dataset(dataset)
-    psi = _plugin_value(spec, cols, nuis)
-    phi = spec.eif_values(cols, nuis, psi)
+    psi = spec.plugin_estimate(cols, nuis)
+    phi = _eif(spec, cols, nuis)(psi)
     _check_eif_magnitude(phi)
-    diag = _base_diagnostics(nuis)
-    diag["solver_iterations"] = 0
+    diag = _base_diagnostics(nuis, solver_iterations=0)
     return _assemble(spec, "plugin", psi, phi, alpha, diag)
 
 
 def one_step(spec: Estimand, dataset: Dataset, nuis, alpha: float = DEFAULT_ALPHA):
     """Plug-in plus the average influence function at the plug-in."""
     cols = ColumnSet.from_dataset(dataset)
-    plug = _plugin_value(spec, cols, nuis)
-    phi_plug = spec.eif_values(cols, nuis, plug)
+    plug = spec.plugin_estimate(cols, nuis)
+    eif = _eif(spec, cols, nuis)
+    phi_plug = eif(plug)
     _check_eif_magnitude(phi_plug)
     psi = plug + float(np.mean(phi_plug))
-    phi = spec.eif_values(cols, nuis, psi)
-    diag = _base_diagnostics(nuis)
-    diag["plugin_psi"] = float(plug)
-    diag["solver_iterations"] = 0
+    phi = eif(psi)
+    diag = _base_diagnostics(nuis, plugin_psi=float(plug), solver_iterations=0)
     return _assemble(spec, "one_step", psi, phi, alpha, diag)
 
 
@@ -700,8 +688,9 @@ def estimating_equation(
             iterations += 1
         psi = 0.5 * (lo + hi)
         diag["solver_iterations"] = iterations
+        phi = spec.eif_values(cols, nuis, psi)
     elif spec.affine:
-        psi0 = _plugin_value(spec, cols, nuis)
+        psi0 = spec.plugin_estimate(cols, nuis)
         u, s = spec.eif_terms(cols, nuis)
         mean_s = float(np.mean(s))
         if abs(mean_s) < 1e-12:
@@ -711,11 +700,11 @@ def estimating_equation(
         psi = psi0 + float(np.mean(u - s * psi0)) / mean_s
         diag["plugin_psi"] = float(psi0)
         diag["solver_iterations"] = 0
+        phi = u - s * psi
     else:
         raise ValidationError(
             f"no estimating-equation solver for estimand {spec.name!r}"
         )
-    phi = spec.eif_values(cols, nuis, psi)
     _check_eif_magnitude(phi)
     return _assemble(spec, "estimating_equation", psi, phi, alpha, diag)
 
@@ -740,20 +729,18 @@ def tmle(spec: Estimand, dataset: Dataset, nuis, alpha: float = DEFAULT_ALPHA):
         )
     cols = ColumnSet.from_dataset(dataset)
     nuis.require("outcome_mean", "propensity")
-    pi_one = np.asarray(nuis.propensity(cols.Z), dtype=float)
+    values = nuis.table(spec, cols)
+    pi_one = values["propensity"]
     if np.any((pi_one <= 0.0) | (pi_one >= 1.0)):
         raise PositivityError("propensity predictions must lie strictly inside (0, 1)")
-    diag = _base_diagnostics(nuis)
-    diag["solver_iterations"] = 0
+    diag = _base_diagnostics(nuis, solver_iterations=0)
     arm_psi, arm_centered, epsilons, scores = {}, {}, [], []
     for arm in arms:
         indicator = (cols.x == arm).astype(float)
         if indicator.sum() == 0.0:
             raise PositivityError(f"no observations with exposure level {arm!r}")
         pi_arm = pi_one if arm == 1.0 else 1.0 - pi_one
-        m_arm = np.asarray(
-            nuis.outcome_mean(np.full(cols.n, arm), cols.Z), dtype=float
-        )
+        m_arm = values[f"m{arm:g}"]
         weight = indicator / pi_arm
         epsilon = float(np.sum(weight * (cols.y - m_arm)) / np.sum(indicator / pi_arm**2))
         m_star = m_arm + epsilon / pi_arm
@@ -802,7 +789,6 @@ def estimate(
         raise ValidationError(
             f"unknown method {method!r}; choose from {sorted(ESTIMATORS)}"
         )
-    cols_n = dataset.values.shape[0]
-    plan = make_folds(cols_n, folds, seed)
+    plan = make_folds(dataset.values.shape[0], folds, seed)
     nuis = fit_cross_fitted_nuisances(dataset, spec, settings, plan)
     return ESTIMATORS[method](spec, dataset, nuis, alpha)

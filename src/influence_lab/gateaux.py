@@ -201,10 +201,12 @@ def eif_mean_under(
     """E_Q[phi(O, P)] with Q the evaluation law and P the nuisance law."""
     if psi is None:
         psi = spec.plugin_value(nuisance_law)
-    nuis = exact_nuisances(spec, nuisance_law)
-    cols = ColumnSet.from_matrix(evaluation_law.schema, evaluation_law.values)
-    values = spec.eif_values(cols, nuis, psi)
-    return float(np.dot(evaluation_law.probs, values))
+    return _eif_mean(spec, evaluation_law, exact_nuisances(spec, nuisance_law), psi)
+
+
+def _eif_mean(spec: Estimand, law: DiscreteDistribution, nuis: NuisanceSet, psi: float) -> float:
+    cols = ColumnSet.from_matrix(law.schema, law.values)
+    return float(np.dot(law.probs, spec.eif_values(cols, nuis, psi)))
 
 
 def numerical_gateaux(spec: Estimand, path: MixturePath, at_t: float = 0.0) -> tuple[float, int]:
@@ -244,8 +246,10 @@ def verify_eif(
     """Check d/dt Psi(P_t)|_0 = E_Q[phi(O, P)] for each contaminant Q.
 
     By default every atom of the base support becomes a point-mass
-    contaminant.  Paths whose base law has a conditioning cell below
-    ``MIN_CELL_PROB`` are reported as skipped rather than silently passed.
+    contaminant, and E_Q[phi] is phi at that atom: the exact nuisances of
+    the base are built once and phi is evaluated at all atoms in one call.
+    Paths whose base law has a conditioning cell below ``MIN_CELL_PROB``
+    are reported as skipped rather than silently passed.
     """
     if not spec.discrete_oracle:
         raise ValidationError(
@@ -261,28 +265,33 @@ def verify_eif(
         labeled = [(q, f"law:{i}") for i, q in enumerate(contaminants)]
     psi0 = spec.plugin_value(base)
     min_cell = _min_conditioning_cell(spec, base)
-    reports = []
-    for contaminant, label in labeled:
-        if min_cell < MIN_CELL_PROB:
-            reports.append(
-                GateauxReport(
-                    spec=spec, at_t=0.0, numerical_derivative=math.nan,
-                    analytic_value=math.nan, halvings=0, contaminant_label=label,
-                    skipped=True,
-                    skip_reason=(
-                        f"a conditioning cell has probability {min_cell:.2e} "
-                        f"< {MIN_CELL_PROB}"
-                    ),
-                )
+    if min_cell < MIN_CELL_PROB:
+        return [
+            GateauxReport(
+                spec=spec, at_t=0.0, numerical_derivative=math.nan,
+                analytic_value=math.nan, halvings=0, contaminant_label=label,
+                skipped=True,
+                skip_reason=(
+                    f"a conditioning cell has probability {min_cell:.2e} "
+                    f"< {MIN_CELL_PROB}"
+                ),
             )
-            continue
+            for _, label in labeled
+        ]
+    nuis = exact_nuisances(spec, base)
+    if contaminants is None:
+        atoms = ColumnSet.from_matrix(base.schema, base.values)
+        analytic = spec.eif_values(atoms, nuis, psi0).tolist()
+    else:
+        analytic = [_eif_mean(spec, q, nuis, psi0) for q in contaminants]
+    reports = []
+    for (contaminant, label), value in zip(labeled, analytic):
         path = MixturePath(base, contaminant)
         derivative, halvings = numerical_gateaux(spec, path, at_t=0.0)
-        analytic = eif_mean_under(spec, contaminant, base, psi=psi0)
         reports.append(
             GateauxReport(
                 spec=spec, at_t=0.0, numerical_derivative=derivative,
-                analytic_value=analytic, halvings=halvings, contaminant_label=label,
+                analytic_value=value, halvings=halvings, contaminant_label=label,
             )
         )
     return reports
@@ -360,17 +369,14 @@ def von_mises_remainder(
     if isinstance(spec, (Ate, PotentialOutcomeMean)):
         arms = (1, 0) if isinstance(spec, Ate) else (spec.x,)
         bound = 0.0
-        nuis_p = exact_nuisances(spec, base)
-        pi_p = np.asarray(nuis_p.propensity(cols.Z), dtype=float)
-        pi_q = np.asarray(nuis_q.propensity(cols.Z), dtype=float)
+        v_p = spec.nuisance_values(cols, exact_nuisances(spec, base))
+        v_q = spec.nuisance_values(cols, nuis_q)
         for arm in arms:
-            arm_vec = np.full(cols.n, float(arm))
-            m_p = np.asarray(nuis_p.outcome_mean(arm_vec, cols.Z), dtype=float)
-            m_q = np.asarray(nuis_q.outcome_mean(arm_vec, cols.Z), dtype=float)
-            pa_p = pi_p if arm == 1 else 1.0 - pi_p
-            pa_q = pi_q if arm == 1 else 1.0 - pi_q
+            pa_p, pa_q = v_p["propensity"], v_q["propensity"]
+            if arm == 0:
+                pa_p, pa_q = 1.0 - pa_p, 1.0 - pa_q
             ratio_sq = float(np.dot(base.probs, (pa_p / pa_q - 1.0) ** 2))
-            diff_sq = float(np.dot(base.probs, (m_p - m_q) ** 2))
+            diff_sq = float(np.dot(base.probs, (v_p[f"m{arm}"] - v_q[f"m{arm}"]) ** 2))
             bound += math.sqrt(ratio_sq) * math.sqrt(diff_sq)
         bound_kind = "cauchy_schwarz"
     elif isinstance(spec, AverageDensity):

@@ -18,8 +18,8 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import norm
 
+from ._normal import normal_cdf, normal_pdf, normal_ppf
 from ._smooth import NormalMixture
 from .distributions import Column, Dataset, Schema
 from .errors import (
@@ -98,13 +98,13 @@ class NormalMeanDgp:
         if isinstance(spec, PopulationMean):
             return self.mu, 0.0
         if isinstance(spec, Quantile):
-            return self.mu + self.sigma * float(norm.ppf(spec.tau)), 0.0
+            return self.mu + self.sigma * float(normal_ppf(spec.tau)), 0.0
         if isinstance(spec, AverageDensity):
             return 1.0 / (2.0 * self.sigma * math.sqrt(math.pi)), 0.0
         if isinstance(spec, TailConditionalExpectation):
             alpha = (spec.threshold - self.mu) / self.sigma
-            mass = float(norm.cdf(alpha))
-            return self.mu - self.sigma * float(norm.pdf(alpha)) / mass, 0.0
+            mass = float(normal_cdf(alpha))
+            return self.mu - self.sigma * float(normal_pdf(alpha)) / mass, 0.0
         raise ValidationError(f"no recorded truth for {spec.name!r} under {self.name}")
 
 
@@ -393,7 +393,7 @@ class DensityMixtureDgp:
             for i in range(2):
                 for j in range(2):
                     scale = math.sqrt(sd[i] ** 2 + sd[j] ** 2)
-                    total += w[i] * w[j] * float(norm.pdf(mu[i] - mu[j], scale=scale))
+                    total += w[i] * w[j] * float(normal_pdf(mu[i] - mu[j], scale=scale))
             return total, 0.0
         if isinstance(spec, Quantile):
             return self._mixture().quantile(spec.tau), 0.0

@@ -8,12 +8,17 @@ from influence_lab import (
     AverageDensity,
     AverageDerivativeEffect,
     Column,
+    ColumnSet,
     Dataset,
     FeatureMap,
+    KernelRegressionFit,
     LearnerSettings,
+    NuisanceError,
     NuisanceSet,
+    NumericalError,
     PopulationMean,
     PositivityError,
+    PotentialOutcomeMean,
     Quantile,
     Schema,
     SeparationError,
@@ -25,16 +30,22 @@ from influence_lab import (
     make_folds,
     one_step,
     plugin,
+    run_replications,
     tmle,
     wald_interval,
 )
-from influence_lab.simulation import AteLinearDgp
+from influence_lab import estimation
+from influence_lab.cli import main as cli_main
+from influence_lab.simulation import AteLinearDgp, AteNonlinearDgp
 
 ZXY = Schema((
     Column("z", "covariate", "binary"),
     Column("x", "exposure", "binary"),
     Column("y", "outcome", "continuous"),
 ))
+
+
+KERNEL_LEARNERS = LearnerSettings(outcome_model="kernel", propensity_model="kernel")
 
 
 def _hand_dataset(y):
@@ -248,42 +259,67 @@ class TestCrossFitting:
         ))
         return Dataset(schema, np.column_stack([z, x, y]))
 
+    def _fold_propensities(self, data, plan, settings, points):
+        """Each fold's clipped logistic propensity at ``points``."""
+        z = data.values[:, 0]
+        x = data.values[:, 1]
+        fmap = FeatureMap(degree=1)
+        out = []
+        for k in range(plan.K):
+            train = plan.training_rows(k)
+            fit = fit_logistic(fmap.transform(z[train][:, None]), x[train])
+            out.append(np.clip(
+                fit.predict(fmap.transform(points)), settings.trim, 1.0 - settings.trim,
+            ))
+        return out
+
     def test_row_aligned_calls_use_held_out_fits_only(self):
         data = self._dataset()
         z = data.values[:, 0]
-        x = data.values[:, 1]
         plan = make_folds(60, 2, seed=7)
         settings = LearnerSettings()
         nuis = fit_cross_fitted_nuisances(data, Ate(), settings, plan=plan)
-        routed = nuis.propensity(z[:, None])
-        fmap = FeatureMap(degree=1)
+        table = nuis.table(Ate(), ColumnSet.from_dataset(data))
         for k in range(2):
-            train = plan.training_rows(k)
-            fit = fit_logistic(fmap.transform(z[train][:, None]), x[train])
-            manual = np.clip(
-                fit.predict(fmap.transform(z[plan.fold_rows(k)][:, None])),
-                settings.trim, 1.0 - settings.trim,
-            )
-            np.testing.assert_array_equal(routed[plan.fold_rows(k)], manual)
+            rows = plan.fold_rows(k)
+            manual = self._fold_propensities(data, plan, settings, z[rows][:, None])[k]
+            np.testing.assert_array_equal(table["propensity"][rows], manual)
 
     def test_scalar_probe_averages_over_folds(self):
         data = self._dataset()
-        z = data.values[:, 0]
-        x = data.values[:, 1]
         plan = make_folds(60, 2, seed=7)
         settings = LearnerSettings()
         nuis = fit_cross_fitted_nuisances(data, Ate(), settings, plan=plan)
-        probe = nuis.propensity(np.array([[0.25]]))
-        fmap = FeatureMap(degree=1)
-        per_fold = []
-        for k in range(2):
-            train = plan.training_rows(k)
-            fit = fit_logistic(fmap.transform(z[train][:, None]), x[train])
-            per_fold.append(np.clip(
-                fit.predict(fmap.transform([[0.25]])),
-                settings.trim, 1.0 - settings.trim,
-            ))
+        probe = nuis.probe("propensity", np.array([[0.25]]))
+        per_fold = self._fold_propensities(data, plan, settings, [[0.25]])
         assert probe[0] == pytest.approx(np.mean(per_fold), abs=1e-15)
+
+    def test_probe_of_sample_length_is_averaged_not_routed(self):
+        # A probe with one point per row is still a probe: every point gets
+        # the fold average, never its own row's held-out fit.
+        data = self._dataset()
+        z = data.values[:, :1]
+        plan = make_folds(60, 2, seed=7)
+        settings = LearnerSettings()
+        nuis = fit_cross_fitted_nuisances(data, Ate(), settings, plan=plan)
+        probe = nuis.probe("propensity", z)
+        per_fold = self._fold_propensities(data, plan, settings, z)
+        np.testing.assert_allclose(probe, np.mean(per_fold, axis=0), rtol=0, atol=1e-15)
+        table = nuis.table(Ate(), ColumnSet.from_dataset(data))["propensity"]
+        assert not np.allclose(probe, table, rtol=0, atol=1e-6)
+
+    def test_table_belongs_to_the_fitted_estimand_and_rows(self):
+        data = self._dataset()
+        nuis = fit_cross_fitted_nuisances(data, Ate(), plan=make_folds(60, 2, seed=0))
+        cols = ColumnSet.from_dataset(data)
+        with pytest.raises(ValidationError, match="cross-fitted for ate"):
+            nuis.table(PotentialOutcomeMean(x=1), cols)
+        with pytest.raises(ValidationError, match="one dataset of 60 rows"):
+            nuis.table(Ate(), cols.take(np.arange(30)))
+        shuffled = Dataset(data.schema, data.values[np.roll(np.arange(60), 1)])
+        with pytest.raises(ValidationError, match="serve only that pair"):
+            one_step(Ate(), shuffled, nuis)
+        assert nuis.table(Ate(), ColumnSet.from_dataset(data)) is nuis.values
 
     def test_fold_failures_name_the_fold(self):
         # Exposure perfectly separated by the covariate in every training
@@ -299,10 +335,13 @@ class TestCrossFitting:
         with pytest.raises(SeparationError, match="fold 0"):
             fit_cross_fitted_nuisances(data, Ate(), plan=make_folds(20, 2, seed=0))
 
-    def test_unfitted_slots_read_as_none(self):
+    def test_unfitted_slots_are_refused(self):
         data = self._dataset()
         nuis = fit_cross_fitted_nuisances(data, PopulationMean(), plan=make_folds(60, 2, seed=0))
-        assert nuis.joint_density is None
+        with pytest.raises(NuisanceError, match="joint_density"):
+            nuis.probe("joint_density", np.zeros(1), np.zeros((1, 1)))
+        with pytest.raises(NuisanceError, match="propensity"):
+            nuis.require("propensity")
 
     def test_trim_reporting(self):
         data = self._dataset()
@@ -317,6 +356,98 @@ class TestCrossFitting:
         data = self._dataset()
         with pytest.raises(ValidationError, match="different number of rows"):
             fit_cross_fitted_nuisances(data, Ate(), plan=make_folds(59, 2, seed=0))
+
+
+
+def _raise_on_call(exc, calls=(1,)):
+    """A learner stand-in that raises ``exc`` on the given call numbers and
+    otherwise fits a logistic regression."""
+    count = [0]
+
+    def fit(*args, **kwargs):
+        count[0] += 1
+        if count[0] in calls:
+            raise exc
+        return fit_logistic(*args, **kwargs)
+
+    return fit
+
+
+class _TwoArgumentError(Exception):
+    def __init__(self, code, detail):
+        super().__init__(f"{code}: {detail}")
+
+
+class TestFoldFailures:
+    def _data(self):
+        return AteLinearDgp().generate(120, seed=5)
+
+    def test_numpy_failure_becomes_numerical_error_naming_the_fold(self, monkeypatch):
+        monkeypatch.setattr(
+            estimation, "fit_logistic",
+            _raise_on_call(np.linalg.LinAlgError("Singular matrix"), calls=(2,)),
+        )
+        with pytest.raises(NumericalError, match="fold 1: LinAlgError: Singular matrix") as info:
+            estimate(Ate(), self._data(), folds=3)
+        assert type(info.value) is NumericalError
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    def test_cli_exits_2_without_traceback(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(
+            estimation, "fit_logistic", _raise_on_call(np.linalg.LinAlgError("Singular matrix"))
+        )
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[data]\ndgp = ate-linear\nn = 100\n\n[estimand]\nname = ate\n")
+        assert cli_main(["estimate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "fold 0: LinAlgError" in err and "Traceback" not in err
+
+    def test_simulate_excludes_the_replication_with_its_reason(self, monkeypatch):
+        monkeypatch.setattr(
+            estimation, "fit_logistic", _raise_on_call(FloatingPointError("overflow"))
+        )
+        report = run_replications(AteLinearDgp(), Ate(), n=60, R=100, folds=2, seed=3)
+        assert report.completed == 99
+        assert report.excluded == ((0, "NumericalError: fold 0: FloatingPointError: overflow"),)
+
+    def test_other_exception_types_propagate_unchanged(self, monkeypatch):
+        original = _TwoArgumentError(7, "learner refused")
+        monkeypatch.setattr(estimation, "fit_logistic", _raise_on_call(original))
+        with pytest.raises(_TwoArgumentError) as info:
+            estimate(Ate(), self._data(), folds=3)
+        assert info.value is original
+
+
+class TestNuisancePasses:
+    """Each cross-fitted nuisance is evaluated once per held-out row."""
+
+    @pytest.fixture
+    def predict_calls(self, monkeypatch):
+        calls = []
+        original = KernelRegressionFit.predict
+
+        def counted(fit, queries):
+            calls.append(len(queries))
+            return original(fit, queries)
+
+        monkeypatch.setattr(KernelRegressionFit, "predict", counted)
+        return calls
+
+    @pytest.mark.parametrize("method", ["plugin", "one_step", "estimating_equation", "tmle"])
+    def test_kernel_ate_makes_three_passes_per_fold(self, method, predict_calls):
+        data = AteNonlinearDgp().generate(150, seed=2)
+        estimate(Ate(), data, method=method, settings=KERNEL_LEARNERS, folds=3, seed=1)
+        # pi(Z), m(1, Z) and m(0, Z) once per fold, each on that fold's rows
+        assert len(predict_calls) == 3 * 3
+        assert sum(predict_calls) == 3 * 150
+
+    def test_tmle_companion_one_step_adds_no_pass(self, predict_calls):
+        report = run_replications(
+            AteNonlinearDgp(), Ate(), method="tmle", settings=KERNEL_LEARNERS,
+            n=150, R=1, folds=3, seed=4, truth=(1.0, 0.0),
+        )
+        assert report.completed == 1 and "max_tmle_aipw_gap" in report.extras
+        assert len(predict_calls) == 3 * 3
 
 
 class TestGuards:
