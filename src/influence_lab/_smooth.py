@@ -282,40 +282,40 @@ def derivative_path_functions(
 ):
     box = _merge_boxes(base.box(), cont.box())
 
-    def weight(x):
-        w, _ = spec.weight_at(np.asarray(x, dtype=float))
-        return w
-
-    def path_integrand_at(t: float):
-        def integrand(X, Z):
-            fa = base.xz_density(X, Z)
-            fb = cont.xz_density(X, Z)
-            ft = (1.0 - t) * fa + t * fb
-            ga = fa * base.regression(X, Z)
-            gb = fb * cont.regression(X, Z)
-            gt = (1.0 - t) * ga + t * gb
-            fa_dx = base.xz_density_grad_x(X, Z)
-            fb_dx = cont.xz_density_grad_x(X, Z)
-            ft_dx = (1.0 - t) * fa_dx + t * fb_dx
-            ga_dx = fa_dx * base.regression(X, Z) + fa * base.regression_grad(X, Z)
-            gb_dx = fb_dx * cont.regression(X, Z) + fb * cont.regression_grad(X, Z)
-            gt_dx = (1.0 - t) * ga_dx + t * gb_dx
-            # d/dx of m_t = (g_t' f_t - g_t f_t') / f_t^2, times f_t leaves f_t once
-            safe = np.maximum(ft, 1e-300)
-            return weight(X) * (gt_dx - (gt / safe) * ft_dx)
-
-        return integrand
-
-    grid = FixedGrid2D(box, path_integrand_at(0.5))
-
-    def psi_at(t: float) -> float:
-        return grid.integrate(path_integrand_at(t))
-
-    def analytic_integrand(X, Z):
+    def path_parts(X, Z):
+        """The factors of the path integrand that do not depend on t."""
         fa = base.xz_density(X, Z)
         fb = cont.xz_density(X, Z)
-        w, wprime = spec.weight_at(np.asarray(X, dtype=float))
-        score = -wprime - w * (base.xz_density_grad_x(X, Z) / np.maximum(fa, 1e-300))
+        ga = fa * base.regression(X, Z)
+        gb = fb * cont.regression(X, Z)
+        fa_dx = base.xz_density_grad_x(X, Z)
+        fb_dx = cont.xz_density_grad_x(X, Z)
+        ga_dx = fa_dx * base.regression(X, Z) + fa * base.regression_grad(X, Z)
+        gb_dx = fb_dx * cont.regression(X, Z) + fb * cont.regression_grad(X, Z)
+        w, _ = spec.weight_at(np.asarray(X, dtype=float))
+        return fa, fb, ga, gb, fa_dx, fb_dx, ga_dx, gb_dx, w
+
+    def path_integrand(parts, t: float):
+        fa, fb, ga, gb, fa_dx, fb_dx, ga_dx, gb_dx, w = parts
+        ft = (1.0 - t) * fa + t * fb
+        gt = (1.0 - t) * ga + t * gb
+        ft_dx = (1.0 - t) * fa_dx + t * fb_dx
+        gt_dx = (1.0 - t) * ga_dx + t * gb_dx
+        # d/dx of m_t = (g_t' f_t - g_t f_t') / f_t^2, times f_t leaves f_t once
+        safe = np.maximum(ft, 1e-300)
+        return w * (gt_dx - (gt / safe) * ft_dx)
+
+    grid = FixedGrid2D(box, lambda X, Z: path_integrand(path_parts(X, Z), 0.5))
+    # The grid is fixed from here on, so every t reuses the same factors.
+    parts = path_parts(grid.X, grid.Z)
+
+    def psi_at(t: float) -> float:
+        return grid.integrate(lambda X, Z: path_integrand(parts, t))
+
+    def analytic_integrand(X, Z):
+        fa, fb, _, _, fa_dx, _, _, _, w = parts
+        _, wprime = spec.weight_at(np.asarray(X, dtype=float))
+        score = -wprime - w * (fa_dx / np.maximum(fa, 1e-300))
         drift = score * (cont.regression(X, Z) - base.regression(X, Z))
         return (drift + w * base.regression_grad(X, Z)) * fb
 

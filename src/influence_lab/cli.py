@@ -9,7 +9,8 @@ Every JSON payload embeds the tool version, the fully resolved
 configuration, the seed, and the wall clock; the ``result`` block is a
 deterministic function of the embedded configuration, except for the
 wall-clock ``mean_runtime`` of ``simulate``.  Exit codes: 0 success, 1
-validation problem, 2 numerical failure, 3 verification failure.
+validation problem, 2 numerical failure (running out of memory and numpy's
+numerical errors included), 3 verification failure.
 """
 from __future__ import annotations
 
@@ -25,8 +26,10 @@ from . import __version__
 from .config import METHOD_ALIASES, RunConfig, parse_config_file
 from .distributions import load_csv
 from .errors import (
+    FOREIGN_NUMERICAL_ERRORS,
     ConfigError,
     InfluenceLabError,
+    NumericalError,
     ValidationError,
     VerificationError,
     exit_code_for,
@@ -477,7 +480,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        try:
+            return args.func(args)
+        except (MemoryError, *FOREIGN_NUMERICAL_ERRORS) as exc:
+            detail = f": {exc}" if str(exc) else ""
+            raise NumericalError(f"{type(exc).__name__}{detail}") from exc
     except InfluenceLabError as exc:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
         return exit_code_for(exc)

@@ -215,9 +215,17 @@ def eif_array(
 
 
 def _columns_of(law: DiscreteDistribution, **roles: bool) -> ColumnSet:
-    """Role columns of a law's atoms; the outcome is always required."""
-    cols = ColumnSet.from_matrix(law.schema, law.values)
+    """Role columns of a law's atoms, built once per support; the outcome is
+    always required."""
+    cols = law.derived("columns", _support_columns)
     cols.require(outcome=True, **roles)
+    return cols
+
+
+def _support_columns(law: DiscreteDistribution) -> ColumnSet:
+    cols = ColumnSet.from_matrix(law.schema, law.values)
+    cols.Z.setflags(write=False)  # shared by every law on the support
+    cols.M.setflags(write=False)
     return cols
 
 

@@ -6,6 +6,13 @@ All fits are plain containers of coefficients or training data plus pure
 prediction functions; nothing here knows about folds, trimming, or
 estimands.  Density and regression gradients are computed analytically from
 the Gaussian kernel, never by finite differences.
+
+Both kernel fits take their (n_query, n_sample) weights from one helper that
+fills the matrix in blocks of query rows, in place in one cache-sized buffer
+of ``KERNEL_BLOCK_ELEMENTS`` floats, with a one-shot broadcast's operations in
+its order, so the weights are the same bit for bit.  Row sums and products
+with the targets run on the whole matrix (a gemv cut into row blocks rounds
+differently), so memory still grows as n_query x n_sample.
 """
 from __future__ import annotations
 
@@ -19,6 +26,7 @@ IRLS_SCORE_TOL = 1e-8
 IRLS_MAX_ITER = 100
 SEPARATION_COEF_BOUND = 50.0
 KERNEL_WEIGHT_FLOOR = 1e-300
+KERNEL_BLOCK_ELEMENTS = 1 << 15
 MAX_POLY_DEGREE = 3
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
@@ -251,6 +259,39 @@ def fit_logistic(
 # ---------------------------------------------------------------------------
 
 
+def _gaussian_weights(queries: np.ndarray, sample: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The (n_query, n_sample) matrix exp(-0.5 * sum_j ((q_j - x_j) / h_j)^2),
+    filled in blocks of query rows (see the module docstring)."""
+    Q = np.atleast_2d(np.asarray(queries, dtype=float))
+    n, d = sample.shape
+    if Q.shape[1] != d:
+        raise SchemaError(f"query has {Q.shape[1]} columns, the fitted sample has {d}")
+    W = np.empty((Q.shape[0], n))
+    rows = max(1, KERNEL_BLOCK_ELEMENTS // (n * d))
+    block = np.empty((min(rows, Q.shape[0]), n, d))
+    for s in range(0, Q.shape[0], rows):
+        w = W[s : s + rows]
+        z = block[: w.shape[0]]
+        np.subtract(Q[s : s + rows, None, :], sample, out=z)
+        np.divide(z, h, out=z)
+        np.square(z, out=z)
+        np.sum(z, axis=2, out=w)
+        np.multiply(-0.5, w, out=w)
+        np.exp(w, out=w)
+    return W
+
+
+def _checked_total(W: np.ndarray) -> np.ndarray:
+    """Row sums of the weights; one below ``KERNEL_WEIGHT_FLOOR`` raises."""
+    total = W.sum(axis=1)
+    if np.any(total < KERNEL_WEIGHT_FLOOR):
+        raise ExtrapolationError(
+            f"kernel weight underflow at query row {int(np.argmin(total))}; "
+            "the point is too far from the training sample"
+        )
+    return total
+
+
 class KernelRegressionFit:
     """Nadaraya-Watson regression with a product Gaussian kernel.
 
@@ -274,38 +315,16 @@ class KernelRegressionFit:
     def bandwidths(self) -> np.ndarray:
         return self._h.copy()
 
-    def _weights(self, queries: np.ndarray) -> np.ndarray:
-        Q = np.atleast_2d(np.asarray(queries, dtype=float))
-        if Q.shape[1] != self._F.shape[1]:
-            raise SchemaError(
-                f"query has {Q.shape[1]} columns, training data has {self._F.shape[1]}"
-            )
-        # (n_query, n_train) standardized squared distances, summed over axes
-        z2 = ((Q[:, None, :] - self._F[None, :, :]) / self._h) ** 2
-        return np.exp(-0.5 * z2.sum(axis=2))
-
     def predict(self, queries: np.ndarray) -> np.ndarray:
-        W = self._weights(queries)
-        total = W.sum(axis=1)
-        if np.any(total < KERNEL_WEIGHT_FLOOR):
-            worst = int(np.argmin(total))
-            raise ExtrapolationError(
-                f"kernel weight underflow at query row {worst}; "
-                "the point is too far from the training sample"
-            )
+        W = _gaussian_weights(queries, self._F, self._h)
+        total = _checked_total(W)
         return (W @ self._y) / total
 
     def predict_grad(self, queries: np.ndarray, axis: int) -> np.ndarray:
         """Analytic derivative of the prediction along one query coordinate."""
         Q = np.atleast_2d(np.asarray(queries, dtype=float))
-        W = self._weights(Q)
-        total = W.sum(axis=1)
-        if np.any(total < KERNEL_WEIGHT_FLOOR):
-            worst = int(np.argmin(total))
-            raise ExtrapolationError(
-                f"kernel weight underflow at query row {worst}; "
-                "the point is too far from the training sample"
-            )
+        W = _gaussian_weights(Q, self._F, self._h)
+        total = _checked_total(W)
         # dW/dq_axis = W * (x_axis - q_axis) / h_axis^2
         slope = (self._F[None, :, axis] - Q[:, [axis]]) / self._h[axis] ** 2
         Wd = W * slope
@@ -354,14 +373,10 @@ class DensityFit:
         return self._S
 
     def _kernel_matrix(self, points: np.ndarray) -> np.ndarray:
-        P = np.atleast_2d(np.asarray(points, dtype=float))
-        if P.shape[1] != self._S.shape[1]:
-            raise SchemaError(
-                f"point has {P.shape[1]} columns, sample has {self._S.shape[1]}"
-            )
-        z = (P[:, None, :] - self._S[None, :, :]) / self._h
-        kern = np.exp(-0.5 * (z**2).sum(axis=2)) * _INV_SQRT_2PI ** self._S.shape[1]
-        return kern / np.prod(self._h)
+        K = _gaussian_weights(points, self._S, self._h)
+        K *= _INV_SQRT_2PI ** self._S.shape[1]
+        K /= np.prod(self._h)
+        return K
 
     def density_at(self, points: np.ndarray) -> np.ndarray:
         K = self._kernel_matrix(points)

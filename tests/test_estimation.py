@@ -402,6 +402,29 @@ class TestFoldFailures:
         err = capsys.readouterr().err
         assert "fold 0: LinAlgError" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "target, exc, line",
+        [
+            ("fit_logistic", MemoryError(), "error: MemoryError\n"),
+            ("wald_interval", np.linalg.LinAlgError("SVD did not converge"),
+             "error: LinAlgError: SVD did not converge\n"),
+            ("wald_interval", FloatingPointError("underflow"),
+             "error: FloatingPointError: underflow\n"),
+        ],
+    )
+    def test_cli_maps_errors_escaping_the_folds(
+        self, target, exc, line, monkeypatch, tmp_path, capsys
+    ):
+        def raising(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(estimation, target, raising)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[data]\ndgp = ate-linear\nn = 100\n\n[estimand]\nname = ate\n")
+        assert cli_main(["estimate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(line) and err.count("\n") == 1 and "Traceback" not in err
+
     def test_simulate_excludes_the_replication_with_its_reason(self, monkeypatch):
         monkeypatch.setattr(
             estimation, "fit_logistic", _raise_on_call(FloatingPointError("overflow"))

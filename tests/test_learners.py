@@ -1,6 +1,8 @@
 """Polynomial features, regression fits, kernel smoothers, and bandwidth rules."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from influence_lab import (
@@ -15,6 +17,7 @@ from influence_lab import (
     fit_ols,
     silverman_bandwidth,
 )
+from influence_lab.learners import KERNEL_BLOCK_ELEMENTS
 
 
 class TestSilvermanBandwidth:
@@ -189,6 +192,86 @@ class TestKernelRegression:
         F = rng.normal(size=(30, 3))
         fit = fit_kernel_regression(F, F.sum(axis=1), bandwidth=0.7)
         np.testing.assert_array_equal(fit.bandwidths, [0.7, 0.7, 0.7])
+
+
+def _broadcast_weights(Q, F, h):
+    """Gaussian weights as one (n_query, n_train, d) broadcast: the reference
+    that the blocked kernel helper must reproduce bit for bit."""
+    z2 = ((Q[:, None, :] - F[None, :, :]) / h) ** 2
+    return np.exp(-0.5 * z2.sum(axis=2))
+
+
+def _block_case(d, queries):
+    """Training rows, bandwidths and queries whose count, relative to the rows
+    of one kernel block, is given by ``queries``."""
+    rng = np.random.default_rng(17 + d)
+    n_train = 300 if queries != "one_row_blocks" else KERNEL_BLOCK_ELEMENTS // d + 1
+    rows = max(1, KERNEL_BLOCK_ELEMENTS // (n_train * d))
+    n_query = {"one": 1, "ragged": 4 * rows + rows // 2 + 1, "single_row_tail": 2 * rows + 1,
+               "one_row_blocks": 3}[queries]
+    assert n_query % rows or rows == 1  # the last block is a partial one
+    F = rng.normal(size=(n_train, d))
+    return F, 0.6 + 0.2 * np.arange(d), rng.normal(scale=0.8, size=(n_query, d))
+
+
+BLOCK_CASES = [(d, q) for d in (1, 2, 3) for q in ("one", "ragged", "single_row_tail")] + [
+    (1, "one_row_blocks")
+]
+
+
+class TestBlockedKernelWeights:
+    @pytest.mark.parametrize("d, queries", BLOCK_CASES)
+    def test_regression_equals_one_shot_broadcast(self, d, queries):
+        F, h, Q = _block_case(d, queries)
+        y = np.sin(F).sum(axis=1)
+        fit = fit_kernel_regression(F, y, bandwidth=h)
+        W = _broadcast_weights(Q, F, h)
+        total = W.sum(axis=1)
+        assert np.array_equal(fit.predict(Q), (W @ y) / total)
+        for axis in range(d):
+            Wd = W * ((F[None, :, axis] - Q[:, [axis]]) / h[axis] ** 2)
+            grad = ((Wd @ y) * total - (W @ y) * Wd.sum(axis=1)) / total**2
+            assert np.array_equal(fit.predict_grad(Q, axis), grad)
+
+    @pytest.mark.parametrize("d, queries", BLOCK_CASES)
+    def test_density_equals_one_shot_broadcast(self, d, queries):
+        S, h, P = _block_case(d, queries)
+        fit = fit_kde(S, bandwidth=h)
+        K = _broadcast_weights(P, S, h) * (1.0 / np.sqrt(2.0 * np.pi)) ** d / np.prod(h)
+        assert np.array_equal(fit.density_at(P), K.mean(axis=1))
+        for axis in range(d):
+            slope = (S[None, :, axis] - P[:, [axis]]) / h[axis] ** 2
+            assert np.array_equal(fit.density_grad_at(P, axis), (K * slope).mean(axis=1))
+
+    def test_extrapolation_names_the_global_query_row(self):
+        x = np.linspace(0, 1, 50)
+        fit = fit_kernel_regression(x[:, None], x, bandwidth=0.05)
+        rows = KERNEL_BLOCK_ELEMENTS // 50
+        queries = np.full((3 * rows, 1), 0.5)
+        queries[2 * rows + 7] = 60.0
+        for method in (fit.predict, lambda q: fit.predict_grad(q, axis=0)):
+            with pytest.raises(ExtrapolationError, match=f"query row {2 * rows + 7};"):
+                method(queries)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shift=st.floats(-1e3, 1e3),
+    # away from zero: a product in the subnormal range keeps no relative precision
+    scale=st.floats(1e-6, 1e6) | st.floats(-1e6, -1e-6),
+)
+def test_nadaraya_watson_is_equivariant_in_the_target(seed, shift, scale):
+    rng = np.random.default_rng(seed)
+    F = rng.normal(size=(40, 2))
+    y = rng.normal(size=40)
+    Q = rng.normal(size=(9, 2))
+    base = fit_kernel_regression(F, y).predict(Q)
+    size = np.abs(y).max()
+    shifted = fit_kernel_regression(F, y + shift).predict(Q)
+    assert np.all(np.abs(shifted - (base + shift)) <= 1e-12 * (abs(shift) + size))
+    scaled = fit_kernel_regression(F, scale * y).predict(Q)
+    assert np.all(np.abs(scaled - scale * base) <= 1e-12 * abs(scale) * size)
 
 
 class TestDensityFit:
