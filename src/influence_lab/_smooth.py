@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -218,7 +219,8 @@ class FixedGrid2D:
         while level <= QUADRATURE_MAX_LEVEL_2D:
             xs = np.linspace(x_lo, x_hi, 2**level + 1)
             zs = np.linspace(z_lo, z_hi, 2**level + 1)
-            X, Z = np.meshgrid(xs, zs, indexing="ij")
+            # broadcast views, not copies: each integrand makes its own full arrays
+            X, Z = np.meshgrid(xs, zs, indexing="ij", copy=False)
             value = float(np.trapezoid(np.trapezoid(reference(X, Z), zs, axis=1), xs))
             if previous is not None and abs(value - previous) <= rtol * max(1.0, abs(value)):
                 self.xs, self.zs, self.X, self.Z = xs, zs, X, Z
@@ -229,8 +231,9 @@ class FixedGrid2D:
             f"tensor trapezoid refinement did not stabilize to {rtol} on {box}"
         )
 
-    def integrate(self, fn: Callable) -> float:
-        return float(np.trapezoid(np.trapezoid(fn(self.X, self.Z), self.zs, axis=1), self.xs))
+    def integrate(self, values: np.ndarray) -> float:
+        """Integral of an integrand given by its values at the nodes (X, Z)."""
+        return float(np.trapezoid(np.trapezoid(values, self.zs, axis=1), self.xs))
 
 
 # ---------------------------------------------------------------------------
@@ -283,42 +286,43 @@ def derivative_path_functions(
     box = _merge_boxes(base.box(), cont.box())
 
     def path_parts(X, Z):
-        """The factors of the path integrand that do not depend on t."""
-        fa = base.xz_density(X, Z)
-        fb = cont.xz_density(X, Z)
-        ga = fa * base.regression(X, Z)
-        gb = fb * cont.regression(X, Z)
-        fa_dx = base.xz_density_grad_x(X, Z)
-        fb_dx = cont.xz_density_grad_x(X, Z)
-        ga_dx = fa_dx * base.regression(X, Z) + fa * base.regression_grad(X, Z)
-        gb_dx = fb_dx * cont.regression(X, Z) + fb * cont.regression_grad(X, Z)
-        w, _ = spec.weight_at(np.asarray(X, dtype=float))
-        return fa, fb, ga, gb, fa_dx, fb_dx, ga_dx, gb_dx, w
+        """At the nodes (X, Z): the integrand whose integral, less psi(P_0),
+        is the analytic derivative, and the t-free factors of the path
+        integrand."""
+        fa_dx, fb_dx = base.xz_density_grad_x(X, Z), cont.xz_density_grad_x(X, Z)
+        fa, fb = base.xz_density(X, Z), cont.xz_density(X, Z)
+        ma, mb = base.regression(X, Z), cont.regression(X, Z)
+        ma_dx, mb_dx = base.regression_grad(X, Z), cont.regression_grad(X, Z)
+        w, wprime = spec.weight_at(np.asarray(X, dtype=float))
+        analytic = ((-wprime - w * (fa_dx / np.maximum(fa, 1e-300))) * (mb - ma) + w * ma_dx) * fb
+        return SimpleNamespace(
+            analytic=analytic, fa=fa, fb=fb, ga=fa * ma, gb=fb * mb, fa_dx=fa_dx, fb_dx=fb_dx,
+            ga_dx=fa_dx * ma + fa * ma_dx, gb_dx=fb_dx * mb + fb * mb_dx, w=w,
+        )
 
-    def path_integrand(parts, t: float):
-        fa, fb, ga, gb, fa_dx, fb_dx, ga_dx, gb_dx, w = parts
-        ft = (1.0 - t) * fa + t * fb
-        gt = (1.0 - t) * ga + t * gb
-        ft_dx = (1.0 - t) * fa_dx + t * fb_dx
-        gt_dx = (1.0 - t) * ga_dx + t * gb_dx
+    def path_integrand(p: SimpleNamespace, t: float) -> np.ndarray:
+        ft = (1.0 - t) * p.fa + t * p.fb
+        gt = (1.0 - t) * p.ga + t * p.gb
+        ft_dx = (1.0 - t) * p.fa_dx + t * p.fb_dx
+        gt_dx = (1.0 - t) * p.ga_dx + t * p.gb_dx
         # d/dx of m_t = (g_t' f_t - g_t f_t') / f_t^2, times f_t leaves f_t once
-        safe = np.maximum(ft, 1e-300)
-        return w * (gt_dx - (gt / safe) * ft_dx)
+        safe = np.maximum(ft, 1e-300, out=ft)  # in place: f_t is not read again
+        return p.w * (gt_dx - (gt / safe) * ft_dx)
 
-    grid = FixedGrid2D(box, lambda X, Z: path_integrand(path_parts(X, Z), 0.5))
-    # The grid is fixed from here on, so every t reuses the same factors.
-    parts = path_parts(grid.X, grid.Z)
+    parts = None
+
+    def reference(X, Z):
+        # the grid's last reference call is at its final nodes: keep those parts
+        nonlocal parts
+        parts = None  # free the coarser level's parts before the finer level's
+        parts = path_parts(X, Z)
+        return path_integrand(parts, 0.5)
+
+    grid = FixedGrid2D(box, reference)
 
     def psi_at(t: float) -> float:
-        return grid.integrate(lambda X, Z: path_integrand(parts, t))
-
-    def analytic_integrand(X, Z):
-        fa, fb, _, _, fa_dx, _, _, _, w = parts
-        _, wprime = spec.weight_at(np.asarray(X, dtype=float))
-        score = -wprime - w * (fa_dx / np.maximum(fa, 1e-300))
-        drift = score * (cont.regression(X, Z) - base.regression(X, Z))
-        return (drift + w * base.regression_grad(X, Z)) * fb
+        return grid.integrate(path_integrand(parts, t))
 
     psi0 = psi_at(0.0)
-    analytic = grid.integrate(analytic_integrand) - psi0
+    analytic = grid.integrate(parts.analytic) - psi0
     return psi_at, analytic

@@ -10,7 +10,7 @@ configuration, the seed, and the wall clock; the ``result`` block is a
 deterministic function of the embedded configuration, except for the
 wall-clock ``mean_runtime`` of ``simulate``.  Exit codes: 0 success, 1
 validation problem, 2 numerical failure (running out of memory and numpy's
-numerical errors included), 3 verification failure.
+LinAlgError and FloatingPointError included), 3 verification failure.
 """
 from __future__ import annotations
 
@@ -22,11 +22,12 @@ import sys
 import time
 from typing import Optional
 
+import numpy as np
+
 from . import __version__
 from .config import METHOD_ALIASES, RunConfig, parse_config_file
 from .distributions import load_csv
 from .errors import (
-    FOREIGN_NUMERICAL_ERRORS,
     ConfigError,
     InfluenceLabError,
     NumericalError,
@@ -482,7 +483,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         try:
             return args.func(args)
-        except (MemoryError, *FOREIGN_NUMERICAL_ERRORS) as exc:
+        except (MemoryError, np.linalg.LinAlgError, FloatingPointError) as exc:
             detail = f": {exc}" if str(exc) else ""
             raise NumericalError(f"{type(exc).__name__}{detail}") from exc
     except InfluenceLabError as exc:

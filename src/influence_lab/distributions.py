@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -205,9 +205,8 @@ class DiscreteDistribution:
     merged by summing their probabilities; atoms keep the order of their
     first occurrence.  Probabilities must be nonnegative and sum to one
     within ``PROB_SUM_TOL``; they are stored as given, never renormalized.
-    The groupings made by ``cells``, and anything else ``derived`` from the
-    support alone, are cached with the support and shared by every law on it
-    along a ``MixturePath``.
+    The groupings made by ``cells`` are cached with the support and shared
+    by every law on it along a ``MixturePath``.
     """
 
     def __init__(
@@ -240,12 +239,12 @@ class DiscreteDistribution:
         self._schema = schema
         self._values = values
         self._probs = p
-        self._derived: dict = {}
+        self._cells: dict = {}
 
     def _reweighted(self, probs: np.ndarray) -> "DiscreteDistribution":
         """The law with ``probs`` on this law's support and groupings."""
         law = object.__new__(DiscreteDistribution)
-        law._schema, law._values, law._derived = self._schema, self._values, self._derived
+        law._schema, law._values, law._cells = self._schema, self._values, self._cells
         probs.setflags(write=False)
         law._probs = probs
         return law
@@ -275,18 +274,10 @@ class DiscreteDistribution:
         """Group the atoms by their values in the columns of ``roles``: the
         distinct value rows (columns by ``roles``, then schema order; rows in
         order of first occurrence) and each atom's row index, its cell."""
-        found = self._derived.get(roles)
+        found = self._cells.get(roles)
         if found is None:
             columns = [i for role in roles for i in self._schema.indices_with_role(role)]
-            found = self._derived[roles] = _group_rows(self._values[:, columns])
-        return found
-
-    def derived(self, key: str, build: Callable[["DiscreteDistribution"], Any]) -> Any:
-        """``build(self)``, made once per support and cached with the groupings;
-        ``build`` may read the schema and the atoms but not the probabilities."""
-        found = self._derived.get(key)
-        if found is None:
-            found = self._derived[key] = build(self)
+            found = self._cells[roles] = _group_rows(self._values[:, columns])
         return found
 
     def prob_of(self, point: Sequence[float]) -> float:

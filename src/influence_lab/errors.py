@@ -8,14 +8,6 @@ its numerical derivative) with 3.
 """
 from __future__ import annotations
 
-import numpy as np
-
-# Numerical failures raised by numpy or Python itself: a fold turns them into
-# ``NumericalError`` naming the fold, and the CLI maps any that escape to it.
-FOREIGN_NUMERICAL_ERRORS = (
-    np.linalg.LinAlgError, FloatingPointError, ZeroDivisionError, OverflowError,
-)
-
 
 class InfluenceLabError(Exception):
     """Base class for all errors raised by this package."""

@@ -25,7 +25,6 @@ import numpy as np
 from ._normal import normal_ppf
 from .distributions import Dataset
 from .errors import (
-    FOREIGN_NUMERICAL_ERRORS,
     InfluenceLabError,
     NuisanceError,
     NumericalError,
@@ -56,6 +55,8 @@ EIF_MAGNITUDE_BOUND = 1e8
 QUANTILE_SOLVER_TOL = 1e-10
 QUANTILE_SOLVER_MAX_ITER = 200
 TMLE_SCORE_TOL = 1e-10
+# numpy and Python numerical failures inside a fold become NumericalError
+_FOREIGN_NUMERICAL = (np.linalg.LinAlgError, FloatingPointError, ZeroDivisionError, OverflowError)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +414,7 @@ def _in_fold(k: int, step: Callable, *args):
         return step(*args)
     except InfluenceLabError as exc:
         raise type(exc)(f"fold {k}: {exc}") from exc
-    except FOREIGN_NUMERICAL_ERRORS as exc:
+    except _FOREIGN_NUMERICAL as exc:
         raise NumericalError(f"fold {k}: {type(exc).__name__}: {exc}") from exc
 
 

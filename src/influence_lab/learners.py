@@ -7,12 +7,10 @@ prediction functions; nothing here knows about folds, trimming, or
 estimands.  Density and regression gradients are computed analytically from
 the Gaussian kernel, never by finite differences.
 
-Both kernel fits take their (n_query, n_sample) weights from one helper that
-fills the matrix in blocks of query rows, in place in one cache-sized buffer
-of ``KERNEL_BLOCK_ELEMENTS`` floats, with a one-shot broadcast's operations in
-its order, so the weights are the same bit for bit.  Row sums and products
-with the targets run on the whole matrix (a gemv cut into row blocks rounds
-differently), so memory still grows as n_query x n_sample.
+Kernel weights are filled in blocks of query rows, in place in one buffer of
+``KERNEL_BLOCK_ELEMENTS`` floats, by a one-shot broadcast's operations in the
+same order, so they are the same bit for bit.  Row sums and gemvs still run on
+the whole matrix: a gemv cut into row blocks would round differently.
 """
 from __future__ import annotations
 
@@ -260,18 +258,15 @@ def fit_logistic(
 
 
 def _gaussian_weights(queries: np.ndarray, sample: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The (n_query, n_sample) matrix exp(-0.5 * sum_j ((q_j - x_j) / h_j)^2),
-    filled in blocks of query rows (see the module docstring)."""
+    """exp(-0.5 * |(q - x) / h|^2) for query rows q (rows) and sample rows x (columns)."""
     Q = np.atleast_2d(np.asarray(queries, dtype=float))
-    n, d = sample.shape
-    if Q.shape[1] != d:
-        raise SchemaError(f"query has {Q.shape[1]} columns, the fitted sample has {d}")
-    W = np.empty((Q.shape[0], n))
-    rows = max(1, KERNEL_BLOCK_ELEMENTS // (n * d))
-    block = np.empty((min(rows, Q.shape[0]), n, d))
+    if Q.shape[1] != sample.shape[1]:
+        raise SchemaError(f"query has {Q.shape[1]} columns, the sample has {sample.shape[1]}")
+    W = np.empty((Q.shape[0], sample.shape[0]))
+    rows = max(1, KERNEL_BLOCK_ELEMENTS // max(1, sample.size))
+    block = np.empty((min(rows, Q.shape[0]), *sample.shape))
     for s in range(0, Q.shape[0], rows):
-        w = W[s : s + rows]
-        z = block[: w.shape[0]]
+        w, z = W[s : s + rows], block[: min(rows, Q.shape[0] - s)]
         np.subtract(Q[s : s + rows, None, :], sample, out=z)
         np.divide(z, h, out=z)
         np.square(z, out=z)
@@ -279,17 +274,6 @@ def _gaussian_weights(queries: np.ndarray, sample: np.ndarray, h: np.ndarray) ->
         np.multiply(-0.5, w, out=w)
         np.exp(w, out=w)
     return W
-
-
-def _checked_total(W: np.ndarray) -> np.ndarray:
-    """Row sums of the weights; one below ``KERNEL_WEIGHT_FLOOR`` raises."""
-    total = W.sum(axis=1)
-    if np.any(total < KERNEL_WEIGHT_FLOOR):
-        raise ExtrapolationError(
-            f"kernel weight underflow at query row {int(np.argmin(total))}; "
-            "the point is too far from the training sample"
-        )
-    return total
 
 
 class KernelRegressionFit:
@@ -315,16 +299,25 @@ class KernelRegressionFit:
     def bandwidths(self) -> np.ndarray:
         return self._h.copy()
 
-    def predict(self, queries: np.ndarray) -> np.ndarray:
+    def _weights(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Kernel weights at the queries and their row sums."""
         W = _gaussian_weights(queries, self._F, self._h)
-        total = _checked_total(W)
+        total = W.sum(axis=1)
+        if np.any(total < KERNEL_WEIGHT_FLOOR):
+            raise ExtrapolationError(
+                f"kernel weight underflow at query row {int(np.argmin(total))}; "
+                "the point is too far from the training sample"
+            )
+        return W, total
+
+    def predict(self, queries: np.ndarray) -> np.ndarray:
+        W, total = self._weights(queries)
         return (W @ self._y) / total
 
     def predict_grad(self, queries: np.ndarray, axis: int) -> np.ndarray:
         """Analytic derivative of the prediction along one query coordinate."""
         Q = np.atleast_2d(np.asarray(queries, dtype=float))
-        W = _gaussian_weights(Q, self._F, self._h)
-        total = _checked_total(W)
+        W, total = self._weights(Q)
         # dW/dq_axis = W * (x_axis - q_axis) / h_axis^2
         slope = (self._F[None, :, axis] - Q[:, [axis]]) / self._h[axis] ** 2
         Wd = W * slope
@@ -379,8 +372,7 @@ class DensityFit:
         return K
 
     def density_at(self, points: np.ndarray) -> np.ndarray:
-        K = self._kernel_matrix(points)
-        return K.mean(axis=1)
+        return self._kernel_matrix(points).mean(axis=1)
 
     def density_grad_at(self, points: np.ndarray, axis: int = 0) -> np.ndarray:
         """Analytic partial derivative of the density along one coordinate."""

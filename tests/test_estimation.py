@@ -425,6 +425,17 @@ class TestFoldFailures:
         err = capsys.readouterr().err
         assert err.endswith(line) and err.count("\n") == 1 and "Traceback" not in err
 
+    def test_cli_leaves_other_errors_to_the_traceback(self, monkeypatch, tmp_path):
+        # ZeroDivisionError outside a fold is a programming error, not a numerical one
+        def raising(*args, **kwargs):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(estimation, "wald_interval", raising)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[data]\ndgp = ate-linear\nn = 100\n\n[estimand]\nname = ate\n")
+        with pytest.raises(ZeroDivisionError):
+            cli_main(["estimate", "--config", str(cfg)])
+
     def test_simulate_excludes_the_replication_with_its_reason(self, monkeypatch):
         monkeypatch.setattr(
             estimation, "fit_logistic", _raise_on_call(FloatingPointError("overflow"))
@@ -471,6 +482,22 @@ class TestNuisancePasses:
         )
         assert report.completed == 1 and "max_tmle_aipw_gap" in report.extras
         assert len(predict_calls) == 3 * 3
+
+
+class TestNoCovariates:
+    XY = Schema((Column("x", "exposure", "binary"), Column("y", "outcome", "continuous")))
+
+    @pytest.mark.parametrize("method", ["plugin", "one_step", "tmle"])
+    def test_kernel_ate_on_a_randomized_design(self, method):
+        # with no covariate every kernel fit is an (n, 0) sample mean, as OLS
+        # and logistic fits on the intercept alone are
+        rng = np.random.default_rng(3)
+        x = rng.integers(0, 2, 200).astype(float)
+        data = Dataset(self.XY, np.column_stack([x, 1.5 * x + rng.normal(size=200)]))
+        kernel = estimate(Ate(), data, method=method, settings=KERNEL_LEARNERS, folds=3, seed=1)
+        linear = estimate(Ate(), data, method=method, folds=3, seed=1)
+        assert kernel.psi_hat == pytest.approx(linear.psi_hat, rel=1e-12)
+        assert kernel.se == pytest.approx(linear.se, rel=1e-12)
 
 
 class TestGuards:

@@ -243,6 +243,15 @@ class TestBlockedKernelWeights:
             slope = (S[None, :, axis] - P[:, [axis]]) / h[axis] ** 2
             assert np.array_equal(fit.density_grad_at(P, axis), (K * slope).mean(axis=1))
 
+    def test_no_columns_gives_the_sample_mean(self):
+        # a covariate-free schema fits on an (n, 0) matrix: every weight is 1
+        y = np.random.default_rng(5).normal(size=40)
+        fit = fit_kernel_regression(np.empty((40, 0)), y)
+        Q = np.empty((7, 0))
+        W = _broadcast_weights(Q, np.empty((40, 0)), fit.bandwidths)
+        assert np.array_equal(fit.predict(Q), (W @ y) / W.sum(axis=1))
+        np.testing.assert_allclose(fit.predict(Q), np.full(7, y.mean()), rtol=1e-14)
+
     def test_extrapolation_names_the_global_query_row(self):
         x = np.linspace(0, 1, 50)
         fit = fit_kernel_regression(x[:, None], x, bandwidth=0.05)
