@@ -149,9 +149,10 @@ class GaussianRegressionFamily:
             z, loc=self.mu_z, scale=self.sd_z
         )
 
-    def xz_density_grad_x(self, x, z):
+    def xz_density_grad_x(self, x, z, density):
+        """d/dx of the joint density, given its values ``xz_density(x, z)``."""
         mu = self.a0 + self.a1 * np.asarray(z, dtype=float)
-        return -(np.asarray(x, dtype=float) - mu) / self.sd_x**2 * self.xz_density(x, z)
+        return -(np.asarray(x, dtype=float) - mu) / self.sd_x**2 * density
 
     def regression(self, x, z):
         c0, c1, c2, c3, c4 = self.coef
@@ -186,7 +187,11 @@ def _merge_boxes(a, b):
 
 
 class FixedGrid1D:
-    """Trapezoid nodes refined once, then reused for every integrand."""
+    """Trapezoid nodes refined once, then reused for every integrand.
+
+    The reference integrand's values at the final nodes and its integral
+    there are kept as ``values`` and ``integral``.
+    """
 
     def __init__(self, lo: float, hi: float, reference: Callable, rtol=QUADRATURE_RTOL):
         if hi <= lo:
@@ -195,9 +200,10 @@ class FixedGrid1D:
         previous = None
         while level <= QUADRATURE_MAX_LEVEL_1D:
             nodes = np.linspace(lo, hi, 2**level + 1)
-            value = float(np.trapezoid(reference(nodes), nodes))
+            values = reference(nodes)
+            value = float(np.trapezoid(values, nodes))
             if previous is not None and abs(value - previous) <= rtol * max(1.0, abs(value)):
-                self.nodes = nodes
+                self.nodes, self.values, self.integral = nodes, values, value
                 return
             previous = value
             level += 1
@@ -205,8 +211,9 @@ class FixedGrid1D:
             f"trapezoid refinement did not stabilize to {rtol} on [{lo}, {hi}]"
         )
 
-    def integrate(self, fn: Callable) -> float:
-        return float(np.trapezoid(fn(self.nodes), self.nodes))
+    def integrate(self, values: np.ndarray) -> float:
+        """Integral of an integrand given by its values at the nodes."""
+        return float(np.trapezoid(values, self.nodes))
 
 
 class FixedGrid2D:
@@ -252,9 +259,7 @@ def quantile_path_functions(spec: Quantile, base: NormalMixture, cont: NormalMix
     # integrand is piecewise constant times the contaminant density; split at psi0
     left = FixedGrid1D(lo, psi0, cont.pdf)
     right = FixedGrid1D(psi0, hi, cont.pdf)
-    mass_left = left.integrate(cont.pdf)
-    mass_right = right.integrate(cont.pdf)
-    analytic = ((spec.tau - 1.0) * mass_left + spec.tau * mass_right) / f0
+    analytic = ((spec.tau - 1.0) * left.integral + spec.tau * right.integral) / f0
     return psi_at, analytic
 
 
@@ -274,7 +279,7 @@ def tail_path_functions(
     F0 = float(base.cdf(np.asarray([c]))[0])
     lo = min(base.support_range()[0], cont.support_range()[0])
     grid = FixedGrid1D(lo, c, cont.pdf)
-    analytic = grid.integrate(lambda y: (y - psi0) * cont.pdf(y)) / F0
+    analytic = grid.integrate((grid.nodes - psi0) * grid.values) / F0
     return psi_at, analytic
 
 
@@ -289,8 +294,8 @@ def derivative_path_functions(
         """At the nodes (X, Z): the integrand whose integral, less psi(P_0),
         is the analytic derivative, and the t-free factors of the path
         integrand."""
-        fa_dx, fb_dx = base.xz_density_grad_x(X, Z), cont.xz_density_grad_x(X, Z)
         fa, fb = base.xz_density(X, Z), cont.xz_density(X, Z)
+        fa_dx, fb_dx = base.xz_density_grad_x(X, Z, fa), cont.xz_density_grad_x(X, Z, fb)
         ma, mb = base.regression(X, Z), cont.regression(X, Z)
         ma_dx, mb_dx = base.regression_grad(X, Z), cont.regression_grad(X, Z)
         w, wprime = spec.weight_at(np.asarray(X, dtype=float))

@@ -9,8 +9,9 @@ Every JSON payload embeds the tool version, the fully resolved
 configuration, the seed, and the wall clock; the ``result`` block is a
 deterministic function of the embedded configuration, except for the
 wall-clock ``mean_runtime`` of ``simulate``.  Exit codes: 0 success, 1
-validation problem, 2 numerical failure (running out of memory and numpy's
-LinAlgError and FloatingPointError included), 3 verification failure.
+validation problem, 2 numerical failure (a logistic fit that did not
+converge, running out of memory and numpy's LinAlgError and
+FloatingPointError included), 3 verification failure.
 """
 from __future__ import annotations
 

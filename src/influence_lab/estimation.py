@@ -201,6 +201,8 @@ class _ArmRegression:
         seen = np.zeros(x.size, dtype=bool)
         for level, fit in self.fits.items():
             mask = x == level
+            if mask.all():  # one level, as for m(1, Z) and m(0, Z): no masked copy
+                return fit.predict(self.feature_fn(Z))
             if mask.any():
                 out[mask] = fit.predict(self.feature_fn(Z[mask]))
                 seen |= mask
@@ -270,6 +272,10 @@ def _fit_probability(target, V, settings: LearnerSettings) -> Callable:
     if settings.propensity_model == "logistic":
         fmap = settings.propensity_features()
         fit = fit_logistic(fmap.transform(V), target, settings.ridge_lambda)
+        if not fit.converged:
+            raise SolverError(
+                f"logistic fit did not converge in {fit.iterations} IRLS iterations"
+            )
         return lambda Vq: fit.predict(fmap.transform(Vq))
     fit = fit_kernel_regression(V, target, settings.bandwidth)
     return lambda Vq: fit.predict(Vq)
@@ -297,7 +303,7 @@ def _frequency_table(sample: np.ndarray) -> Callable:
 
 
 def _check_binary(values: np.ndarray, what: str) -> None:
-    if not np.isin(values, (0.0, 1.0)).all():
+    if not ((values == 0.0) | (values == 1.0)).all():
         raise ValidationError(f"{what} must be binary (0/1) for the shipped learners")
 
 

@@ -11,6 +11,12 @@ Kernel weights are filled in blocks of query rows, in place in one buffer of
 ``KERNEL_BLOCK_ELEMENTS`` floats, by a one-shot broadcast's operations in the
 same order, so they are the same bit for bit.  Row sums and gemvs still run on
 the whole matrix: a gemv cut into row blocks would round differently.
+
+The least-squares and IRLS fits are written for few numpy calls per fit (one
+preallocated design, a branch-free logistic, no all-zero penalty terms) with
+every element's floating-point operations unchanged, so their coefficients are
+bit-identical to those of the masked two-branch, full-penalty form that
+tests/test_learners.py keeps as the reference.
 """
 from __future__ import annotations
 
@@ -88,9 +94,12 @@ class FeatureMap:
 
     def transform(self, raw: np.ndarray) -> np.ndarray:
         raw = np.atleast_2d(np.asarray(raw, dtype=float))
+        d = raw.shape[1]
+        pairs = self.interactions and d > 1
+        if self.degree == 1 and not pairs:
+            return raw  # raw ** 1 is exact: the columns as given, not a copy
         blocks = [raw ** p for p in range(1, self.degree + 1)]
-        if self.interactions and raw.shape[1] > 1:
-            d = raw.shape[1]
+        if pairs:
             blocks.extend(
                 (raw[:, [a]] * raw[:, [b]]) for a in range(d) for b in range(a + 1, d)
             )
@@ -154,16 +163,24 @@ class LogisticFit:
 
 def _with_intercept(features: np.ndarray) -> np.ndarray:
     F = np.atleast_2d(np.asarray(features, dtype=float))
-    return np.hstack([np.ones((F.shape[0], 1)), F])
+    X = np.empty((F.shape[0], F.shape[1] + 1))
+    X[:, 0] = 1.0
+    X[:, 1:] = F
+    return X
 
 
 def _expit(eta: np.ndarray) -> np.ndarray:
-    out = np.empty_like(eta, dtype=float)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    ez = np.exp(eta[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-eta)) for eta >= 0 and exp(eta) / (1 + exp(eta)) below:
+    exp never sees a positive argument, so nothing overflows."""
+    e = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0, e) / (1.0 + e)
+
+
+def _ridge_penalty(size: int, ridge_lambda: float) -> np.ndarray:
+    """ridge_lambda on the diagonal, except for the unpenalized intercept."""
+    penalty = np.eye(size) * ridge_lambda
+    penalty[0, 0] = 0.0
+    return penalty
 
 
 def fit_ols(features: np.ndarray, targets: np.ndarray, ridge_lambda: float = 0.0) -> LinearFit:
@@ -179,19 +196,19 @@ def fit_ols(features: np.ndarray, targets: np.ndarray, ridge_lambda: float = 0.0
     y = np.asarray(targets, dtype=float).ravel()
     if X.shape[0] != y.size:
         raise SchemaError(f"{X.shape[0]} rows of features but {y.size} targets")
-    gram = X.T @ X
-    penalty = np.eye(X.shape[1]) * ridge_lambda
-    penalty[0, 0] = 0.0
-    lhs = gram + penalty
+    lhs = X.T @ X
     rhs = X.T @ y
-    # Guard against numerically singular systems before trusting solve().
     if ridge_lambda == 0.0:
-        rank = np.linalg.matrix_rank(gram, tol=None)
-        if rank < X.shape[1]:
+        # Guard against numerically singular systems before trusting solve():
+        # the rank test of np.linalg.matrix_rank at its default tolerance.
+        S = np.linalg.svd(lhs, compute_uv=False)
+        if not (S > S.max() * (lhs.shape[0] * np.finfo(float).eps)).all():
             raise SingularityError(
                 "normal equations are singular (collinear features); "
                 "set ridge_lambda > 0 to regularize"
             )
+    else:
+        lhs = lhs + _ridge_penalty(lhs.shape[0], ridge_lambda)
     try:
         coef = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:
@@ -220,31 +237,37 @@ def fit_logistic(
         raise SchemaError(f"{X.shape[0]} rows of features but {y.size} targets")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise SchemaError("logistic targets must be 0/1")
-    spreads = np.ptp(X[:, 1:], axis=0) if X.shape[1] > 1 else np.array([])
-    if np.any(spreads == 0.0):
-        j = int(np.argmin(spreads))
-        raise SchemaError(
-            f"feature column {j} is constant and duplicates the intercept; drop it"
-        )
-    penalty = np.eye(X.shape[1]) * ridge_lambda
-    penalty[0, 0] = 0.0
+    if X.shape[1] > 1:
+        F = X[:, 1:]
+        spreads = F.max(axis=0) - F.min(axis=0)
+        if np.any(spreads == 0.0):
+            j = int(np.argmin(spreads))
+            raise SchemaError(
+                f"feature column {j} is constant and duplicates the intercept; drop it"
+            )
+    # With no penalty its terms are exact zeros and are left out.
+    penalty = None if ridge_lambda == 0.0 else _ridge_penalty(X.shape[1], ridge_lambda)
     beta = np.zeros(X.shape[1])
     converged = False
     iterations = 0
     for iterations in range(1, IRLS_MAX_ITER + 1):
         p = _expit(X @ beta)
-        score = X.T @ (y - p) - penalty @ beta
-        if np.max(np.abs(score)) < IRLS_SCORE_TOL:
+        score = X.T @ (y - p)
+        if penalty is not None:
+            score -= penalty @ beta
+        if np.abs(score).max() < IRLS_SCORE_TOL:
             converged = True
             break
-        w = np.clip(p * (1.0 - p), 1e-10, None)
-        hess = (X.T * w) @ X + penalty
+        w = np.maximum(p * (1.0 - p), 1e-10)
+        hess = (X.T * w) @ X
+        if penalty is not None:
+            hess += penalty
         try:
             step = np.linalg.solve(hess, score)
         except np.linalg.LinAlgError as exc:
             raise SolverError("IRLS update is singular") from exc
         beta = beta + step
-        if ridge_lambda == 0.0 and np.max(np.abs(beta)) > SEPARATION_COEF_BOUND:
+        if penalty is None and np.abs(beta).max() > SEPARATION_COEF_BOUND:
             raise SeparationError(
                 "logistic coefficients diverged (classes appear separated); "
                 "set ridge_lambda > 0 or simplify the model"

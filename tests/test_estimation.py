@@ -1,6 +1,8 @@
 """Cross-fitting machinery and the four estimators on hand-checkable data."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from influence_lab import (
@@ -22,6 +24,7 @@ from influence_lab import (
     Quantile,
     Schema,
     SeparationError,
+    SolverError,
     ValidationError,
     estimate,
     estimating_equation,
@@ -34,7 +37,7 @@ from influence_lab import (
     tmle,
     wald_interval,
 )
-from influence_lab import estimation
+from influence_lab import estimation, learners
 from influence_lab.cli import main as cli_main
 from influence_lab.simulation import AteLinearDgp, AteNonlinearDgp
 
@@ -101,6 +104,27 @@ class TestMakeFolds:
             make_folds(3, 4, seed=0)
         with pytest.raises(ValidationError, match="integer"):
             make_folds(10, True, seed=0)
+
+
+@st.composite
+def _fold_arguments(draw):
+    n = draw(st.integers(1, 300))
+    return n, draw(st.integers(1, min(n, 12))), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=50, deadline=None)
+@given(args=_fold_arguments())
+def test_fold_plan_is_a_reproducible_near_equal_partition(args):
+    n, K, seed = args
+    plan = make_folds(n, K, seed)
+    held = [plan.fold_rows(k) for k in range(K)]
+    np.testing.assert_array_equal(np.sort(np.concatenate(held)), np.arange(n))
+    sizes = [rows.size for rows in held]
+    assert max(sizes) - min(sizes) <= 1
+    for k, rows in enumerate(held):
+        expected = np.arange(n) if K == 1 else np.setdiff1d(np.arange(n), rows)
+        np.testing.assert_array_equal(plan.training_rows(k), expected)
+    np.testing.assert_array_equal(make_folds(n, K, seed).assignment, plan.assignment)
 
 
 class TestLearnerSettings:
@@ -443,6 +467,39 @@ class TestFoldFailures:
         report = run_replications(AteLinearDgp(), Ate(), n=60, R=100, folds=2, seed=3)
         assert report.completed == 99
         assert report.excluded == ((0, "NumericalError: fold 0: FloatingPointError: overflow"),)
+
+    def test_unconverged_logistic_fit_raises_naming_the_fold(self, monkeypatch):
+        monkeypatch.setattr(learners, "IRLS_MAX_ITER", 1)
+        with pytest.raises(SolverError, match="fold 0: logistic fit did not converge in 1 "):
+            estimate(Ate(), self._data(), folds=3)
+
+    def test_cli_exits_2_on_an_unconverged_logistic_fit(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(learners, "IRLS_MAX_ITER", 1)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[data]\ndgp = ate-linear\nn = 100\n\n[estimand]\nname = ate\n")
+        assert cli_main(["estimate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "error: fold 0: logistic fit did not converge" in err
+
+    def test_simulate_excludes_a_replication_whose_logistic_fit_did_not_converge(
+        self, monkeypatch
+    ):
+        calls = [0]
+
+        def first_fit_capped(*args, **kwargs):
+            calls[0] += 1
+            with monkeypatch.context() as patch:
+                if calls[0] == 1:
+                    patch.setattr(learners, "IRLS_MAX_ITER", 1)
+                return fit_logistic(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "fit_logistic", first_fit_capped)
+        report = run_replications(AteLinearDgp(), Ate(), n=60, R=100, folds=2, seed=3)
+        assert report.completed == 99
+        ((rep, reason),) = report.excluded
+        assert rep == 0 and reason.startswith(
+            "SolverError: fold 0: logistic fit did not converge in 1 IRLS iterations"
+        )
 
     def test_other_exception_types_propagate_unchanged(self, monkeypatch):
         original = _TwoArgumentError(7, "learner refused")

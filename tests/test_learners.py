@@ -1,4 +1,6 @@
 """Polynomial features, regression fits, kernel smoothers, and bandwidth rules."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from influence_lab import (
     fit_ols,
     silverman_bandwidth,
 )
+from influence_lab import learners
 from influence_lab.learners import KERNEL_BLOCK_ELEMENTS
 
 
@@ -153,6 +156,122 @@ class TestFitLogistic:
     def test_nonbinary_targets_rejected(self):
         with pytest.raises(SchemaError, match="0/1"):
             fit_logistic(np.arange(4.0)[:, None], np.array([0.0, 1.0, 2.0, 1.0]))
+
+
+# The masked two-branch logistic, the matrix_rank guard and the full-penalty
+# IRLS loop that the lean fits replace: references the fits must reproduce
+# bit for bit.
+
+
+def _reference_expit(eta):
+    out = np.empty_like(eta, dtype=float)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    ez = np.exp(eta[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _reference_design(features):
+    F = np.atleast_2d(np.asarray(features, dtype=float))
+    return np.hstack([np.ones((F.shape[0], 1)), F])
+
+
+def _reference_penalty(size, ridge_lambda):
+    penalty = np.eye(size) * ridge_lambda
+    penalty[0, 0] = 0.0
+    return penalty
+
+
+def _reference_ols(features, y, ridge_lambda):
+    X = _reference_design(features)
+    gram = X.T @ X
+    if ridge_lambda == 0.0 and np.linalg.matrix_rank(gram, tol=None) < X.shape[1]:
+        return None  # singular
+    return np.linalg.solve(gram + _reference_penalty(X.shape[1], ridge_lambda), X.T @ y)
+
+
+def _reference_logistic(features, y, ridge_lambda):
+    X = _reference_design(features)
+    penalty = _reference_penalty(X.shape[1], ridge_lambda)
+    beta = np.zeros(X.shape[1])
+    for iterations in range(1, learners.IRLS_MAX_ITER + 1):
+        p = _reference_expit(X @ beta)
+        score = X.T @ (y - p) - penalty @ beta
+        if np.max(np.abs(score)) < learners.IRLS_SCORE_TOL:
+            return beta, iterations, True
+        w = np.clip(p * (1.0 - p), 1e-10, None)
+        beta = beta + np.linalg.solve((X.T * w) @ X + penalty, score)
+    return beta, iterations, False
+
+
+def _polynomial_case(seed, d=2, n=300):
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(n, d))
+    eta = 0.2 + raw @ np.linspace(0.6, -0.4, d) + 0.1 * raw[:, 0] ** 2
+    y_binary = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    return raw, eta + rng.normal(size=n), y_binary
+
+
+FIT_CASES = [
+    (degree, interactions, ridge)
+    for degree in (1, 2, 3)
+    for interactions in (False, True)
+    for ridge in (0.0, 0.3)
+]
+
+
+class TestLeanFitsMatchTheReference:
+    def test_expit_on_special_and_random_values(self):
+        special = np.array(
+            [np.inf, -np.inf, 0.0, -0.0, 745.0, -745.0, 1e-300, -1e-300, np.nan]
+        )
+        rng = np.random.default_rng(21)
+        for eta in (special, rng.normal(scale=20.0, size=10_000)):
+            assert np.array_equal(learners._expit(eta), _reference_expit(eta), equal_nan=True)
+
+    def test_predict_at_large_linear_predictors_emits_no_warning(self):
+        fit = learners.LogisticFit(coef=np.array([0.0, 1.0]), iterations=1, converged=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = fit.predict(np.array([[1000.0], [-1000.0]]))
+        assert np.array_equal(p, [1.0, 0.0])
+
+    # 1.5e-7 and 2e-7 put the smallest singular value just below and just
+    # above matrix_rank's tolerance
+    @pytest.mark.parametrize("perturbation", [0.0, 1e-9, 1.5e-7, 2e-7, 1e-4])
+    def test_rank_verdict_matches_matrix_rank(self, perturbation):
+        rng = np.random.default_rng(3)
+        base = rng.normal(size=(50, 2))
+        # a third column that is a combination of the others, nudged off it
+        third = base @ [2.0, -1.0] + perturbation * rng.normal(size=50)
+        for X in (base, np.column_stack([base, third]), np.column_stack([base, base[:, :1]])):
+            y = rng.normal(size=50)
+            gram = _reference_design(X).T @ _reference_design(X)
+            singular = np.linalg.matrix_rank(gram, tol=None) < gram.shape[0]
+            if singular:
+                with pytest.raises(SingularityError):
+                    fit_ols(X, y)
+            else:
+                assert np.array_equal(fit_ols(X, y).coef, _reference_ols(X, y, 0.0))
+
+    @pytest.mark.parametrize("degree, interactions, ridge", FIT_CASES)
+    def test_ols_coefficients(self, degree, interactions, ridge):
+        raw, y, _ = _polynomial_case(degree)
+        F = FeatureMap(degree=degree, interactions=interactions).transform(raw)
+        fit = fit_ols(F, y, ridge_lambda=ridge)
+        assert np.array_equal(fit.coef, _reference_ols(F, y, ridge))
+        assert np.array_equal(fit.predict(F), _reference_design(F) @ fit.coef)
+
+    @pytest.mark.parametrize("degree, interactions, ridge", FIT_CASES)
+    def test_logistic_coefficients_and_iterations(self, degree, interactions, ridge):
+        raw, _, y = _polynomial_case(10 + degree)
+        F = FeatureMap(degree=degree, interactions=interactions).transform(raw)
+        fit = fit_logistic(F, y, ridge_lambda=ridge)
+        beta, iterations, converged = _reference_logistic(F, y, ridge)
+        assert (fit.iterations, fit.converged) == (iterations, converged) and converged
+        assert np.array_equal(fit.coef, beta)
+        assert np.array_equal(fit.predict(F), _reference_expit(_reference_design(F) @ beta))
 
 
 class TestKernelRegression:
