@@ -15,7 +15,9 @@ is computed once for it.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -350,9 +352,15 @@ def load_csv(path: str, roles: Mapping[str, tuple[str, str]]) -> Dataset:
 
     ``roles`` maps column names to (role, kind) pairs and fixes the schema
     column order.  Columns present in the file but absent from ``roles``
-    are ignored.  Distinct failure modes raise ``CsvParseError`` naming the
-    offending row and column: missing header column, non-numeric cell, and
-    binary or discrete violations.
+    are ignored, and so are blank rows.  Distinct failure modes raise
+    ``CsvParseError`` naming the first offending row and column: missing
+    header column, short row, non-numeric or non-finite cell, and binary or
+    discrete violations.
+
+    The selected cells are converted by one numpy call, which parses each
+    string as ``float()`` does, and checked as arrays.  Blank rows are looked
+    for only when that fails, and the rows are walked cell by cell only to
+    name a failure.
     """
     if not roles:
         raise CsvParseError(f"{path}: roles mapping is empty; no columns to load")
@@ -375,36 +383,58 @@ def load_csv(path: str, roles: Mapping[str, tuple[str, str]]) -> Dataset:
                     f"{path}: required column {col.name!r} not found in header {header}"
                 )
             positions.append(header.index(col.name))
-        rows = []
-        for rownum, record in enumerate(reader, start=2):
-            if not record or all(cell.strip() == "" for cell in record):
-                continue
-            if len(record) < len(header):
-                raise CsvParseError(
-                    f"{path}: row {rownum} has {len(record)} cells; header has {len(header)}"
-                )
-            parsed = []
-            for col, pos in zip(schema.columns, positions):
-                cell = record[pos].strip()
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise CsvParseError(
-                        f"{path}: row {rownum}, column {col.name!r}: "
-                        f"cannot parse {cell!r} as a number"
-                    ) from None
-                if col.kind == "binary" and value not in (0.0, 1.0):
-                    raise CsvParseError(
-                        f"{path}: row {rownum}, column {col.name!r}: "
-                        f"binary column has value {cell!r}"
-                    )
-                if col.kind == "discrete" and value != int(value):
-                    raise CsvParseError(
-                        f"{path}: row {rownum}, column {col.name!r}: "
-                        f"discrete column has non-integer value {cell!r}"
-                    )
-                parsed.append(value)
-            rows.append(parsed)
-    if not rows:
+        records = list(reader)
+    values = _bulk_values(schema, records, positions, len(header))
+    if values is None:
+        numbered = [(rownum, record) for rownum, record in enumerate(records, start=2)
+                    if any(map(str.strip, record))]
+        values = _bulk_values(schema, [record for _, record in numbered], positions, len(header))
+        if values is None:
+            raise _first_failure(path, schema, numbered, positions, len(header))
+    if values.shape[0] == 0:
         raise CsvParseError(f"{path}: no data rows")
-    return Dataset(schema, np.asarray(rows, dtype=float))
+    return Dataset(schema, values)
+
+
+def _bulk_values(schema: Schema, records: list, positions: list, width: int):
+    """The selected cells of ``records`` as an (n, arity) float array, or None
+    if a row is short, a cell does not parse or is non-finite, or a binary or
+    discrete column holds another value."""
+    if min(map(len, records), default=width) < width:
+        return None
+    pick = itemgetter(*positions) if len(positions) > 1 else lambda r: r[positions[0]]
+    try:
+        values = np.array([pick(r) for r in records], dtype=float)
+    except ValueError:
+        return None
+    values = values.reshape(len(records), schema.arity)
+    bad = ~np.isfinite(values)
+    for j, col in enumerate(schema.columns):
+        if col.kind == "binary":
+            bad[:, j] |= (values[:, j] != 0.0) & (values[:, j] != 1.0)
+        elif col.kind == "discrete":
+            bad[:, j] |= values[:, j] != np.floor(values[:, j])
+    return None if bad.any() else values
+
+
+def _first_failure(path: str, schema: Schema, numbered: list, positions: list,
+                   width: int) -> CsvParseError:
+    """The error for the first failing row, and in it the first failing cell,
+    of the (row number, record) pairs: the array checks made one at a time."""
+    for rownum, record in numbered:
+        if len(record) < width:
+            return CsvParseError(f"{path}: row {rownum} has {len(record)} cells; header has {width}")
+        for col, pos in zip(schema.columns, positions):
+            cell = record[pos].strip()
+            where = f"{path}: row {rownum}, column {col.name!r}"
+            try:
+                value = float(cell)
+            except ValueError:
+                return CsvParseError(f"{where}: cannot parse {cell!r} as a number")
+            if col.kind == "binary" and value not in (0.0, 1.0):
+                return CsvParseError(f"{where}: binary column has value {cell!r}")
+            if not math.isfinite(value):
+                return CsvParseError(f"{where}: non-finite value {cell!r}")
+            if col.kind == "discrete" and value != int(value):
+                return CsvParseError(f"{where}: discrete column has non-integer value {cell!r}")
+    raise AssertionError("the array checks failed on rows that pass one at a time")

@@ -7,10 +7,15 @@ prediction functions; nothing here knows about folds, trimming, or
 estimands.  Density and regression gradients are computed analytically from
 the Gaussian kernel, never by finite differences.
 
-Kernel weights are filled in blocks of query rows, in place in one buffer of
-``KERNEL_BLOCK_ELEMENTS`` floats, by a one-shot broadcast's operations in the
-same order, so they are the same bit for bit.  Row sums and gemvs still run on
-the whole matrix: a gemv cut into row blocks would round differently.
+Every kernel pass streams through blocks of query rows of about
+``KERNEL_BLOCK_ELEMENTS`` weights, so no n_query x n_train matrix is held.  A
+block's weights are built in place, one coordinate at a time, by a one-shot
+(n_query, n_train, d) broadcast's operations in the same order, so they are
+the same bit for bit; its row sums, means and gemvs write into n_query-long
+outputs.  Blocks hold a multiple of 8 rows and a tail of fewer than 8 rows
+joins the block before it: single-threaded OpenBLAS then reduces every row
+with the gemv kernel it uses on the whole matrix, while a short tail block (a
+single row above all) would be summed in another order.
 
 The least-squares and IRLS fits are written for few numpy calls per fit (one
 preallocated design, a branch-free logistic, no all-zero penalty terms) with
@@ -280,23 +285,38 @@ def fit_logistic(
 # ---------------------------------------------------------------------------
 
 
-def _gaussian_weights(queries: np.ndarray, sample: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """exp(-0.5 * |(q - x) / h|^2) for query rows q (rows) and sample rows x (columns)."""
+def _kernel_blocks(queries: np.ndarray, sample: np.ndarray, h: np.ndarray):
+    """Gaussian weights exp(-0.5 * |(q - x) / h|^2) of query rows q against
+    sample rows x, one block of query rows at a time.
+
+    Yields ``(rows, W, spare)``: the slice of query rows, their weights, and
+    a buffer of W's shape that the caller may overwrite.  Both live in
+    buffers reused from block to block, so no block may be kept.  A block
+    holds a multiple of 8 rows, about ``KERNEL_BLOCK_ELEMENTS`` weights, and
+    a tail of fewer than 8 rows joins the block before it.
+    """
     Q = np.atleast_2d(np.asarray(queries, dtype=float))
-    if Q.shape[1] != sample.shape[1]:
-        raise SchemaError(f"query has {Q.shape[1]} columns, the sample has {sample.shape[1]}")
-    W = np.empty((Q.shape[0], sample.shape[0]))
-    rows = max(1, KERNEL_BLOCK_ELEMENTS // max(1, sample.size))
-    block = np.empty((min(rows, Q.shape[0]), *sample.shape))
-    for s in range(0, Q.shape[0], rows):
-        w, z = W[s : s + rows], block[: min(rows, Q.shape[0] - s)]
-        np.subtract(Q[s : s + rows, None, :], sample, out=z)
-        np.divide(z, h, out=z)
-        np.square(z, out=z)
-        np.sum(z, axis=2, out=w)
-        np.multiply(-0.5, w, out=w)
-        np.exp(w, out=w)
-    return W
+    n_query, (n_train, d) = Q.shape[0], sample.shape
+    if Q.shape[1] != d:
+        raise SchemaError(f"query has {Q.shape[1]} columns, the sample has {d}")
+    rows = max(8, KERNEL_BLOCK_ELEMENTS // n_train // 8 * 8)
+    starts = list(range(0, n_query, rows))
+    if len(starts) > 1 and n_query - starts[-1] < 8:
+        starts.pop()
+    buffers = np.empty((2, min(n_query, rows + 7), n_train))
+    for start, stop in zip(starts, starts[1:] + [n_query]):
+        W, spare = buffers[:, : stop - start]
+        if d == 0:
+            W.fill(0.0)
+        for j in range(d):  # the squared distance summed one coordinate at a time
+            z = np.subtract(Q[start:stop, j, None], sample[:, j], out=spare if j else W)
+            np.divide(z, h[j], out=z)
+            np.square(z, out=z)
+            if j:
+                W += z
+        np.multiply(-0.5, W, out=W)
+        np.exp(W, out=W)
+        yield slice(start, stop), W, spare
 
 
 class KernelRegressionFit:
@@ -322,31 +342,36 @@ class KernelRegressionFit:
     def bandwidths(self) -> np.ndarray:
         return self._h.copy()
 
-    def _weights(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Kernel weights at the queries and their row sums."""
-        W = _gaussian_weights(queries, self._F, self._h)
-        total = W.sum(axis=1)
+    def _sums(self, queries: np.ndarray, axis: int | None = None) -> tuple[np.ndarray, ...]:
+        """Per query row: the kernel weights' total and their gemv with the
+        targets, plus the same two of their derivative along ``axis``."""
+        Q = np.atleast_2d(np.asarray(queries, dtype=float))
+        sums = np.empty((2 if axis is None else 4, Q.shape[0]))
+        total, num = sums[0], sums[1]
+        for rows, W, spare in _kernel_blocks(Q, self._F, self._h):
+            np.sum(W, axis=1, out=total[rows])
+            np.matmul(W, self._y, out=num[rows])
+            if axis is not None:
+                # dW/dq_axis = W * (x_axis - q_axis) / h_axis^2
+                slope = np.subtract(self._F[:, axis], Q[rows, axis, None], out=spare)
+                np.divide(slope, self._h[axis] ** 2, out=slope)
+                Wd = np.multiply(W, slope, out=slope)
+                np.sum(Wd, axis=1, out=sums[2, rows])
+                np.matmul(Wd, self._y, out=sums[3, rows])
         if np.any(total < KERNEL_WEIGHT_FLOOR):
             raise ExtrapolationError(
                 f"kernel weight underflow at query row {int(np.argmin(total))}; "
                 "the point is too far from the training sample"
             )
-        return W, total
+        return tuple(sums)
 
     def predict(self, queries: np.ndarray) -> np.ndarray:
-        W, total = self._weights(queries)
-        return (W @ self._y) / total
+        total, num = self._sums(queries)
+        return num / total
 
     def predict_grad(self, queries: np.ndarray, axis: int) -> np.ndarray:
         """Analytic derivative of the prediction along one query coordinate."""
-        Q = np.atleast_2d(np.asarray(queries, dtype=float))
-        W, total = self._weights(Q)
-        # dW/dq_axis = W * (x_axis - q_axis) / h_axis^2
-        slope = (self._F[None, :, axis] - Q[:, [axis]]) / self._h[axis] ** 2
-        Wd = W * slope
-        num = W @ self._y
-        num_d = Wd @ self._y
-        total_d = Wd.sum(axis=1)
+        total, num, total_d, num_d = self._sums(queries, axis)
         return (num_d * total - num * total_d) / total**2
 
 
@@ -388,21 +413,28 @@ class DensityFit:
     def sample(self) -> np.ndarray:
         return self._S
 
-    def _kernel_matrix(self, points: np.ndarray) -> np.ndarray:
-        K = _gaussian_weights(points, self._S, self._h)
-        K *= _INV_SQRT_2PI ** self._S.shape[1]
-        K /= np.prod(self._h)
-        return K
+    def _means(self, points: np.ndarray, axis: int | None = None) -> np.ndarray:
+        """Per point: the mean of the scaled kernel, or with ``axis`` the mean
+        of its derivative along that coordinate."""
+        P = np.atleast_2d(np.asarray(points, dtype=float))
+        out = np.empty(P.shape[0])
+        scale, volume = _INV_SQRT_2PI ** self._S.shape[1], np.prod(self._h)
+        for rows, K, spare in _kernel_blocks(P, self._S, self._h):
+            np.multiply(K, scale, out=K)
+            np.divide(K, volume, out=K)
+            if axis is not None:
+                slope = np.subtract(self._S[:, axis], P[rows, axis, None], out=spare)
+                np.divide(slope, self._h[axis] ** 2, out=slope)
+                K = np.multiply(K, slope, out=slope)
+            np.mean(K, axis=1, out=out[rows])
+        return out
 
     def density_at(self, points: np.ndarray) -> np.ndarray:
-        return self._kernel_matrix(points).mean(axis=1)
+        return self._means(points)
 
     def density_grad_at(self, points: np.ndarray, axis: int = 0) -> np.ndarray:
         """Analytic partial derivative of the density along one coordinate."""
-        P = np.atleast_2d(np.asarray(points, dtype=float))
-        K = self._kernel_matrix(P)
-        slope = (self._S[None, :, axis] - P[:, [axis]]) / self._h[axis] ** 2
-        return (K * slope).mean(axis=1)
+        return self._means(points, axis)
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)

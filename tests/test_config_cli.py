@@ -294,6 +294,16 @@ folds = 1
         assert payload["result"]["psi_hat"] == 4.0
         assert "eif_values" not in payload["result"]
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_cell_exits_1_naming_row_and_column(self, tmp_path, capsys, cell):
+        text = self.CSV_CONFIG.replace("role.y", "role.k = covariate,discrete\nrole.y")
+        data = tmp_path / "obs.csv"
+        data.write_text(f"y,k\n1.0,1\n2.0,{cell}\n3.0,0\n")
+        config = tmp_path / "run.ini"
+        config.write_text(text.format(path=data))
+        assert cli_main(["estimate", "--config", str(config)]) == 1
+        assert f"row 3, column 'k': non-finite value '{cell}'" in capsys.readouterr().err
+
     def test_data_override_requires_roles(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)
         proc = run_cli("estimate", "--config", cfg, "--data", "whatever.csv")

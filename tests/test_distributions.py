@@ -172,3 +172,69 @@ class TestLoadCsv:
         path = self._write(tmp_path, "y\n1.0\n")
         with pytest.raises(CsvParseError, match="roles"):
             load_csv(path, {})
+
+    XYD = {"x": ("exposure", "binary"), "y": ("outcome", "continuous"),
+           "k": ("covariate", "discrete")}
+
+    def test_blank_and_whitespace_only_rows_are_skipped(self, tmp_path):
+        path = self._write(tmp_path, "x,y,k\n\n0,1.5,2\n  ,\t, \n \n1,2.5,3\n,,\n")
+        data = load_csv(path, self.XYD)
+        assert np.array_equal(data.values, [[0.0, 1.5, 2.0], [1.0, 2.5, 3.0]])
+
+    def test_short_row_names_its_row_and_cell_counts(self, tmp_path):
+        path = self._write(tmp_path, "x,y,k\n0,1.5,2\n\n1,2.5\n")
+        with pytest.raises(CsvParseError, match=r"row 4 has 2 cells; header has 3$"):
+            load_csv(path, self.XYD)
+
+    def test_extra_cells_are_accepted(self, tmp_path):
+        path = self._write(tmp_path, "x,y,k\n0,1.5,2,9,9\n1,2.5,3,oops\n")
+        data = load_csv(path, self.XYD)
+        assert np.array_equal(data.values, [[0.0, 1.5, 2.0], [1.0, 2.5, 3.0]])
+
+    def test_padded_and_quoted_numbers_parse(self, tmp_path):
+        path = self._write(tmp_path, 'x,y,k\n 1 ,"  -2.5e1 ","4"\n"0",\t.5\t,+7 \n')
+        data = load_csv(path, self.XYD)
+        assert np.array_equal(data.values, [[1.0, -25.0, 4.0], [0.0, 0.5, 7.0]])
+
+    def test_discrete_violation_names_row_column_and_cell(self, tmp_path):
+        path = self._write(tmp_path, "x,y,k\n0,1.5,2\n1,2.5, 3.25 \n1,oops,0.5\n")
+        with pytest.raises(CsvParseError) as info:
+            load_csv(path, self.XYD)
+        assert str(info.value) == (
+            f"{path}: row 3, column 'k': discrete column has non-integer value '3.25'"
+        )
+
+    def test_first_offending_cell_in_row_order_is_named(self, tmp_path):
+        # a binary violation in row 3 comes before a parse error in row 4 and a
+        # short row 5, although the bad cells sit in different columns
+        path = self._write(tmp_path, "x,y,k\n0,1.5,2\n0.5,2.5,7\n0,oops,1\n1,2\n")
+        with pytest.raises(CsvParseError, match=r"row 3, column 'x': binary column has value '0.5'"):
+            load_csv(path, self.XYD)
+        path = self._write(tmp_path, "x,y,k\n0,1.5,2\n0,oops,1.5\n1,2.5\n")
+        with pytest.raises(CsvParseError, match=r"row 3, column 'y': cannot parse 'oops'"):
+            load_csv(path, self.XYD)
+
+    def test_repr_written_values_read_back_as_float_of_each_cell(self, tmp_path):
+        rng = np.random.default_rng(23)
+        values = np.concatenate([
+            rng.normal(size=300) * 10.0 ** rng.integers(-300, 300, size=300),
+            rng.standard_cauchy(size=300),
+            [0.1, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308],
+        ])
+        cells = [repr(float(v)) for v in values]
+        path = self._write(tmp_path, "y\n" + "\n".join(cells) + "\n")
+        data = load_csv(path, {"y": ("outcome", "continuous")})
+        expected = np.array([float(cell) for cell in cells])
+        assert data.values[:, 0].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("cell, column", [
+        ("nan", "k"), ("inf", "k"), ("-Infinity", "k"), ("NaN", "y"), ("1e400", "y"),
+    ])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell, column):
+        row = {"x": "1", "y": "2.5", "k": "3", column: f" {cell}"}
+        path = self._write(tmp_path, f"x,y,k\n0,1.5,2\n{row['x']},{row['y']},{row['k']}\n")
+        with pytest.raises(CsvParseError) as info:
+            load_csv(path, self.XYD)
+        assert str(info.value) == (
+            f"{path}: row 3, column {column!r}: non-finite value {cell!r}"
+        )

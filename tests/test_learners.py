@@ -1,4 +1,5 @@
 """Polynomial features, regression fits, kernel smoothers, and bandwidth rules."""
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -380,6 +381,68 @@ class TestBlockedKernelWeights:
         for method in (fit.predict, lambda q: fit.predict_grad(q, axis=0)):
             with pytest.raises(ExtrapolationError, match=f"query row {2 * rows + 7};"):
                 method(queries)
+
+
+def _block_rows(n_train):
+    """Query rows per kernel block: a multiple of 8, at least 8."""
+    return max(8, KERNEL_BLOCK_ELEMENTS // n_train // 8 * 8)
+
+
+# n_train 300 gives 104-row blocks; n_train above KERNEL_BLOCK_ELEMENTS // 8
+# gives 8-row blocks.  The query counts straddle one block, and the tails of
+# 1-7 rows join the block before them.
+STREAM_QUERIES = {300: (1, 7, 8, 9, 103, 104, 105, 200, 2 * 104 + 1, 3 * 104 + 7),
+                  KERNEL_BLOCK_ELEMENTS // 8 + 1: (1, 7, 8, 9, 15, 16, 17, 3 * 8 + 5)}
+STREAM_CASES = [(d, n_train, n_query) for d in (0, 1, 2, 3)
+                for n_train, counts in STREAM_QUERIES.items() for n_query in counts]
+
+
+class TestStreamedKernels:
+    @pytest.mark.parametrize("d, n_train, n_query", STREAM_CASES)
+    def test_every_pass_equals_one_shot_broadcast(self, d, n_train, n_query):
+        rng = np.random.default_rng(100 * d + n_query)
+        F = rng.normal(size=(n_train, d))
+        Q = rng.normal(scale=0.8, size=(n_query, d))
+        y = rng.normal(size=n_train)
+        h = 0.6 + 0.2 * np.arange(d)
+        regression, density = fit_kernel_regression(F, y, bandwidth=h), fit_kde(F, bandwidth=h)
+        W = _broadcast_weights(Q, F, h)
+        total = W.sum(axis=1)
+        assert np.array_equal(regression.predict(Q), (W @ y) / total)
+        K = W * (1.0 / np.sqrt(2.0 * np.pi)) ** d / np.prod(h)
+        assert np.array_equal(density.density_at(Q), K.mean(axis=1))
+        for axis in range(d):
+            slope = (F[None, :, axis] - Q[:, [axis]]) / h[axis] ** 2
+            Wd = W * slope
+            grad = ((Wd @ y) * total - (W @ y) * Wd.sum(axis=1)) / total**2
+            assert np.array_equal(regression.predict_grad(Q, axis), grad)
+            assert np.array_equal(density.density_grad_at(Q, axis), (K * slope).mean(axis=1))
+
+    @pytest.mark.parametrize("n_train, n_query", [
+        (n_train, n_query) for n_train, counts in STREAM_QUERIES.items() for n_query in counts
+    ])
+    def test_blocks_are_whole_rows_with_the_short_tail_merged(self, n_train, n_query):
+        F, Q = np.zeros((n_train, 1)), np.zeros((n_query, 1))
+        blocks = [rows for rows, _, _ in learners._kernel_blocks(Q, F, np.ones(1))]
+        rows = _block_rows(n_train)
+        assert [b.start for b in blocks] == list(range(0, n_query, rows))[: len(blocks)]
+        assert blocks[-1].stop == n_query
+        assert all(b.stop - b.start == rows for b in blocks[:-1])
+        assert len(blocks) == 1 or 8 <= blocks[-1].stop - blocks[-1].start < rows + 8
+
+    def test_predict_holds_no_query_by_train_matrix(self):
+        # 4000 x 4000 weights would take 128 MB; the blocks take well under 1 MB
+        rng = np.random.default_rng(8)
+        fit = fit_kernel_regression(rng.normal(size=(4000, 1)), rng.normal(size=4000),
+                                    bandwidth=0.5)
+        queries = rng.normal(size=(4000, 1))
+        tracemalloc.start()
+        try:
+            fit.predict(queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 @settings(max_examples=50, deadline=None)
