@@ -23,15 +23,6 @@ from .estimation import (
 
 SECTIONS = ("data", "estimand", "learners", "run")
 
-# Estimand parameters that must be spelled out in the config even when the
-# catalog class has a default, so a run never silently targets an
-# unintended quantile or threshold.
-REQUIRED_PARAMS = {
-    "quantile": ("tau",),
-    "tail_conditional_expectation": ("threshold",),
-    "conditional_cdf": ("threshold",),
-}
-
 METHOD_ALIASES = {
     "plugin": "plugin",
     "one-step": "one_step",
@@ -249,7 +240,7 @@ def parse_config(text: str) -> RunConfig:
             f"line {_lineno(est_entries, 'name')}: unknown estimand {est_name!r}; "
             f"available: {', '.join(sorted(CATALOG))}"
         )
-    for required in REQUIRED_PARAMS.get(est_name, ()):
+    for required in CATALOG[est_name].required_params:
         if required not in est_entries:
             raise ConfigError(
                 f"[estimand] {est_name} requires the key {required!r}"

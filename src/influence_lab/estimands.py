@@ -1,23 +1,31 @@
 """Estimand catalog: target functionals, their influence functions, and
 exact nuisances on finite-support laws.
 
-Each estimand is a small frozen dataclass exposing three pure operations:
+Each estimand is a small frozen dataclass.  Its fields are its parameters:
+``params()`` echoes them and ``from_config`` coerces each value to its
+field's type.  Class-level declarations state the rest once:
 
-* ``plugin_value(law)``: the functional evaluated exactly on an explicit
-  finite-support law.
-* ``nuisance_requirements()``: the named nuisance slots its influence
-  function consumes.
-* ``eif_values(cols, nuis, psi)``: the influence function evaluated at a
-  batch of observations given fitted or exact nuisances and a candidate
-  parameter value.
+* ``slots``: the nuisance slots its influence function consumes, returned
+  by ``nuisance_requirements()``.
+* ``conditioning_cells``: the role groupings whose cells it conditions on;
+  the derivative oracle skips a law with a near-empty cell.
+* ``required_params``: the parameters a run configuration must spell out
+  even where the field has a default, so a run never silently targets an
+  unintended quantile or threshold.
 
-Nuisances enter through a table: ``nuisance_values(cols, nuis)`` calls
-each slot the influence function reads once, at the rows of ``cols``; it
-is the only place slots are called at sample rows.  ``eif_terms`` and
-``plugin_estimate`` are arithmetic on ``nuis.table(spec, cols)``, which a
-``NuisanceSet`` (exact or hand-made) evaluates on the spot and cross-fitted
-nuisances built once per fold.  Values that are not per row (a density at
-the quantile, a cdf at a threshold) come from ``nuis.probe``.
+Two pure operations carry the mathematics: ``plugin_value(law)``, the
+functional evaluated exactly on an explicit finite-support law, and
+``eif_values(cols, nuis, psi)``, the influence function at a batch of
+observations given fitted or exact nuisances and a candidate value.
+
+Nuisances enter through a table: ``nuis.table(spec, cols)`` checks the
+declared slots once, then ``nuisance_values(cols, nuis)`` calls each slot
+the influence function reads once, at the rows of ``cols``; it is the only
+place slots are called at sample rows.  ``eif_terms`` and
+``plugin_estimate`` are arithmetic on that table, which a ``NuisanceSet``
+(exact or hand-made) evaluates on the spot and cross-fitted nuisances
+build once per fold.  Values that are not per row (a density at the
+quantile, a cdf at a threshold) come from ``nuis.probe``.
 
 For every estimand except the quantile the influence function is affine in
 psi, phi(o; psi) = u(o) - s(o) * psi, and ``eif_terms`` returns the (u, s)
@@ -36,7 +44,7 @@ circular.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, ClassVar, Optional
 
 import numpy as np
@@ -128,12 +136,13 @@ class NuisanceSet:
     exposure_residual_var: Optional[float] = None    # E[(X - E[X|Z])^2]
 
     def require(self, *slots: str) -> None:
-        missing = [s for s in slots if getattr(self, s) is None]
+        missing = sorted(s for s in slots if getattr(self, s) is None)
         if missing:
             raise NuisanceError(f"missing nuisance slots: {', '.join(missing)}")
 
     def table(self, spec: "Estimand", cols: ColumnSet) -> dict:
         """The per-row nuisance values ``spec`` reads at the rows of ``cols``."""
+        self.require(*spec.nuisance_requirements())
         return spec.nuisance_values(cols, self)
 
     def probe(self, name: str, *args) -> np.ndarray:
@@ -157,9 +166,12 @@ class Estimand:
     name: ClassVar[str] = ""
     affine: ClassVar[bool] = True
     discrete_oracle: ClassVar[bool] = True
+    slots: ClassVar[frozenset] = frozenset()
+    conditioning_cells: ClassVar[tuple] = ()
+    required_params: ClassVar[tuple] = ()
 
     def params(self) -> dict:
-        return {}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def describe(self) -> dict:
         return {"name": self.name, "params": self.params()}
@@ -168,7 +180,7 @@ class Estimand:
         """Check declared roles and kinds against this estimand's needs."""
 
     def nuisance_requirements(self) -> frozenset:
-        raise NotImplementedError
+        return self.slots
 
     def plugin_value(self, law: DiscreteDistribution) -> float:
         raise NotImplementedError
@@ -316,9 +328,6 @@ class PopulationMean(Estimand):
 
     name: ClassVar[str] = "population_mean"
 
-    def nuisance_requirements(self) -> frozenset:
-        return frozenset()
-
     def plugin_value(self, law: DiscreteDistribution) -> float:
         return float(np.dot(law.probs, _columns_of(law).y))
 
@@ -341,9 +350,7 @@ class AverageDensity(Estimand):
     """
 
     name: ClassVar[str] = "average_density"
-
-    def nuisance_requirements(self) -> frozenset:
-        return frozenset({"marginal_density"})
+    slots: ClassVar[frozenset] = frozenset({"marginal_density"})
 
     def plugin_value(self, law: DiscreteDistribution) -> float:
         _columns_of(law)
@@ -352,7 +359,6 @@ class AverageDensity(Estimand):
 
     def nuisance_values(self, cols: ColumnSet, nuis: NuisanceSet) -> dict:
         cols.require(outcome=True)
-        nuis.require("marginal_density")
         return {"marginal_density": np.asarray(nuis.marginal_density(cols.y), dtype=float)}
 
     def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
@@ -387,9 +393,7 @@ class Covariance(Estimand):
     """Covariance between outcome and exposure, E[(Y - EY)(X - EX)]."""
 
     name: ClassVar[str] = "covariance"
-
-    def nuisance_requirements(self) -> frozenset:
-        return frozenset({"mean_y", "mean_x"})
+    slots: ClassVar[frozenset] = frozenset({"mean_y", "mean_x"})
 
     def plugin_value(self, law: DiscreteDistribution) -> float:
         c = _columns_of(law, exposure=True)
@@ -398,7 +402,6 @@ class Covariance(Estimand):
 
     def nuisance_values(self, cols: ColumnSet, nuis: NuisanceSet) -> dict:
         cols.require(outcome=True, exposure=True)
-        nuis.require("mean_y", "mean_x")
         return {"mean_y": np.full(cols.n, nuis.mean_y), "mean_x": np.full(cols.n, nuis.mean_x)}
 
     def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
@@ -413,7 +416,6 @@ class Covariance(Estimand):
 def _arm_values(cols: ColumnSet, nuis: NuisanceSet, arms: tuple) -> dict:
     """pi(Z) and, under key ``m<arm>``, m(arm, Z) for each arm."""
     cols.require(outcome=True, exposure=True)
-    nuis.require("outcome_mean", "propensity")
     values = {"propensity": np.asarray(nuis.propensity(cols.Z), dtype=float)}
     for arm in arms:
         m_arm = nuis.outcome_mean(np.full(cols.n, float(arm)), cols.Z)
@@ -448,16 +450,12 @@ class PotentialOutcomeMean(Estimand):
 
     x: int = 1
     name: ClassVar[str] = "potential_outcome_mean"
+    slots: ClassVar[frozenset] = frozenset({"outcome_mean", "propensity"})
+    conditioning_cells: ClassVar[tuple] = (("covariate", "exposure"),)
 
     def __post_init__(self) -> None:
         if self.x not in (0, 1):
             raise ValidationError(f"potential outcome arm must be 0 or 1, got {self.x!r}")
-
-    def params(self) -> dict:
-        return {"x": self.x}
-
-    def nuisance_requirements(self) -> frozenset:
-        return frozenset({"outcome_mean", "propensity"})
 
     def plugin_value(self, law: DiscreteDistribution) -> float:
         return _total(_standardized_terms(law, float(self.x)))
@@ -477,9 +475,8 @@ class Ate(Estimand):
     """Average treatment effect, E[E[Y|X=1,Z] - E[Y|X=0,Z]]."""
 
     name: ClassVar[str] = "ate"
-
-    def nuisance_requirements(self) -> frozenset:
-        return frozenset({"outcome_mean", "propensity"})
+    slots: ClassVar[frozenset] = frozenset({"outcome_mean", "propensity"})
+    conditioning_cells: ClassVar[tuple] = (("covariate", "exposure"),)
 
     def plugin_value(self, law: DiscreteDistribution) -> float:
         terms = (_standardized_terms(law, 1.0), -_standardized_terms(law, 0.0))
@@ -500,7 +497,6 @@ class Ate(Estimand):
 def _residual_values(cols: ColumnSet, nuis: NuisanceSet) -> dict:
     """E[Y | Z] and E[X | Z] at the rows."""
     cols.require(outcome=True, exposure=True)
-    nuis.require("conditional_mean_y", "conditional_mean_x")
     return {
         "conditional_mean_y": np.asarray(nuis.conditional_mean_y(cols.Z), dtype=float),
         "conditional_mean_x": np.asarray(nuis.conditional_mean_x(cols.Z), dtype=float),
@@ -512,9 +508,8 @@ class ExpectedConditionalCovariance(Estimand):
     """E[(Y - E[Y|Z])(X - E[X|Z])], covariance net of measured covariates."""
 
     name: ClassVar[str] = "expected_conditional_covariance"
-
-    def nuisance_requirements(self) -> frozenset:
-        return frozenset({"conditional_mean_y", "conditional_mean_x"})
+    slots: ClassVar[frozenset] = frozenset({"conditional_mean_y", "conditional_mean_x"})
+    conditioning_cells: ClassVar[tuple] = (("covariate",),)
 
     def plugin_value(self, law: DiscreteDistribution) -> float:
         p, ry, rx = _residuals(law)
@@ -543,11 +538,10 @@ class PartiallyLinearCoefficient(Estimand):
     """
 
     name: ClassVar[str] = "partially_linear_coefficient"
-
-    def nuisance_requirements(self) -> frozenset:
-        return frozenset(
-            {"conditional_mean_y", "conditional_mean_x", "exposure_residual_var"}
-        )
+    slots: ClassVar[frozenset] = frozenset(
+        {"conditional_mean_y", "conditional_mean_x", "exposure_residual_var"}
+    )
+    conditioning_cells: ClassVar[tuple] = (("covariate",),)
 
     def plugin_value(self, law: DiscreteDistribution) -> float:
         p, ry, rx = _residuals(law)
@@ -558,7 +552,6 @@ class PartiallyLinearCoefficient(Estimand):
         return float(num / den)
 
     def nuisance_values(self, cols: ColumnSet, nuis: NuisanceSet) -> dict:
-        nuis.require("exposure_residual_var")
         values = _residual_values(cols, nuis)
         values["exposure_residual_var"] = np.full(cols.n, float(nuis.exposure_residual_var))
         return values
@@ -595,14 +588,19 @@ class AverageDerivativeEffect(Estimand):
     weight_coefficients: tuple = ()
     name: ClassVar[str] = "average_derivative_effect"
     discrete_oracle: ClassVar[bool] = False
+    slots: ClassVar[frozenset] = frozenset(
+        {"outcome_mean", "outcome_mean_grad", "joint_density", "joint_density_grad"}
+    )
 
     def __post_init__(self) -> None:
         if self.weight_kind not in ("unit", "polynomial"):
             raise ValidationError(
                 f"weight_kind must be 'unit' or 'polynomial', got {self.weight_kind!r}"
             )
-        if self.weight_kind == "polynomial" and not self.weight_coefficients:
-            raise ValidationError("polynomial weight needs at least one coefficient")
+        if (self.weight_kind == "polynomial") != bool(self.weight_coefficients):
+            raise ValidationError(
+                "a polynomial weight needs at least one coefficient; the unit weight takes none"
+            )
         object.__setattr__(
             self, "weight_coefficients", tuple(float(c) for c in self.weight_coefficients)
         )
@@ -634,11 +632,6 @@ class AverageDerivativeEffect(Estimand):
                 wprime += k * c * x ** (k - 1)
         return w, wprime
 
-    def nuisance_requirements(self) -> frozenset:
-        return frozenset(
-            {"outcome_mean", "outcome_mean_grad", "joint_density", "joint_density_grad"}
-        )
-
     def plugin_value(self, law: DiscreteDistribution) -> float:
         raise ValidationError(
             "average derivative effect requires a continuous exposure; "
@@ -647,9 +640,8 @@ class AverageDerivativeEffect(Estimand):
 
     def nuisance_values(self, cols: ColumnSet, nuis: NuisanceSet) -> dict:
         cols.require(outcome=True, exposure=True)
-        slots = ("joint_density", "joint_density_grad", "outcome_mean", "outcome_mean_grad")
-        nuis.require(*slots)
-        return {s: np.asarray(getattr(nuis, s)(cols.x, cols.Z), dtype=float) for s in slots}
+        return {s: np.asarray(getattr(nuis, s)(cols.x, cols.Z), dtype=float)
+                for s in sorted(self.slots)}
 
     def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
         v = nuis.table(self, cols)
@@ -681,16 +673,12 @@ class Quantile(Estimand):
     name: ClassVar[str] = "quantile"
     affine: ClassVar[bool] = False
     discrete_oracle: ClassVar[bool] = False
+    slots: ClassVar[frozenset] = frozenset({"density_at_quantile"})
+    required_params: ClassVar[tuple] = ("tau",)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.tau < 1.0:
             raise ValidationError(f"quantile level must be in (0, 1), got {self.tau!r}")
-
-    def params(self) -> dict:
-        return {"tau": self.tau}
-
-    def nuisance_requirements(self) -> frozenset:
-        return frozenset({"density_at_quantile"})
 
     def plugin_value(self, law: DiscreteDistribution) -> float:
         _columns_of(law)
@@ -728,16 +716,12 @@ class TailConditionalExpectation(Estimand):
 
     threshold: float = 0.0
     name: ClassVar[str] = "tail_conditional_expectation"
+    slots: ClassVar[frozenset] = frozenset({"outcome_cdf"})
+    required_params: ClassVar[tuple] = ("threshold",)
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.threshold):
             raise ValidationError(f"threshold must be finite, got {self.threshold!r}")
-
-    def params(self) -> dict:
-        return {"threshold": self.threshold}
-
-    def nuisance_requirements(self) -> frozenset:
-        return frozenset({"outcome_cdf"})
 
     def plugin_value(self, law: DiscreteDistribution) -> float:
         y = _columns_of(law).y
@@ -778,18 +762,13 @@ class ConditionalCdf(Estimand):
 
     y: float = 0.0
     x: float = 0.0
-
     name: ClassVar[str] = "conditional_cdf"
+    slots: ClassVar[frozenset] = frozenset({"exposure_prob"})
+    required_params: ClassVar[tuple] = ("y", "x")
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.y) or not np.isfinite(self.x):
             raise ValidationError("conditional cdf needs finite y and x")
-
-    def params(self) -> dict:
-        return {"y": self.y, "x": self.x}
-
-    def nuisance_requirements(self) -> frozenset:
-        return frozenset({"exposure_prob"})
 
     def validate_schema(self, schema: Schema) -> None:
         idx = schema.sole_index("exposure")
@@ -836,16 +815,14 @@ class InterventionalDirectEffect(Estimand):
     x1: int = 1
     x0: int = 0
     name: ClassVar[str] = "interventional_direct_effect"
+    slots: ClassVar[frozenset] = frozenset(
+        {"mediated_outcome", "mediator_law", "propensity", "mediator_support"}
+    )
+    conditioning_cells: ClassVar[tuple] = (("covariate", "exposure"),)
 
     def __post_init__(self) -> None:
         if self.x1 not in (0, 1) or self.x0 not in (0, 1):
             raise ValidationError("interventional direct effect arms must be 0 or 1")
-
-    def params(self) -> dict:
-        return {"x1": self.x1, "x0": self.x0}
-
-    def nuisance_requirements(self) -> frozenset:
-        return frozenset({"mediated_outcome", "mediator_law", "propensity", "mediator_support"})
 
     def validate_schema(self, schema: Schema) -> None:
         med = schema.indices_with_role("mediator")
@@ -884,7 +861,6 @@ class InterventionalDirectEffect(Estimand):
 
     def nuisance_values(self, cols: ColumnSet, nuis: NuisanceSet) -> dict:
         cols.require(outcome=True, exposure=True, mediator=True)
-        nuis.require("mediated_outcome", "mediator_law", "propensity", "mediator_support")
         n = cols.n
         x1_vec, x0_vec = np.full(n, float(self.x1)), np.full(n, float(self.x0))
         values = {"propensity": np.asarray(nuis.propensity(cols.Z), dtype=float)}
@@ -937,16 +913,12 @@ class IncrementalPropensity(Estimand):
 
     epsilon: float = 2.0
     name: ClassVar[str] = "incremental_propensity"
+    slots: ClassVar[frozenset] = frozenset({"outcome_mean", "propensity"})
+    conditioning_cells: ClassVar[tuple] = (("covariate", "exposure"),)
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ValidationError(f"epsilon must be positive, got {self.epsilon!r}")
-
-    def params(self) -> dict:
-        return {"epsilon": self.epsilon}
-
-    def nuisance_requirements(self) -> frozenset:
-        return frozenset({"outcome_mean", "propensity"})
 
     def plugin_value(self, law: DiscreteDistribution) -> float:
         c = _columns_of(law, exposure=True)
@@ -1026,9 +998,6 @@ class DensityAtPoint(_PointEvaluation):
     name: ClassVar[str] = "density_at_point"
     what: ClassVar[str] = "the density at a point"
 
-    def params(self) -> dict:
-        return {"y": self.y}
-
 
 @dataclass(frozen=True)
 class ConditionalMeanAt(_PointEvaluation):
@@ -1037,9 +1006,6 @@ class ConditionalMeanAt(_PointEvaluation):
     x: float = 0.0
     name: ClassVar[str] = "conditional_mean_at"
     what: ClassVar[str] = "the regression function at a point of a continuous exposure"
-
-    def params(self) -> dict:
-        return {"x": self.x}
 
 
 # ---------------------------------------------------------------------------
@@ -1143,47 +1109,45 @@ CATALOG = {
     )
 }
 
-_PARAM_TYPES = {
-    "x": float,
-    "x1": int,
-    "x0": int,
-    "y": float,
-    "tau": float,
-    "threshold": float,
-    "epsilon": float,
-    "weight_kind": str,
-    "weight_coefficients": tuple,
+def _integer(value) -> int:
+    """An integral value given as an int, a float or a string ("1", "1.0")."""
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(number)
+
+
+# How ``from_config`` reads a value for a field of each declared type, keyed
+# by the annotation as written (this module's annotations are strings); a
+# ``str`` field takes the value as given.
+_COERCE = {
+    "int": _integer,
+    "float": float,
+    "tuple": lambda value: tuple(float(v) for v in value),
 }
 
 
 def from_config(name: str, params: Optional[dict] = None) -> Estimand:
-    """Build a catalog estimand from its name and keyword parameters."""
+    """Build a catalog estimand from its name and keyword parameters, each
+    coerced to the type its dataclass field declares."""
     if name not in CATALOG:
         raise ValidationError(
             f"unknown estimand {name!r}; available: {', '.join(sorted(CATALOG))}"
         )
     cls = CATALOG[name]
     params = dict(params or {})
-    fields = getattr(cls, "__dataclass_fields__", {})
-    unknown = set(params) - set(fields)
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(params) - set(types)
     if unknown:
         raise ValidationError(
             f"estimand {name!r} does not accept parameters {sorted(unknown)}"
         )
     coerced = {}
     for key, value in params.items():
-        want = _PARAM_TYPES.get(key)
         try:
-            if want is tuple:
-                coerced[key] = tuple(float(v) for v in value)
-            elif want is int:
-                coerced[key] = int(value)
-            elif want is float:
-                coerced[key] = float(value)
-            else:
-                coerced[key] = value
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"estimand parameter {key}={value!r} is invalid") from exc
-    if name == "potential_outcome_mean" and "x" in coerced:
-        coerced["x"] = int(coerced["x"])
+            coerced[key] = _COERCE.get(types[key], lambda v: v)(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(
+                f"estimand parameter {key}={value!r} is invalid: expected {types[key]}"
+            ) from exc
     return cls(**coerced)

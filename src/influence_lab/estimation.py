@@ -734,7 +734,6 @@ def tmle(spec: Estimand, dataset: Dataset, nuis, alpha: float = DEFAULT_ALPHA):
             f"and their contrast, not {spec.name!r}"
         )
     cols = ColumnSet.from_dataset(dataset)
-    nuis.require("outcome_mean", "propensity")
     values = nuis.table(spec, cols)
     pi_one = values["propensity"]
     if np.any((pi_one <= 0.0) | (pi_one >= 1.0)):

@@ -223,18 +223,11 @@ def numerical_gateaux(spec: Estimand, path: MixturePath, at_t: float = 0.0) -> t
 
 def _min_conditioning_cell(spec: Estimand, law: DiscreteDistribution) -> float:
     """Smallest probability among the cells the estimand conditions on."""
-    needs = spec.nuisance_requirements()
-    groupings = []
-    if {"outcome_mean", "propensity", "conditional_mean_y", "conditional_mean_x",
-        "mediated_outcome", "mediator_law"} & needs:
-        groupings.append(("covariate",))
-        if ({"outcome_mean", "propensity", "mediated_outcome", "mediator_law"} & needs
-                and law.schema.indices_with_role("exposure")):
-            groupings.append(("covariate", "exposure"))
-    if not groupings:
-        return 1.0
-    return float(min(np.bincount(law.cells(*roles)[1], weights=law.probs).min()
-                     for roles in groupings))
+    return min(
+        (float(np.bincount(law.cells(*roles)[1], weights=law.probs).min())
+         for roles in spec.conditioning_cells),
+        default=1.0,
+    )
 
 
 def verify_eif(

@@ -13,7 +13,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -70,6 +70,12 @@ def _expit(eta):
 # ---------------------------------------------------------------------------
 
 
+def _params(dgp) -> dict:
+    """A process's dataclass fields by name, tuples as lists (JSON arrays)."""
+    values = {f.name: getattr(dgp, f.name) for f in fields(dgp)}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
+
+
 def _outcome_only_schema():
     return Schema((Column("y", "outcome", "continuous"),))
 
@@ -86,8 +92,7 @@ class NormalMeanDgp:
     def schema(self) -> Schema:
         return _outcome_only_schema()
 
-    def params(self) -> dict:
-        return {"mu": self.mu, "sigma": self.sigma}
+    params = _params
 
     def generate(self, n: int, seed: int) -> Dataset:
         rng = np.random.default_rng(seed)
@@ -132,14 +137,7 @@ class AteLinearDgp:
             covs + (Column("x", "exposure", "binary"), Column("y", "outcome", "continuous"))
         )
 
-    def params(self) -> dict:
-        return {
-            "beta0": self.beta0,
-            "beta_x": self.beta_x,
-            "beta": list(self.beta),
-            "gamma": list(self.gamma),
-            "sigma": self.sigma,
-        }
+    params = _params
 
     def generate(self, n: int, seed: int) -> Dataset:
         rng = np.random.default_rng(seed)
@@ -204,18 +202,7 @@ class AteNonlinearDgp:
             )
         )
 
-    def params(self) -> dict:
-        return {
-            "beta0": self.beta0,
-            "beta_x": self.beta_x,
-            "beta_z": self.beta_z,
-            "beta_z2": self.beta_z2,
-            "beta_xz": self.beta_xz,
-            "beta_xz2": self.beta_xz2,
-            "gamma": list(self.gamma),
-            "z_half_width": self.z_half_width,
-            "sigma": self.sigma,
-        }
+    params = _params
 
     def regression(self, x, z):
         x = np.asarray(x, dtype=float)
@@ -278,8 +265,7 @@ class PartiallyLinearDgp:
             )
         )
 
-    def params(self) -> dict:
-        return {"theta": self.theta, "sigma_x": self.sigma_x, "sigma_y": self.sigma_y}
+    params = _params
 
     def generate(self, n: int, seed: int) -> Dataset:
         rng = np.random.default_rng(seed)
@@ -322,13 +308,7 @@ class MediationDgp:
             )
         )
 
-    def params(self) -> dict:
-        return {
-            "gamma": list(self.gamma),
-            "alpha": list(self.alpha),
-            "beta": list(self.beta),
-            "sigma": self.sigma,
-        }
+    params = _params
 
     def generate(self, n: int, seed: int) -> Dataset:
         rng = np.random.default_rng(seed)
@@ -367,8 +347,7 @@ class DensityMixtureDgp:
     def schema(self) -> Schema:
         return _outcome_only_schema()
 
-    def params(self) -> dict:
-        return {"weight": self.weight, "means": list(self.means), "sds": list(self.sds)}
+    params = _params
 
     def _mixture(self) -> NormalMixture:
         return NormalMixture(

@@ -3,18 +3,26 @@
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from influence_lab import (
+    CATALOG,
     ConfigError,
     NotPathwiseDifferentiableError,
     ValidationError,
+    from_config,
     parse_config,
     parse_config_file,
 )
 from influence_lab.cli import main as cli_main
 from influence_lab.config import METHOD_ALIASES
+from influence_lab.distributions import KINDS, ROLES
+from influence_lab.estimation import _OUTCOME_MODELS, _PROPENSITY_MODELS
+from influence_lab.simulation import DGPS
 
 MINIMAL = """\
 [data]
@@ -48,6 +56,13 @@ seed = 11
 alpha = 0.1
 out = run.json
 """
+
+
+INTEGER_PARAMS = [
+    ("potential_outcome_mean", "x"),
+    ("interventional_direct_effect", "x1"),
+    ("interventional_direct_effect", "x0"),
+]
 
 
 def run_cli(*argv, timeout=180):
@@ -209,7 +224,7 @@ class TestParseConfig:
         [
             ("quantile", "tau"),
             ("tail_conditional_expectation", "threshold"),
-            ("conditional_cdf", "threshold"),
+            ("conditional_cdf", "y"),
         ],
     )
     def test_missing_required_estimand_param(self, name, required):
@@ -242,6 +257,119 @@ class TestParseConfig:
     def test_config_file_must_exist(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):
             parse_config_file(str(tmp_path / "missing.ini"))
+
+    @pytest.mark.parametrize("name,key", INTEGER_PARAMS)
+    @pytest.mark.parametrize("value", ["1", "1.0", " 1 ", 1, 1.0])
+    def test_integer_params_accept_integral_values(self, name, key, value):
+        got = getattr(from_config(name, {key: value}), key)
+        assert got == 1 and type(got) is int
+
+    @pytest.mark.parametrize("name,key", INTEGER_PARAMS)
+    @pytest.mark.parametrize("value", ["1.5", 1.7, "0.5", 0.999, "inf", "nan", "one"])
+    def test_integer_params_reject_non_integral_values(self, name, key, value):
+        with pytest.raises(ValidationError, match=f"{key}=.* is invalid: expected int"):
+            from_config(name, {key: value})
+
+
+def _configurable(name: str) -> bool:
+    try:
+        CATALOG[name]().nuisance_requirements()
+    except NotPathwiseDifferentiableError:
+        return False
+    return True
+
+
+CONFIGURABLE = [name for name in sorted(CATALOG) if _configurable(name)]
+PATHS = st.text("abcxyz_./", min_size=1, max_size=12)
+FIELD_VALUES = {
+    "int": st.integers(0, 1),
+    "float": st.floats(-1e6, 1e6),
+    "str": st.sampled_from(("unit", "polynomial")),
+    "tuple": st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=3).map(tuple),
+}
+FIELD_OVERRIDES = {
+    "tau": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    "epsilon": st.floats(1e-6, 1e6),
+}
+DATA = st.one_of(
+    st.fixed_dictionaries({"dgp": st.sampled_from(sorted(DGPS)), "n": st.integers(1, 10**6)}),
+    st.fixed_dictionaries({"path": PATHS, "roles": st.dictionaries(
+        st.text("abcxyz", min_size=1, max_size=4),
+        st.tuples(st.sampled_from(ROLES), st.sampled_from(KINDS)),
+        min_size=1, max_size=4,
+    )}),
+)
+LEARNERS = st.fixed_dictionaries({}, optional={
+    "outcome_model": st.sampled_from(_OUTCOME_MODELS),
+    "outcome_degree": st.integers(1, 3),
+    "outcome_interactions": st.booleans(),
+    "propensity_model": st.sampled_from(_PROPENSITY_MODELS),
+    "propensity_degree": st.integers(1, 3),
+    "propensity_interactions": st.booleans(),
+    "ridge_lambda": st.floats(0.0, 10.0),
+    "bandwidth": st.one_of(st.just("auto"), st.floats(1e-3, 10.0)),
+    "trim": st.floats(0.0, 0.49),
+})
+RUN = st.fixed_dictionaries({}, optional={
+    "method": st.sampled_from(sorted(METHOD_ALIASES)),
+    "folds": st.integers(1, 20),
+    "seed": st.integers(0, 2**32),
+    "alpha": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    "out": PATHS,
+})
+
+
+@st.composite
+def estimand_params(draw, name):
+    """Valid parameters of one estimand: its required ones, and any others."""
+    cls = CATALOG[name]
+    params = {
+        f.name: draw(FIELD_OVERRIDES.get(f.name, FIELD_VALUES[f.type]))
+        for f in fields(cls)
+        if f.name in cls.required_params or draw(st.booleans())
+    }
+    try:
+        from_config(name, params)
+    except ValidationError:
+        assume(False)
+    return params
+
+
+def render_ini(resolved: dict) -> str:
+    """A config document stating every value of a ``resolved()`` echo."""
+
+    def text(value):
+        if isinstance(value, (list, tuple)):
+            return ", ".join(repr(float(v)) for v in value)
+        return str(value)
+
+    data = dict(resolved["data"])
+    roles = data.pop("roles", {})
+    sections = {
+        "data": {**data, **{f"role.{col}": ",".join(pair) for col, pair in roles.items()}},
+        "estimand": {"name": resolved["estimand"]["name"], **resolved["estimand"]["params"]},
+        "learners": resolved["learners"],
+        "run": {key: value for key, value in resolved["run"].items() if value is not None},
+    }
+    return "".join(
+        f"[{section}]\n" + "".join(f"{key} = {text(value)}\n" for key, value in entries.items())
+        for section, entries in sections.items()
+    )
+
+
+@pytest.mark.parametrize("name", CONFIGURABLE)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_config_round_trips_through_its_resolved_echo(name, data):
+    first = parse_config(render_ini({
+        "data": data.draw(DATA),
+        "estimand": {"name": name, "params": data.draw(estimand_params(name))},
+        "learners": data.draw(LEARNERS),
+        "run": data.draw(RUN),
+    }))
+    again = parse_config(render_ini(first.resolved()))
+    assert again == first
+    assert again.resolved() == first.resolved()
 
 
 class TestEstimateCommand:
@@ -337,6 +465,24 @@ folds = 1
         proc = run_cli("estimate", "--config", cfg)
         assert proc.returncode == 1
         assert "point-evaluation" in proc.stderr
+
+    def test_conditional_cdf_from_config(self, tmp_path, capsys):
+        text = (
+            "[data]\ndgp = ate-linear\nn = 200\n\n[estimand]\nname = conditional_cdf\n"
+            "y = 1.0\nx = 1\n\n[run]\nfolds = 2\n"
+        )
+        assert cli_main(["estimate", "--config", write_config(tmp_path, text)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["config"]["estimand"]["params"] == {"y": 1.0, "x": 1.0}
+        assert 0.0 < payload["result"]["psi_hat"] < 1.0
+
+    def test_non_integral_arm_exits_1(self, tmp_path, capsys):
+        text = (
+            "[data]\ndgp = ate-linear\nn = 50\n\n[estimand]\n"
+            "name = potential_outcome_mean\nx = 1.5\n"
+        )
+        assert cli_main(["estimate", "--config", write_config(tmp_path, text)]) == 1
+        assert "x='1.5' is invalid: expected int" in capsys.readouterr().err
 
     def test_missing_required_param_exits_1(self, tmp_path):
         text = "[data]\ndgp = normal-mean\nn = 50\n\n[estimand]\nname = quantile\n"

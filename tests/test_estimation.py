@@ -241,6 +241,11 @@ class TestTmleByHand:
         with pytest.raises(ValidationError, match="targeted"):
             tmle(PopulationMean(), data, NuisanceSet())
 
+    def test_missing_slots_are_named(self):
+        data = _hand_dataset([1.0, 3.0, 2.0, 6.0])
+        with pytest.raises(NuisanceError, match="missing nuisance slots: propensity$"):
+            tmle(Ate(), data, NuisanceSet(outcome_mean=lambda x, Z: np.zeros(len(x))))
+
     def test_degenerate_propensity_is_refused(self):
         data = _hand_dataset([1.0, 3.0, 2.0, 6.0])
         nuis = NuisanceSet(
