@@ -40,6 +40,7 @@ from .estimands import from_config
 from .estimation import DEFAULT_FOLDS, estimate
 from .gateaux import (
     DEFAULT_TOLERANCE,
+    SMOOTH_CASES,
     SMOOTH_TOLERANCE,
     SWEEP_PLAN,
     SweepResult,
@@ -186,44 +187,27 @@ def _sweep_json(result: SweepResult, tolerance: float) -> dict:
 
 def _cmd_verify_eif(args) -> int:
     started = time.perf_counter()
+    for flag, value, low in (("--trials", args.trials, 1), ("--max-support", args.max_support, 3),
+                             ("--seed", args.seed, 0)):
+        if value < low:
+            raise ConfigError(f"{flag} must be at least {low}, got {value}")
     only = None if args.spec == "all" else args.spec
     discrete_names = {entry.split(":")[0] for entry, _ in SWEEP_PLAN}
-
-    empty = SweepResult(reports=(), worst_rel_error=0.0, checked=0, skipped=0)
-    t0_result = t1_result = empty
+    smooth_names = {spec.name for spec, _, _ in SMOOTH_CASES}
+    if only is not None and only not in discrete_names | smooth_names:
+        raise ValidationError(
+            f"no verification case covers estimand {args.spec!r}; "
+            f"available: {', '.join(sorted(discrete_names | smooth_names))}"
+        )
+    t0_result = t1_result = smooth_result = SweepResult()
     if only is None or only in discrete_names:
-        t0_result = oracle_sweep(
-            trials=args.trials, seed=args.seed, max_support=args.max_support,
-            tolerance=args.tolerance, keep="worst", only=only,
-        )
-        t1_result = oracle_sweep(
-            trials=args.trials, seed=args.seed, max_support=args.max_support,
-            at_t=1.0, tolerance=args.tolerance, keep="worst", only=only,
-        )
+        sweep = dict(trials=args.trials, seed=args.seed, max_support=args.max_support,
+                     keep="worst", only=only)
+        t0_result = oracle_sweep(**sweep)
+        t1_result = oracle_sweep(at_t=1.0, **sweep)
+    if only is None or only in smooth_names:
+        smooth_result = smooth_sweep(only)
 
-    smooth_result = smooth_sweep()
-    smooth_names = {r.spec.name for r in smooth_result.reports}
-    if only is not None:
-        kept = tuple(r for r in smooth_result.reports if r.spec.name == only)
-        live = [r for r in kept if not r.skipped]
-        smooth_result = SweepResult(
-            reports=kept,
-            worst_rel_error=max((r.rel_error for r in live), default=0.0),
-            checked=len(live),
-            skipped=len(kept) - len(live),
-        )
-        if t0_result.checked == 0 and not kept:
-            names = sorted(discrete_names | smooth_names)
-            raise ValidationError(
-                f"no verification case covers estimand {args.spec!r}; "
-                f"available: {', '.join(names)}"
-            )
-
-    failures = (
-        len(t0_result.failures(args.tolerance))
-        + len(t1_result.failures(args.tolerance))
-        + len(smooth_result.failures(SMOOTH_TOLERANCE))
-    )
     config = {
         "spec": args.spec,
         "trials": args.trials,
@@ -236,8 +220,8 @@ def _cmd_verify_eif(args) -> int:
         "point_mass_t0": _sweep_json(t0_result, args.tolerance),
         "identity_t1": _sweep_json(t1_result, args.tolerance),
         "smooth_families": _sweep_json(smooth_result, SMOOTH_TOLERANCE),
-        "failures": failures,
     }
+    result["failures"] = failures = sum(block["failures"] for block in result.values())
     _emit(_envelope("verify-eif", config, args.seed, result, started), args.out)
     if failures:
         raise VerificationError(
@@ -460,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--trials", type=int, default=50, help="random laws per estimand")
     p_ver.add_argument(
         "--max-support", type=int, default=20, dest="max_support",
-        help="largest support size of the random laws",
+        help="atoms of the outcome-only laws (capped at 12) and outcome values per "
+        "exposure level; the covariate and mediation laws have a fixed cell structure",
     )
     p_ver.add_argument("--seed", type=int, default=7, help="sweep seed")
     p_ver.add_argument(

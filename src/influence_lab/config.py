@@ -76,6 +76,10 @@ class RunConfig:
     alpha: float = DEFAULT_ALPHA
     out: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+
     def resolved(self) -> dict:
         """Echo of the full configuration, defaults included, for embedding
         in every output so a run can be reproduced from its report alone."""

@@ -154,14 +154,6 @@ class LearnerSettings:
         if self.ridge_lambda < 0.0:
             raise ValidationError("ridge_lambda must be nonnegative")
 
-    def outcome_features(self) -> FeatureMap:
-        return FeatureMap(degree=self.outcome_degree, interactions=self.outcome_interactions)
-
-    def propensity_features(self) -> FeatureMap:
-        return FeatureMap(
-            degree=self.propensity_degree, interactions=self.propensity_interactions
-        )
-
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -188,23 +180,53 @@ def _as_flat(values) -> np.ndarray:
     return arr.ravel() if arr.ndim > 1 else arr
 
 
+def _fit_learner(family: str, V, target, settings: LearnerSettings):
+    """Fit the learner ``settings`` names for ``family`` ("outcome" or
+    "propensity") on the raw columns V.
+
+    Returns the prediction function of raw query columns and, for OLS and
+    kernel fits, its derivative along the first column (None for logistic).
+    Probabilities come out raw; the callers clip them.  A logistic fit that
+    did not converge raises ``SolverError``.
+    """
+    model = getattr(settings, f"{family}_model")
+    if model == "kernel":  # kernel fits consume raw coordinates
+        fit = fit_kernel_regression(V, target, settings.bandwidth)
+        return (lambda Vq: fit.predict(Vq)), (lambda Vq: fit.predict_grad(Vq, axis=0))
+    fmap = FeatureMap(
+        degree=getattr(settings, f"{family}_degree"),
+        interactions=getattr(settings, f"{family}_interactions"),
+    )
+    if model == "ols":
+        fit = fit_ols(fmap.transform(V), target, settings.ridge_lambda)
+        return (
+            lambda Vq: fit.predict(fmap.transform(Vq)),
+            lambda Vq: fit.predict_grad(fmap.grad_transform(Vq, axis=0)),
+        )
+    fit = fit_logistic(fmap.transform(V), target, settings.ridge_lambda)
+    if not fit.converged:
+        raise SolverError(
+            f"logistic fit did not converge in {fit.iterations} IRLS iterations"
+        )
+    return (lambda Vq: fit.predict(fmap.transform(Vq))), None
+
+
 class _ArmRegression:
     """One regression per exposure level; evaluation selects by level."""
 
-    def __init__(self, fits: dict, feature_fn: Callable):
+    def __init__(self, fits: dict):
         self.fits = fits
-        self.feature_fn = feature_fn
 
     def __call__(self, x: np.ndarray, Z: np.ndarray) -> np.ndarray:
         x = _as_flat(x)
         out = np.empty(x.size, dtype=float)
         seen = np.zeros(x.size, dtype=bool)
-        for level, fit in self.fits.items():
+        for level, predict in self.fits.items():
             mask = x == level
             if mask.all():  # one level, as for m(1, Z) and m(0, Z): no masked copy
-                return fit.predict(self.feature_fn(Z))
+                return predict(Z)
             if mask.any():
-                out[mask] = fit.predict(self.feature_fn(Z[mask]))
+                out[mask] = predict(Z[mask])
                 seen |= mask
         if not seen.all():
             bad = float(x[~seen][0])
@@ -217,13 +239,6 @@ class _ArmRegression:
 def _fit_outcome_mean(y, x, Z, settings: LearnerSettings, binary_exposure: bool):
     """Regression of y on (x, Z); per-level fits when the exposure is discrete."""
     if binary_exposure:
-        if settings.outcome_model == "ols":
-            fmap = settings.outcome_features()
-            feature_fn = fmap.transform
-            fitter = lambda F, t: fit_ols(feature_fn(F), t, settings.ridge_lambda)
-        else:
-            feature_fn = lambda Zq: Zq  # kernel fits consume raw coordinates
-            fitter = lambda F, t: fit_kernel_regression(F, t, settings.bandwidth)
         fits = {}
         for level in np.unique(x):
             mask = x == level
@@ -231,54 +246,11 @@ def _fit_outcome_mean(y, x, Z, settings: LearnerSettings, binary_exposure: bool)
                 raise PositivityError(
                     f"fewer than two training rows with exposure level {level!r}"
                 )
-            fits[level] = fitter(Z[mask], y[mask])
-        return _ArmRegression(fits, feature_fn), None
+            fits[level] = _fit_learner("outcome", Z[mask], y[mask], settings)[0]
+        return _ArmRegression(fits), None
     # continuous exposure: one fit on the joint (x, Z) coordinates
-    V = _design(x, Z)
-    if settings.outcome_model == "ols":
-        fmap = settings.outcome_features()
-        fit = fit_ols(fmap.transform(V), y, settings.ridge_lambda)
-
-        def mean_fn(xq, Zq):
-            return fit.predict(fmap.transform(_design(xq, Zq)))
-
-        def grad_fn(xq, Zq):
-            raw = _design(xq, Zq)
-            return fit.predict_grad(fmap.grad_transform(raw, axis=0))
-
-        return mean_fn, grad_fn
-    fit = fit_kernel_regression(V, y, settings.bandwidth)
-
-    def mean_fn(xq, Zq):
-        return fit.predict(_design(xq, Zq))
-
-    def grad_fn(xq, Zq):
-        return fit.predict_grad(_design(xq, Zq), axis=0)
-
-    return mean_fn, grad_fn
-
-
-def _fit_conditional_mean(target, Z, settings: LearnerSettings) -> Callable:
-    if settings.outcome_model == "ols":
-        fmap = settings.outcome_features()
-        fit = fit_ols(fmap.transform(Z), target, settings.ridge_lambda)
-        return lambda Zq: fit.predict(fmap.transform(Zq))
-    fit = fit_kernel_regression(Z, target, settings.bandwidth)
-    return lambda Zq: fit.predict(Zq)
-
-
-def _fit_probability(target, V, settings: LearnerSettings) -> Callable:
-    """Raw (unclipped) conditional probability of a binary target given V."""
-    if settings.propensity_model == "logistic":
-        fmap = settings.propensity_features()
-        fit = fit_logistic(fmap.transform(V), target, settings.ridge_lambda)
-        if not fit.converged:
-            raise SolverError(
-                f"logistic fit did not converge in {fit.iterations} IRLS iterations"
-            )
-        return lambda Vq: fit.predict(fmap.transform(Vq))
-    fit = fit_kernel_regression(V, target, settings.bandwidth)
-    return lambda Vq: fit.predict(Vq)
+    mean, grad = _fit_learner("outcome", _design(x, Z), y, settings)
+    return (lambda xq, Zq: mean(_design(xq, Zq))), (lambda xq, Zq: grad(_design(xq, Zq)))
 
 
 def _empirical_cdf(sample: np.ndarray) -> Callable:
@@ -332,11 +304,11 @@ def _fit_fold_slots(
             slots["outcome_mean_grad"] = grad_fn
     if "propensity" in reqs:
         _check_binary(x, "the exposure")
-        slots["propensity"] = _fit_probability(x, Z, settings)
+        slots["propensity"] = _fit_learner("propensity", Z, x, settings)[0]
     if "conditional_mean_y" in reqs:
-        slots["conditional_mean_y"] = _fit_conditional_mean(y, Z, settings)
+        slots["conditional_mean_y"] = _fit_learner("outcome", Z, y, settings)[0]
     if "conditional_mean_x" in reqs or "exposure_residual_var" in reqs:
-        cond_x = _fit_conditional_mean(x, Z, settings)
+        cond_x = _fit_learner("outcome", Z, x, settings)[0]
         if "conditional_mean_x" in reqs:
             slots["conditional_mean_x"] = cond_x
         if "exposure_residual_var" in reqs:
@@ -376,10 +348,10 @@ def _fit_fold_slots(
         m_flat = _as_flat(M)
         _check_binary(m_flat, "the mediator")
         if "mediator_law" in reqs:
-            p_one = _fit_probability(m_flat, _design(x, Z), settings)
+            p_one = _fit_learner("propensity", _design(x, Z), m_flat, settings)[0]
             slots["mediator_law"] = p_one  # wrapped into f(M | x, Z) later
         if "mediated_outcome" in reqs:
-            b = _fit_conditional_mean(y, _design(m_flat, x, Z), settings)
+            b = _fit_learner("outcome", _design(m_flat, x, Z), y, settings)[0]
             slots["mediated_outcome"] = lambda Mq, xq, Zq: b(_design(_as_flat(Mq), xq, Zq))
         if "mediator_support" in reqs:
             slots["mediator_support"] = tuple(sorted(set(m_flat.tolist())))

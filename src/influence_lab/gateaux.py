@@ -13,7 +13,9 @@ and at the other end of the path
 Derivatives are one-sided finite differences accelerated by Richardson
 extrapolation; influence-function means use exact nuisances computed from
 the finite-support laws, so any disagreement beyond tolerance indicts the
-analytic influence function (or the plug-in), not the arithmetic.
+analytic influence function (or the plug-in), not the arithmetic.  Both
+endpoint checks share one oracle guard and one skip rule, and a sweep's
+``SweepResult`` reads its counts and worst error from its reports.
 
 The module also computes von Mises remainders
 R(P, Q) = Psi(Q) - Psi(P) + E_P[ phi(O, Q) ] (second order in Q - P) and
@@ -36,7 +38,7 @@ from .distributions import (
     Column,
     mixture_at,
 )
-from .errors import DerivativeUnstableError, ValidationError, VerificationError
+from .errors import DerivativeUnstableError, ValidationError
 from .estimands import (
     Ate,
     AverageDensity,
@@ -65,7 +67,6 @@ CONVERGENCE_RTOL = 1e-9
 DEFAULT_TOLERANCE = 1e-6
 MIN_CELL_PROB = 1e-6
 REMAINDER_DECAY_STEPS = (0.2, 0.1, 0.05)
-REMAINDER_DECAY_RTOL = 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +197,9 @@ def eif_mean_under(
     spec: Estimand,
     evaluation_law: DiscreteDistribution,
     nuisance_law: DiscreteDistribution,
-    psi: Optional[float] = None,
 ) -> float:
     """E_Q[phi(O, P)] with Q the evaluation law and P the nuisance law."""
-    if psi is None:
-        psi = spec.plugin_value(nuisance_law)
+    psi = spec.plugin_value(nuisance_law)
     return _eif_mean(spec, evaluation_law, exact_nuisances(spec, nuisance_law), psi)
 
 
@@ -230,11 +229,34 @@ def _min_conditioning_cell(spec: Estimand, law: DiscreteDistribution) -> float:
     )
 
 
+def _require_oracle(spec: Estimand) -> None:
+    if not spec.discrete_oracle:
+        raise ValidationError(
+            f"estimand {spec.name!r} has no finite-support oracle; "
+            "use smooth_path_check instead"
+        )
+
+
+def _skipped(spec: Estimand, law: DiscreteDistribution, at_t: float, labels, whose: str) -> list:
+    """One skipped report per label when a conditioning cell of ``law`` is
+    below ``MIN_CELL_PROB``, and none otherwise."""
+    min_cell = _min_conditioning_cell(spec, law)
+    if min_cell >= MIN_CELL_PROB:
+        return []
+    reason = f"a conditioning cell{whose} has probability {min_cell:.2e} < {MIN_CELL_PROB}"
+    return [
+        GateauxReport(
+            spec=spec, at_t=at_t, numerical_derivative=math.nan, analytic_value=math.nan,
+            halvings=0, contaminant_label=label, skipped=True, skip_reason=reason,
+        )
+        for label in labels
+    ]
+
+
 def verify_eif(
     spec: Estimand,
     base: DiscreteDistribution,
     contaminants: Optional[Sequence[DiscreteDistribution]] = None,
-    tolerance: float = DEFAULT_TOLERANCE,
 ) -> list[GateauxReport]:
     """Check d/dt Psi(P_t)|_0 = E_Q[phi(O, P)] for each contaminant Q.
 
@@ -244,11 +266,7 @@ def verify_eif(
     Paths whose base law has a conditioning cell below ``MIN_CELL_PROB``
     are reported as skipped rather than silently passed.
     """
-    if not spec.discrete_oracle:
-        raise ValidationError(
-            f"estimand {spec.name!r} has no finite-support oracle; "
-            "use smooth_path_check instead"
-        )
+    _require_oracle(spec)
     if contaminants is None:
         labeled = [
             (DiscreteDistribution(base.schema, base.values[i : i + 1], [1.0]), f"atom:{i}")
@@ -257,20 +275,9 @@ def verify_eif(
     else:
         labeled = [(q, f"law:{i}") for i, q in enumerate(contaminants)]
     psi0 = spec.plugin_value(base)
-    min_cell = _min_conditioning_cell(spec, base)
-    if min_cell < MIN_CELL_PROB:
-        return [
-            GateauxReport(
-                spec=spec, at_t=0.0, numerical_derivative=math.nan,
-                analytic_value=math.nan, halvings=0, contaminant_label=label,
-                skipped=True,
-                skip_reason=(
-                    f"a conditioning cell has probability {min_cell:.2e} "
-                    f"< {MIN_CELL_PROB}"
-                ),
-            )
-            for _, label in labeled
-        ]
+    skipped = _skipped(spec, base, 0.0, [label for _, label in labeled], "")
+    if skipped:
+        return skipped
     nuis = exact_nuisances(spec, base)
     if contaminants is None:
         atoms = ColumnSet.from_matrix(base.schema, base.values)
@@ -296,22 +303,10 @@ def check_t1_identity(
     contaminant: DiscreteDistribution,
 ) -> GateauxReport:
     """Check d/dt Psi(P_t)|_1 = -E_P[phi(O, Q)] on one path."""
-    if not spec.discrete_oracle:
-        raise ValidationError(
-            f"estimand {spec.name!r} has no finite-support oracle; "
-            "use smooth_path_check instead"
-        )
-    min_cell = _min_conditioning_cell(spec, contaminant)
-    if min_cell < MIN_CELL_PROB:
-        return GateauxReport(
-            spec=spec, at_t=1.0, numerical_derivative=math.nan,
-            analytic_value=math.nan, halvings=0, contaminant_label="law",
-            skipped=True,
-            skip_reason=(
-                f"a conditioning cell of the contaminant has probability "
-                f"{min_cell:.2e} < {MIN_CELL_PROB}"
-            ),
-        )
+    _require_oracle(spec)
+    skipped = _skipped(spec, contaminant, 1.0, ["law"], " of the contaminant")
+    if skipped:
+        return skipped[0]
     path = MixturePath(base, contaminant)
     derivative, halvings = numerical_gateaux(spec, path, at_t=1.0)
     analytic = -eif_mean_under(spec, base, contaminant)
@@ -444,6 +439,9 @@ def random_law(
     Cell structures follow the schema: covariate and exposure levels form a
     full product so conditional means exist everywhere, and outcome values
     within each cell are drawn fresh.  Dirichlet(1) weights over atoms.
+    ``max_support`` (at least 3) bounds only the outcome-only laws, at
+    min(max_support, 12) atoms, and the outcome values per exposure level;
+    the covariate and mediation schemas have a fixed cell structure.
     """
     if schema is OUTCOME_ONLY or [c.role for c in schema.columns] == ["outcome"]:
         k = int(rng.integers(3, min(max_support, 12) + 1))
@@ -528,12 +526,22 @@ _SWEEP_PARAMS: dict[str, Callable[[np.random.Generator, DiscreteDistribution], d
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Aggregate of a randomized verification sweep."""
+    """The reports of a verification sweep; ``SweepResult()`` is the empty
+    sweep, and every aggregate is read from the reports."""
 
-    reports: tuple[GateauxReport, ...]
-    worst_rel_error: float
-    checked: int
-    skipped: int
+    reports: tuple[GateauxReport, ...] = ()
+
+    @property
+    def checked(self) -> int:
+        return sum(not r.skipped for r in self.reports)
+
+    @property
+    def skipped(self) -> int:
+        return len(self.reports) - self.checked
+
+    @property
+    def worst_rel_error(self) -> float:
+        return max((r.rel_error for r in self.reports if not r.skipped), default=0.0)
 
     def failures(self, tolerance: float = DEFAULT_TOLERANCE) -> list[GateauxReport]:
         return [
@@ -541,13 +549,24 @@ class SweepResult:
         ]
 
 
+def _only(cases: tuple, only: Optional[str], name: Callable) -> tuple:
+    """The cases whose estimand ``name(case)`` is ``only``; all when None."""
+    if only is None:
+        return cases
+    kept = tuple(case for case in cases if name(case) == only)
+    if not kept:
+        names = sorted({name(case) for case in cases})
+        raise ValidationError(
+            f"no sweep entry for estimand {only!r}; available: {', '.join(names)}"
+        )
+    return kept
+
+
 def oracle_sweep(
     trials: int = 50,
     seed: int = 20250815,
     max_support: int = 20,
     at_t: float = 0.0,
-    tolerance: float = DEFAULT_TOLERANCE,
-    raise_on_failure: bool = False,
     keep: str = "all",
     only: Optional[str] = None,
 ) -> SweepResult:
@@ -562,22 +581,16 @@ def oracle_sweep(
 
     ``keep="worst"`` records only the largest-error report of each
     (estimand, trial) pair; the checks run either way.  ``only`` restricts
-    the plan to one estimand name.
+    the plan to one estimand name.  Fewer than one trial, or fewer than
+    three atoms (the smallest outcome-only law), is refused.
     """
     if keep not in ("all", "worst"):
         raise ValidationError(f"keep must be 'all' or 'worst', got {keep!r}")
-    plan = SWEEP_PLAN
-    if only is not None:
-        plan = tuple(
-            (entry, schema)
-            for entry, schema in plan
-            if entry.split(":")[0] == only
+    if trials < 1 or max_support < 3:
+        raise ValidationError(
+            f"a sweep needs trials >= 1 and max_support >= 3, got {trials} and {max_support}"
         )
-        if not plan:
-            names = sorted({entry.split(":")[0] for entry, _ in SWEEP_PLAN})
-            raise ValidationError(
-                f"no sweep entry for estimand {only!r}; available: {', '.join(names)}"
-            )
+    plan = _only(SWEEP_PLAN, only, lambda case: case[0].split(":")[0])
     rng = np.random.default_rng(seed)
     reports: list[GateauxReport] = []
     for entry, schema in plan:
@@ -586,7 +599,7 @@ def oracle_sweep(
             params = _SWEEP_PARAMS.get(entry, lambda rng, law: {})(rng, law)
             spec = CATALOG[entry.split(":")[0]](**params)
             if at_t == 0.0:
-                batch = verify_eif(spec, law, tolerance=tolerance)
+                batch = verify_eif(spec, law)
             else:
                 contaminant = contaminant_law(rng, law)
                 batch = [check_t1_identity(spec, law, contaminant)]
@@ -595,21 +608,7 @@ def oracle_sweep(
                 reports.append(max(live_batch, key=lambda r: r.rel_error))
             else:
                 reports.extend(batch)
-    live = [r for r in reports if not r.skipped]
-    worst = max((r.rel_error for r in live), default=0.0)
-    result = SweepResult(
-        reports=tuple(reports),
-        worst_rel_error=worst,
-        checked=len(live),
-        skipped=len(reports) - len(live),
-    )
-    if raise_on_failure and result.failures(tolerance):
-        worst_report = max(result.failures(tolerance), key=lambda r: r.rel_error)
-        raise VerificationError(
-            f"influence-function check failed for {worst_report.spec.name} "
-            f"(rel error {worst_report.rel_error:.3e} > {tolerance})"
-        )
-    return result
+    return SweepResult(tuple(reports))
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +616,13 @@ def oracle_sweep(
 # ---------------------------------------------------------------------------
 
 SMOOTH_TOLERANCE = 1e-5
+
+# (estimand class, family of its check) -> path-function builder; a tracer wraps the builders
+SMOOTH_PATH_FUNCTIONS = {
+    (Quantile, NormalMixture): quantile_path_functions,
+    (TailConditionalExpectation, NormalMixture): tail_path_functions,
+    (AverageDerivativeEffect, GaussianRegressionFamily): derivative_path_functions,
+}
 
 
 def smooth_path_check(spec: Estimand, base, contaminant) -> GateauxReport:
@@ -627,21 +633,11 @@ def smooth_path_check(spec: Estimand, base, contaminant) -> GateauxReport:
     check differentiates t -> psi(P_t) along the mixture of two closed-form
     families and compares with the mean of the influence function at the base
     family under the contaminant, computed by quadrature from the exact
-    nuisances of the base family.
-
-    ``base`` and ``contaminant`` are ``NormalMixture`` objects for quantile
-    and tail specs, ``GaussianRegressionFamily`` objects for the average
-    derivative.
+    nuisances of the base family, of the kind ``SMOOTH_PATH_FUNCTIONS`` names.
     """
-    if isinstance(spec, Quantile):
-        expected = NormalMixture
-        builder = quantile_path_functions
-    elif isinstance(spec, TailConditionalExpectation):
-        expected = NormalMixture
-        builder = tail_path_functions
-    elif isinstance(spec, AverageDerivativeEffect):
-        expected = GaussianRegressionFamily
-        builder = derivative_path_functions
+    for (cls, expected), builder in SMOOTH_PATH_FUNCTIONS.items():
+        if isinstance(spec, cls):
+            break
     else:
         raise ValidationError(
             f"no smooth-family check for estimand {spec.name!r}; "
@@ -663,70 +659,58 @@ def smooth_path_check(spec: Estimand, base, contaminant) -> GateauxReport:
     )
 
 
-def smooth_sweep(
-    tolerance: float = SMOOTH_TOLERANCE, raise_on_failure: bool = False
-) -> SweepResult:
+# Every contaminant has strictly smaller spread than its base, so the
+# likelihood ratio stays bounded.  That keeps t -> psi(P_t) analytic at
+# t = 0; a heavier-tailed contaminant makes higher t-derivatives diverge
+# (the ratio enters the derivative formulas with increasing powers) and the
+# extrapolation stalls even though the first derivative exists.
+_OUTCOME_BASE = NormalMixture(
+    weights=(0.6, 0.4), means=(-0.5, 1.5), sds=(0.8, 1.2)
+)
+_OUTCOME_CONT = NormalMixture(
+    weights=(0.5, 0.5), means=(0.7, -1.8), sds=(1.0, 0.6)
+)
+_REGRESSION_BASE = GaussianRegressionFamily(
+    mu_z=0.3,
+    sd_z=1.0,
+    a0=0.2,
+    a1=0.5,
+    sd_x=0.9,
+    coef=(0.4, 1.1, -0.7, 0.35, -0.25),
+)
+_REGRESSION_CONT = GaussianRegressionFamily(
+    mu_z=-0.2,
+    sd_z=0.7,
+    a0=-0.1,
+    a1=0.3,
+    sd_x=0.6,
+    coef=(-0.2, 0.6, 0.5, -0.15, 0.4),
+)
+SMOOTH_CASES: tuple[tuple[Estimand, object, object], ...] = (
+    (Quantile(tau=0.25), _OUTCOME_BASE, _OUTCOME_CONT),
+    (Quantile(tau=0.5), _OUTCOME_BASE, _OUTCOME_CONT),
+    (Quantile(tau=0.9), _OUTCOME_BASE, _OUTCOME_CONT),
+    (TailConditionalExpectation(threshold=0.0), _OUTCOME_BASE, _OUTCOME_CONT),
+    (TailConditionalExpectation(threshold=1.0), _OUTCOME_BASE, _OUTCOME_CONT),
+    (AverageDerivativeEffect(), _REGRESSION_BASE, _REGRESSION_CONT),
+    (
+        AverageDerivativeEffect(
+            weight_kind="polynomial", weight_coefficients=(1.0, 0.5)
+        ),
+        _REGRESSION_BASE,
+        _REGRESSION_CONT,
+    ),
+)
+
+
+def smooth_sweep(only: Optional[str] = None) -> SweepResult:
     """Fixed battery of smooth-family derivative checks.
 
-    Runs ``smooth_path_check`` for quantiles at several levels, tail means at
-    several thresholds, and average derivatives with unit and polynomial
-    weights, on bimodal base families against shifted contaminants.
-
-    Every contaminant is chosen with strictly smaller spread than its base so
-    the likelihood ratio stays bounded.  That keeps t -> psi(P_t) analytic at
-    t = 0; a heavier-tailed contaminant makes higher t-derivatives diverge
-    (the ratio enters the derivative formulas with increasing powers) and the
-    extrapolation stalls even though the first derivative exists.
+    Runs ``smooth_path_check`` on every case of ``SMOOTH_CASES``: quantiles
+    at several levels, tail means at several thresholds, and average
+    derivatives with unit and polynomial weights, on bimodal base families
+    against shifted contaminants.  ``only`` restricts the battery to one
+    estimand name.
     """
-    outcome_base = NormalMixture(
-        weights=(0.6, 0.4), means=(-0.5, 1.5), sds=(0.8, 1.2)
-    )
-    outcome_cont = NormalMixture(
-        weights=(0.5, 0.5), means=(0.7, -1.8), sds=(1.0, 0.6)
-    )
-    regression_base = GaussianRegressionFamily(
-        mu_z=0.3,
-        sd_z=1.0,
-        a0=0.2,
-        a1=0.5,
-        sd_x=0.9,
-        coef=(0.4, 1.1, -0.7, 0.35, -0.25),
-    )
-    regression_cont = GaussianRegressionFamily(
-        mu_z=-0.2,
-        sd_z=0.7,
-        a0=-0.1,
-        a1=0.3,
-        sd_x=0.6,
-        coef=(-0.2, 0.6, 0.5, -0.15, 0.4),
-    )
-    cases: list[tuple[Estimand, object, object]] = [
-        (Quantile(tau=0.25), outcome_base, outcome_cont),
-        (Quantile(tau=0.5), outcome_base, outcome_cont),
-        (Quantile(tau=0.9), outcome_base, outcome_cont),
-        (TailConditionalExpectation(threshold=0.0), outcome_base, outcome_cont),
-        (TailConditionalExpectation(threshold=1.0), outcome_base, outcome_cont),
-        (AverageDerivativeEffect(), regression_base, regression_cont),
-        (
-            AverageDerivativeEffect(
-                weight_kind="polynomial", weight_coefficients=(1.0, 0.5)
-            ),
-            regression_base,
-            regression_cont,
-        ),
-    ]
-    reports = [smooth_path_check(spec, base, cont) for spec, base, cont in cases]
-    worst = max(r.rel_error for r in reports)
-    result = SweepResult(
-        reports=tuple(reports),
-        worst_rel_error=worst,
-        checked=len(reports),
-        skipped=0,
-    )
-    if raise_on_failure and result.failures(tolerance):
-        worst_report = max(result.failures(tolerance), key=lambda r: r.rel_error)
-        raise VerificationError(
-            f"smooth-family check failed for {worst_report.spec.name} "
-            f"(rel error {worst_report.rel_error:.3e} > {tolerance})"
-        )
-    return result
+    cases = _only(SMOOTH_CASES, only, lambda case: case[0].name)
+    return SweepResult(tuple(smooth_path_check(*case) for case in cases))

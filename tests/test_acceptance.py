@@ -42,7 +42,7 @@ def mc_se(report) -> float:
 
 def test_criterion_01_eif_equals_point_mass_derivative():
     start = time.perf_counter()
-    result = oracle_sweep(trials=50, seed=SEED, tolerance=1e-6, keep="worst")
+    result = oracle_sweep(trials=50, seed=SEED, keep="worst")
     elapsed = time.perf_counter() - start
     ok = (
         result.checked > 0
@@ -60,7 +60,7 @@ def test_criterion_01_eif_equals_point_mass_derivative():
 
 def test_criterion_02_t1_identity_against_contaminant_mean():
     start = time.perf_counter()
-    result = oracle_sweep(trials=50, seed=SEED, at_t=1.0, tolerance=1e-6, keep="worst")
+    result = oracle_sweep(trials=50, seed=SEED, at_t=1.0, keep="worst")
     elapsed = time.perf_counter() - start
     ok = (
         result.checked > 0

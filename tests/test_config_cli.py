@@ -1,5 +1,7 @@
 """Config parsing and the command-line surface, exercised in subprocesses."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -422,6 +424,14 @@ folds = 1
         assert payload["result"]["psi_hat"] == 4.0
         assert "eif_values" not in payload["result"]
 
+    def test_negative_seed_exits_1(self, tmp_path, capsys):
+        flag = write_config(tmp_path, MINIMAL)
+        ini = write_config(tmp_path, MINIMAL + "\n[run]\nseed = -1\n", name="neg.ini")
+        assert cli_main(["estimate", "--config", flag, "--seed", "-1"]) == 1
+        assert cli_main(["estimate", "--config", ini]) == 1
+        err = capsys.readouterr().err
+        assert err.count("influence-lab: error: seed must be a non-negative integer, got -1") == 2
+
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_cell_exits_1_naming_row_and_column(self, tmp_path, capsys, cell):
         text = self.CSV_CONFIG.replace("role.y", "role.k = covariate,discrete\nrole.y")
@@ -632,6 +642,25 @@ class TestVerifyCommand:
         proc = run_cli("verify-eif", "--spec", "made_up")
         assert proc.returncode == 1
         assert "no verification case covers estimand 'made_up'" in proc.stderr
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        trials=st.integers(-2, 2), max_support=st.integers(-1, 25), seed=st.integers(-2, 5)
+    )
+    def test_argument_edges_keep_the_exit_code_contract(self, trials, max_support, seed):
+        argv = ["verify-eif", "--spec", "population_mean", "--trials", str(trials),
+                "--max-support", str(max_support), "--seed", str(seed)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(argv)
+        assert code in (0, 1)
+        assert (code == 0) == (trials >= 1 and max_support >= 3 and seed >= 0)
+        if code == 0:
+            result = json.loads(out.getvalue())["result"]
+            assert result["point_mass_t0"]["checked"] >= 1
+            assert result["identity_t1"]["checked"] >= 1
+        else:
+            assert err.getvalue().startswith("influence-lab: error:")
 
     def test_max_support_is_wired_through(self):
         proc = run_cli(

@@ -19,7 +19,6 @@ from influence_lab import (
     Schema,
     TailConditionalExpectation,
     ValidationError,
-    VerificationError,
     check_t1_identity,
     eif_mean_under,
     numerical_gateaux,
@@ -36,6 +35,7 @@ from influence_lab.gateaux import (
     FULL_SCHEMA,
     OUTCOME_ONLY,
     SWEEP_PLAN,
+    SweepResult,
     contaminant_law,
     random_law,
 )
@@ -68,6 +68,14 @@ THREE_ATOMS = DiscreteDistribution(
 )
 
 
+# one (z, x) cell of the full schema carries 1e-8 of the mass
+TINY_CELL_LAW = DiscreteDistribution(
+    FULL_SCHEMA,
+    [[0, 0, 1.0], [0, 1, 2.0], [1, 0, 3.0], [1, 1, 4.0]],
+    [0.4 - 1e-8, 0.3, 1e-8, 0.3],
+)
+
+
 class TestVerifyEif:
     def test_population_mean_derivative_is_mean_shift(self):
         # Psi(P_t) is affine in t, so the derivative at 0 equals
@@ -95,6 +103,22 @@ class TestVerifyEif:
         reports = verify_eif(Ate(), law)
         assert all(r.skipped for r in reports)
         assert "conditioning cell" in reports[0].skip_reason
+
+    def test_both_endpoints_skip_by_one_rule(self):
+        law, _ = _full_law(3)
+        at_0 = verify_eif(Ate(), TINY_CELL_LAW)
+        at_1 = check_t1_identity(Ate(), law, TINY_CELL_LAW)
+        assert [r.contaminant_label for r in at_0] == [f"atom:{i}" for i in range(4)]
+        assert {r.skip_reason for r in at_0} == {
+            "a conditioning cell has probability 1.00e-08 < 1e-06"
+        }
+        assert (at_1.at_t, at_1.contaminant_label, at_1.skipped) == (1.0, "law", True)
+        assert at_1.skip_reason == (
+            "a conditioning cell of the contaminant has probability 1.00e-08 < 1e-06"
+        )
+        assert math.isnan(at_1.numerical_derivative) and math.isnan(at_1.analytic_value)
+        with pytest.raises(ValidationError, match="no finite-support oracle"):
+            check_t1_identity(Quantile(tau=0.5), THREE_ATOMS, THREE_ATOMS)
 
     def test_estimand_without_discrete_oracle_is_refused(self):
         with pytest.raises(ValidationError, match="smooth"):
@@ -226,6 +250,15 @@ class TestSmoothChecks:
         assert result.skipped == 0
         assert result.worst_rel_error < 1e-5
 
+    def test_only_keeps_one_estimand(self):
+        result = smooth_sweep(only="quantile")
+        assert [r.spec.name for r in result.reports] == ["quantile"] * 3
+
+    def test_only_unknown_name_lists_available(self):
+        with pytest.raises(ValidationError, match="available: average_derivative_effect, "
+                           "quantile, tail_conditional_expectation"):
+            smooth_sweep(only="population_mean")
+
     def test_family_type_validation(self):
         base = NormalMixture(weights=(1.0,), means=(0.0,), sds=(1.0,))
         with pytest.raises(ValidationError, match="no smooth-family check"):
@@ -262,6 +295,24 @@ class TestOracleSweep:
         assert result.checked == 2 * len(SWEEP_PLAN)
         assert result.worst_rel_error < 1e-6
 
-    def test_raise_on_failure_with_absurd_tolerance(self):
-        with pytest.raises(VerificationError, match="rel error"):
-            oracle_sweep(trials=1, seed=5, tolerance=1e-18, raise_on_failure=True)
+    @pytest.mark.parametrize("keep", ["all", "worst"])
+    def test_aggregates_are_read_from_the_reports(self, keep):
+        # the counts the sweeps used to build by hand, on live and skipped reports
+        swept = oracle_sweep(trials=2, seed=11, keep=keep)
+        mixed = SweepResult(swept.reports + tuple(verify_eif(Ate(), TINY_CELL_LAW)))
+        for result in (swept, mixed):
+            live = [r for r in result.reports if not r.skipped]
+            assert result.checked == len(live)
+            assert result.skipped == len(result.reports) - len(live)
+            assert result.worst_rel_error == max((r.rel_error for r in live), default=0.0)
+        assert mixed.skipped == 4
+        empty = SweepResult()
+        assert (empty.checked, empty.skipped, empty.worst_rel_error) == (0, 0, 0.0)
+
+    @pytest.mark.parametrize("trials, max_support", [(0, 20), (-1, 20), (1, 2)])
+    def test_empty_or_impossible_sweep_is_refused(self, trials, max_support):
+        with pytest.raises(ValidationError, match="a sweep needs"):
+            oracle_sweep(trials=trials, max_support=max_support)
+
+    def test_absurd_tolerance_reports_failures(self):
+        assert oracle_sweep(trials=1, seed=5).failures(1e-18)
