@@ -191,6 +191,8 @@ def _cmd_verify_eif(args) -> int:
                              ("--seed", args.seed, 0)):
         if value < low:
             raise ConfigError(f"{flag} must be at least {low}, got {value}")
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
+        raise ConfigError(f"--tolerance must be a finite number >= 0, got {args.tolerance!r}")
     only = None if args.spec == "all" else args.spec
     discrete_names = {entry.split(":")[0] for entry, _ in SWEEP_PLAN}
     smooth_names = {spec.name for spec, _, _ in SMOOTH_CASES}

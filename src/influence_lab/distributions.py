@@ -9,8 +9,8 @@ vector.  ``MixturePath`` represents the line segment (1 - t) * base + t *
 contaminant, the paths along which functionals are differentiated; every
 law on a path shares one union support.  Atoms are grouped into cells by
 one primitive, ``np.unique`` over rows with ``return_inverse``, so a cell
-total is a weighted ``np.bincount``.  A grouping belongs to the support and
-is computed once for it.
+total is a weighted ``np.bincount`` (``cell_sums``, for one row of weights
+or many).  A grouping belongs to the support and is computed once for it.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CsvParseError, SchemaError
+from .errors import CsvParseError, SchemaError, ValidationError
 
 ROLES = ("outcome", "exposure", "covariate", "mediator")
 KINDS = ("continuous", "binary", "discrete")
@@ -199,6 +199,21 @@ def find_rows(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.where(k[at] == r, at, -1)
 
 
+def cell_sums(cell: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Total of ``weights`` within each cell, along the last axis.  Several
+    rows of weights are one weighted ``np.bincount`` on cell ids offset by
+    row, which adds each row's terms in atom order, as a bincount of that
+    row alone does, so every row has the bits of its own sums."""
+    rows = weights.reshape(-1, weights.shape[-1])
+    if len(rows) == 1:
+        sums = np.bincount(cell, weights=rows[0])
+    else:
+        n = int(cell.max()) + 1
+        ids = (cell + n * np.arange(len(rows))[:, None]).ravel()
+        sums = np.bincount(ids, weights=rows.ravel(), minlength=n * len(rows))
+    return sums.reshape(weights.shape[:-1] + (-1,))
+
+
 class DiscreteDistribution:
     """Finite-support probability law: a support array of distinct atoms,
     checked against the schema once, plus a probability vector.
@@ -345,6 +360,15 @@ def empirical(dataset: Dataset) -> DiscreteDistribution:
     return DiscreteDistribution(
         dataset.schema, dataset.values, np.full(n, 1.0 / n)
     )
+
+
+def seeded_rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``, with a seed numpy refuses (a negative
+    or a non-integer one) reported as a ``ValidationError``."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}") from exc
 
 
 def load_csv(path: str, roles: Mapping[str, tuple[str, str]]) -> Dataset:

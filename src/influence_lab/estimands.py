@@ -38,9 +38,11 @@ no finite-variance influence function, so no root-n estimator exists.
 On a finite-support law (a support array plus a probability vector) the
 plug-ins and the exact nuisances are cell sums: ``law.cells(*roles)``
 groups the atoms once per support, and each cell mass or conditional mean
-is a weighted ``np.bincount`` over that grouping.  The plug-ins never call
-``eif_terms``, so the derivative check of the influence function is not
-circular.
+is a weighted ``np.bincount`` over that grouping (``cell_sums``).  A
+plug-in takes a matrix whose rows are laws on one support and returns one
+value per row, each with the bits of that row alone; ``plugin_value(law)``
+is the one-row case.  The plug-ins never call ``eif_terms``, so the
+derivative check of the influence function is not circular.
 """
 from __future__ import annotations
 
@@ -49,7 +51,7 @@ from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from .distributions import Dataset, DiscreteDistribution, Observation, Schema, find_rows
+from .distributions import Dataset, DiscreteDistribution, Observation, Schema, cell_sums, find_rows
 from .errors import (
     NotPathwiseDifferentiableError,
     NuisanceError,
@@ -183,6 +185,12 @@ class Estimand:
         return self.slots
 
     def plugin_value(self, law: DiscreteDistribution) -> float:
+        """The functional on ``law``: the one-row case of ``plugin_values``."""
+        return float(self.plugin_values(law, law.probs[None, :])[0])
+
+    def plugin_values(self, law: DiscreteDistribution, probs: np.ndarray) -> np.ndarray:
+        """The functional on each law that puts a row of the (rows, atoms)
+        matrix ``probs`` on the support of ``law``, one value per row."""
         raise NotImplementedError
 
     def nuisance_values(self, cols: ColumnSet, nuis: NuisanceSet) -> dict:
@@ -247,18 +255,25 @@ def _columns_of(law: DiscreteDistribution, **roles: bool) -> ColumnSet:
 
 def _cell_mean(cell: np.ndarray, weights: np.ndarray, values) -> np.ndarray:
     """Weighted mean of ``values`` within each cell; NaN in a cell of zero weight."""
-    mass = np.bincount(cell, weights=weights)
+    mass = cell_sums(cell, weights)
     return np.divide(
-        np.bincount(cell, weights=weights * values), mass,
+        cell_sums(cell, weights * values), mass,
         out=np.full(mass.shape, np.nan), where=mass > 0.0,
     )
 
 
-def _total(terms: np.ndarray) -> float:
-    """Sum from left to right.  Plug-in values feed finite differences with
-    steps near 1e-6, so their last bits decide which atom gives a trial's
-    worst derivative error; a fixed order keeps recorded sweeps reproducible."""
-    return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
+def _total(terms: np.ndarray) -> np.ndarray:
+    """Sum along the last axis from left to right.  Plug-in values feed finite
+    differences with steps near 1e-6, so their last bits decide which atom
+    gives a trial's worst derivative error; a fixed order keeps recorded
+    sweeps reproducible."""
+    return np.cumsum(terms, axis=-1)[..., -1]
+
+
+def _dots(probs: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``np.dot`` of each row of ``probs`` with ``values``, one row at a time:
+    a matrix product may add in another order."""
+    return np.array([np.dot(p, values) for p in probs])
 
 
 def _defined(values: np.ndarray, need: np.ndarray, keys: np.ndarray, what: str) -> np.ndarray:
@@ -266,7 +281,7 @@ def _defined(values: np.ndarray, need: np.ndarray, keys: np.ndarray, what: str) 
     value that is undefined (NaN: its cell has zero probability) raises."""
     bad = need & np.isnan(values)
     if bad.any():
-        cell = tuple(keys[np.argmax(bad)].tolist())
+        cell = tuple(keys[bad.nonzero()[-1][0]].tolist())
         raise PositivityError(f"{what} undefined at cell {cell!r}, which has zero probability")
     return np.where(need, values, 0.0)
 
@@ -287,34 +302,31 @@ def _reader(keys: np.ndarray, table: np.ndarray, what: str, default: Optional[fl
     return read
 
 
-def _standardized_terms(law: DiscreteDistribution, arm: float) -> np.ndarray:
-    """P(Z=z) E[Y | X=arm, Z=z] for each covariate cell of positive mass."""
+def _standardized_terms(law: DiscreteDistribution, probs: np.ndarray, arm: float) -> np.ndarray:
+    """P(Z=z) E[Y | X=arm, Z=z] for each covariate cell, 0 in a cell of no mass."""
     c = _columns_of(law, exposure=True)
-    p = law.probs
     zkeys, z = law.cells("covariate")
-    pz = np.bincount(z, weights=p)
-    live = pz > 0.0
-    m = _defined(_cell_mean(z, p * (c.x == arm), c.y), live, zkeys, f"outcome mean at X={arm:g}")
-    return (pz * m)[live]
+    pz = cell_sums(z, probs)
+    m = _cell_mean(z, probs * (c.x == arm), c.y)
+    return pz * _defined(m, pz > 0.0, zkeys, f"outcome mean at X={arm:g}")
 
 
-def _residuals(law: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Probability, Y - E[Y|Z] and X - E[X|Z] of each atom of positive
-    probability (an atom of zero probability may sit in a cell with no mean)."""
+def _residuals(law: DiscreteDistribution, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Y - E[Y|Z] and X - E[X|Z] at each atom of positive probability, and 0
+    at the others (an atom of zero probability may sit in a cell with no mean)."""
     c = _columns_of(law, exposure=True)
-    p = law.probs
     _, z = law.cells("covariate")
-    live = p > 0.0
-    ry = c.y - _cell_mean(z, p, c.y)[z]
-    rx = c.x - _cell_mean(z, p, c.x)[z]
-    return p[live], ry[live], rx[live]
+    live = probs > 0.0
+    ry = np.where(live, c.y - _cell_mean(z, probs, c.y)[..., z], 0.0)
+    rx = np.where(live, c.x - _cell_mean(z, probs, c.x)[..., z], 0.0)
+    return ry, rx
 
 
-def _outcome_cdf(law: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray]:
+def _outcome_cdf(law: DiscreteDistribution, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct outcome values in increasing order and the cdf at each."""
     keys, cell = law.cells("outcome")
     order = np.argsort(keys[:, 0], kind="stable")
-    return keys[order, 0], np.cumsum(np.bincount(cell, weights=law.probs)[order])
+    return keys[order, 0], np.cumsum(cell_sums(cell, probs)[..., order], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +340,8 @@ class PopulationMean(Estimand):
 
     name: ClassVar[str] = "population_mean"
 
-    def plugin_value(self, law: DiscreteDistribution) -> float:
-        return float(np.dot(law.probs, _columns_of(law).y))
+    def plugin_values(self, law: DiscreteDistribution, probs: np.ndarray) -> np.ndarray:
+        return _dots(probs, _columns_of(law).y)
 
     def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
         cols.require(outcome=True)
@@ -352,9 +364,9 @@ class AverageDensity(Estimand):
     name: ClassVar[str] = "average_density"
     slots: ClassVar[frozenset] = frozenset({"marginal_density"})
 
-    def plugin_value(self, law: DiscreteDistribution) -> float:
+    def plugin_values(self, law: DiscreteDistribution, probs: np.ndarray) -> np.ndarray:
         _columns_of(law)
-        pmf = np.bincount(law.cells("outcome")[1], weights=law.probs)
+        pmf = cell_sums(law.cells("outcome")[1], probs)
         return _total(pmf * pmf)
 
     def nuisance_values(self, cols: ColumnSet, nuis: NuisanceSet) -> dict:
@@ -395,10 +407,10 @@ class Covariance(Estimand):
     name: ClassVar[str] = "covariance"
     slots: ClassVar[frozenset] = frozenset({"mean_y", "mean_x"})
 
-    def plugin_value(self, law: DiscreteDistribution) -> float:
+    def plugin_values(self, law: DiscreteDistribution, probs: np.ndarray) -> np.ndarray:
         c = _columns_of(law, exposure=True)
-        p = law.probs
-        return float(np.dot(p, (c.y - np.dot(p, c.y)) * (c.x - np.dot(p, c.x))))
+        return np.array([np.dot(p, (c.y - np.dot(p, c.y)) * (c.x - np.dot(p, c.x)))
+                         for p in probs])
 
     def nuisance_values(self, cols: ColumnSet, nuis: NuisanceSet) -> dict:
         cols.require(outcome=True, exposure=True)
@@ -457,8 +469,8 @@ class PotentialOutcomeMean(Estimand):
         if self.x not in (0, 1):
             raise ValidationError(f"potential outcome arm must be 0 or 1, got {self.x!r}")
 
-    def plugin_value(self, law: DiscreteDistribution) -> float:
-        return _total(_standardized_terms(law, float(self.x)))
+    def plugin_values(self, law: DiscreteDistribution, probs: np.ndarray) -> np.ndarray:
+        return _total(_standardized_terms(law, probs, float(self.x)))
 
     def nuisance_values(self, cols: ColumnSet, nuis: NuisanceSet) -> dict:
         return _arm_values(cols, nuis, (self.x,))
@@ -478,9 +490,9 @@ class Ate(Estimand):
     slots: ClassVar[frozenset] = frozenset({"outcome_mean", "propensity"})
     conditioning_cells: ClassVar[tuple] = (("covariate", "exposure"),)
 
-    def plugin_value(self, law: DiscreteDistribution) -> float:
-        terms = (_standardized_terms(law, 1.0), -_standardized_terms(law, 0.0))
-        return _total(np.column_stack(terms).ravel())
+    def plugin_values(self, law: DiscreteDistribution, probs: np.ndarray) -> np.ndarray:
+        terms = (_standardized_terms(law, probs, 1.0), -_standardized_terms(law, probs, 0.0))
+        return _total(np.stack(terms, axis=-1).reshape(len(probs), -1))
 
     def nuisance_values(self, cols: ColumnSet, nuis: NuisanceSet) -> dict:
         return _arm_values(cols, nuis, (1, 0))
@@ -511,9 +523,9 @@ class ExpectedConditionalCovariance(Estimand):
     slots: ClassVar[frozenset] = frozenset({"conditional_mean_y", "conditional_mean_x"})
     conditioning_cells: ClassVar[tuple] = (("covariate",),)
 
-    def plugin_value(self, law: DiscreteDistribution) -> float:
-        p, ry, rx = _residuals(law)
-        return _total(p * ry * rx)
+    def plugin_values(self, law: DiscreteDistribution, probs: np.ndarray) -> np.ndarray:
+        ry, rx = _residuals(law, probs)
+        return _total(probs * ry * rx)
 
     def nuisance_values(self, cols: ColumnSet, nuis: NuisanceSet) -> dict:
         return _residual_values(cols, nuis)
@@ -543,13 +555,13 @@ class PartiallyLinearCoefficient(Estimand):
     )
     conditioning_cells: ClassVar[tuple] = (("covariate",),)
 
-    def plugin_value(self, law: DiscreteDistribution) -> float:
-        p, ry, rx = _residuals(law)
-        num = _total(p * rx * ry)
-        den = _total(p * rx * rx)
-        if den <= 0.0:
+    def plugin_values(self, law: DiscreteDistribution, probs: np.ndarray) -> np.ndarray:
+        ry, rx = _residuals(law, probs)
+        num = _total(probs * rx * ry)
+        den = _total(probs * rx * rx)
+        if np.any(den <= 0.0):
             raise PositivityError("exposure has no residual variance given covariates")
-        return float(num / den)
+        return num / den
 
     def nuisance_values(self, cols: ColumnSet, nuis: NuisanceSet) -> dict:
         values = _residual_values(cols, nuis)
@@ -632,7 +644,7 @@ class AverageDerivativeEffect(Estimand):
                 wprime += k * c * x ** (k - 1)
         return w, wprime
 
-    def plugin_value(self, law: DiscreteDistribution) -> float:
+    def plugin_values(self, law: DiscreteDistribution, probs: np.ndarray) -> np.ndarray:
         raise ValidationError(
             "average derivative effect requires a continuous exposure; "
             "a finite-support law has no derivative in x"
@@ -680,11 +692,11 @@ class Quantile(Estimand):
         if not 0.0 < self.tau < 1.0:
             raise ValidationError(f"quantile level must be in (0, 1), got {self.tau!r}")
 
-    def plugin_value(self, law: DiscreteDistribution) -> float:
+    def plugin_values(self, law: DiscreteDistribution, probs: np.ndarray) -> np.ndarray:
         _columns_of(law)
-        points, cdf = _outcome_cdf(law)
-        reached = np.flatnonzero(cdf >= self.tau - 1e-15)
-        return float(points[reached[0] if reached.size else -1])
+        points, cdf = _outcome_cdf(law, probs)
+        reached = cdf >= self.tau - 1e-15
+        return points[np.where(reached.any(axis=-1), reached.argmax(axis=-1), -1)]
 
     def eif_values(self, cols: ColumnSet, nuis: NuisanceSet, psi: float) -> np.ndarray:
         cols.require(outcome=True)
@@ -723,15 +735,15 @@ class TailConditionalExpectation(Estimand):
         if not np.isfinite(self.threshold):
             raise ValidationError(f"threshold must be finite, got {self.threshold!r}")
 
-    def plugin_value(self, law: DiscreteDistribution) -> float:
+    def plugin_values(self, law: DiscreteDistribution, probs: np.ndarray) -> np.ndarray:
         y = _columns_of(law).y
         inside = y <= self.threshold
-        mass = float(np.dot(law.probs, inside))
-        if mass <= 0.0:
+        mass = _dots(probs, inside)
+        if np.any(mass <= 0.0):
             raise PositivityError(
                 f"no outcome mass at or below threshold {self.threshold!r}"
             )
-        return float(np.dot(law.probs, y * inside) / mass)
+        return _dots(probs, y * inside) / mass
 
     def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
         cols.require(outcome=True)
@@ -778,14 +790,14 @@ class ConditionalCdf(Estimand):
                 "for a continuous exposure; declare the exposure binary or discrete"
             )
 
-    def plugin_value(self, law: DiscreteDistribution) -> float:
+    def plugin_values(self, law: DiscreteDistribution, probs: np.ndarray) -> np.ndarray:
         self.validate_schema(law.schema)
         c = _columns_of(law, exposure=True)
         at_level = c.x == self.x
-        px = float(np.dot(law.probs, at_level))
-        if px <= 0.0:
+        px = _dots(probs, at_level)
+        if np.any(px <= 0.0):
             raise PositivityError(f"exposure level {self.x!r} has zero probability")
-        return float(np.dot(law.probs, at_level * (c.y <= self.y)) / px)
+        return _dots(probs, at_level * (c.y <= self.y)) / px
 
     def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
         cols.require(outcome=True, exposure=True)
@@ -835,29 +847,27 @@ class InterventionalDirectEffect(Estimand):
                     f"column {schema.columns[i].name!r} must be binary or discrete"
                 )
 
-    def plugin_value(self, law: DiscreteDistribution) -> float:
+    def plugin_values(self, law: DiscreteDistribution, probs: np.ndarray) -> np.ndarray:
         c = _columns_of(law, exposure=True, mediator=True)
-        p = law.probs
         zkeys, z = law.cells("covariate")
         keys, cell = law.cells("covariate", "exposure", "mediator")
         _, zm = law.cells("covariate", "mediator")
-        at_x0 = p * (c.x == self.x0)
-        pz, pz_x0 = np.bincount(z, weights=p), np.bincount(z, weights=at_x0)
+        pz, pz_x0 = cell_sums(z, probs), cell_sums(z, probs * (c.x == self.x0))
         lost = (pz > 0.0) & (pz_x0 <= 0.0)
         if lost.any():
-            zkey = tuple(zkeys[np.argmax(lost)].tolist())
+            zkey = tuple(zkeys[lost.nonzero()[-1][0]].tolist())
             raise PositivityError(f"cell X={self.x0}, Z={zkey!r} has zero probability")
         # b(m, z) = E[Y | M=m, X=x1, Z=z] for each (z, x0, m) cell with mass,
         # weighted by f(m | x0, z) = P(z, x0, m) / P(z, x0) and summed within z
         first = np.unique(cell, return_index=True)[1]  # each cell's first atom
         z_of, zm_of, x_of = z[first], zm[first], c.x[first]
-        mass = np.bincount(cell, weights=p)
+        mass = cell_sums(cell, probs)
         used = (x_of == self.x0) & (mass > 0.0)
-        b = _cell_mean(zm, p * (c.x == self.x1), c.y)[zm_of]
-        b = _defined(b, used, keys, "mediated outcome mean")[used]
-        zu = z_of[used]
-        inner = np.bincount(zu, weights=b * (mass[used] / pz_x0[zu]), minlength=len(zkeys))
-        return _total((pz * inner)[pz > 0.0])
+        b = _cell_mean(zm, probs * (c.x == self.x1), c.y)[..., zm_of]
+        b = _defined(b, used, keys, "mediated outcome mean")
+        f_m = np.divide(mass, pz_x0[..., z_of], out=np.zeros(mass.shape), where=used)
+        inner = cell_sums(z_of, b * f_m)  # every covariate cell has a (z, x, m) cell
+        return _total(pz * inner)
 
     def nuisance_values(self, cols: ColumnSet, nuis: NuisanceSet) -> dict:
         cols.require(outcome=True, exposure=True, mediator=True)
@@ -920,21 +930,20 @@ class IncrementalPropensity(Estimand):
         if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ValidationError(f"epsilon must be positive, got {self.epsilon!r}")
 
-    def plugin_value(self, law: DiscreteDistribution) -> float:
+    def plugin_values(self, law: DiscreteDistribution, probs: np.ndarray) -> np.ndarray:
         c = _columns_of(law, exposure=True)
-        p = law.probs
         zkeys, z = law.cells("covariate")
-        pz = np.bincount(z, weights=p)
+        pz = cell_sums(z, probs)
         live = pz > 0.0
-        pi = np.where(live, _cell_mean(z, p, c.x == 1.0), 0.0)
+        pi = np.where(live, _cell_mean(z, probs, c.x == 1.0), 0.0)
         g1 = self.epsilon * pi / (self.epsilon * pi + 1.0 - pi)
         # an arm without mass in a cell carries no weight there
-        m1 = _cell_mean(z, p * (c.x == 1.0), c.y)
-        m0 = _cell_mean(z, p * (c.x == 0.0), c.y)
+        m1 = _cell_mean(z, probs * (c.x == 1.0), c.y)
+        m0 = _cell_mean(z, probs * (c.x == 0.0), c.y)
         m1 = _defined(m1, live & (g1 > 0.0), zkeys, "outcome mean, arm 1")
         m0 = _defined(m0, live & (g1 < 1.0), zkeys, "outcome mean, arm 0")
         term = np.where(g1 > 0.0, g1 * m1, 0.0) + np.where(g1 < 1.0, (1.0 - g1) * m0, 0.0)
-        return _total((pz * term)[live])
+        return _total(pz * term)
 
     def nuisance_values(self, cols: ColumnSet, nuis: NuisanceSet) -> dict:
         return _arm_values(cols, nuis, (1, 0))
@@ -986,7 +995,7 @@ class _PointEvaluation(Estimand):
     def _reject(self, *args):
         raise NotPathwiseDifferentiableError(_POINT_EVAL_MESSAGE.format(what=self.what))
 
-    nuisance_requirements = plugin_value = nuisance_values = _reject
+    nuisance_requirements = plugin_value = plugin_values = nuisance_values = _reject
     eif_terms = eif_values = plugin_estimate = _reject
 
 
@@ -1013,22 +1022,26 @@ class ConditionalMeanAt(_PointEvaluation):
 # ---------------------------------------------------------------------------
 
 
+def require_oracle(spec: Estimand) -> None:
+    """Refuse an estimand that needs a slot with no finite-support analogue."""
+    if not spec.discrete_oracle:
+        raise ValidationError(
+            f"estimand {spec.name!r} has no finite-support oracle: finite-support laws "
+            "cannot provide its nuisances; use smooth_path_check on a smooth family instead"
+        )
+
+
 def exact_nuisances(spec: Estimand, law: DiscreteDistribution) -> NuisanceSet:
     """Exact nuisance functions computed from an explicit finite-support law.
 
     Conditional means and laws are cell sums over the law's groupings;
     looking one up at a cell the law gives zero probability raises
-    ``PositivityError``.  Estimands without a finite-support oracle need a
-    slot with no finite-support analogue (a continuous density at the
-    quantile, a joint density in a continuous exposure) and raise
-    ``ValidationError``.
+    ``PositivityError``.  Estimands without a finite-support oracle (a
+    continuous density at the quantile, a joint density in a continuous
+    exposure) raise ``ValidationError``.
     """
     needs = spec.nuisance_requirements()
-    if not spec.discrete_oracle:
-        raise ValidationError(
-            f"finite-support laws cannot provide the nuisances of {spec.name} "
-            f"({', '.join(sorted(needs))}); use a smooth family for this estimand"
-        )
+    require_oracle(spec)
     c = ColumnSet.from_matrix(law.schema, law.values)
     p = law.probs
     fills: dict = {}
@@ -1046,15 +1059,15 @@ def exact_nuisances(spec: Estimand, law: DiscreteDistribution) -> NuisanceSet:
             if slot in needs:
                 fills[slot] = _reader(zkeys, _cell_mean(z, p, values), what)
     if "exposure_residual_var" in needs:
-        p_live, _, rx = _residuals(law)
-        fills["exposure_residual_var"] = _total(p_live * rx**2)
+        _, rx = _residuals(law, p)
+        fills["exposure_residual_var"] = float(_total(p * rx**2))
     if "marginal_density" in needs:
         keys, cell = law.cells("outcome")
         fills["marginal_density"] = _reader(
             keys, np.bincount(cell, weights=p), "outcome mass", default=0.0
         )
     if "outcome_cdf" in needs:
-        points, cum = _outcome_cdf(law)
+        points, cum = _outcome_cdf(law, p)
 
         def _cdf(yv):
             pos = np.searchsorted(points, np.atleast_1d(np.asarray(yv, dtype=float)), side="right")

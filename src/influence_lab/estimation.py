@@ -23,7 +23,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from ._normal import normal_ppf
-from .distributions import Dataset
+from .distributions import Dataset, seeded_rng
 from .errors import (
     InfluenceLabError,
     NuisanceError,
@@ -104,7 +104,7 @@ def make_folds(n: int, K: int, seed: int) -> FoldPlan:
         raise ValidationError(f"fold count must be at least 1, got {K}")
     if K > n:
         raise ValidationError(f"cannot split {n} rows into {K} folds")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     assignment = np.empty(n, dtype=int)
     assignment[rng.permutation(n)] = np.arange(n) % K
     return FoldPlan(n=n, K=K, seed=seed, assignment=assignment)

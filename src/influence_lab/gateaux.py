@@ -17,6 +17,11 @@ analytic influence function (or the plug-in), not the arithmetic.  Both
 endpoint checks share one oracle guard and one skip rule, and a sweep's
 ``SweepResult`` reads its counts and worst error from its reports.
 
+The Richardson table is written once, for paths in lockstep; one path is
+the one-row case.  At t = 0 the k point-mass paths of a law share its
+support, so each halving is one plug-in call on the (k, atoms) matrix of
+rows (1 - h) p + h * 1{atom}, with no law or path built per atom.
+
 The module also computes von Mises remainders
 R(P, Q) = Psi(Q) - Psi(P) + E_P[ phi(O, Q) ] (second order in Q - P) and
 runs the same derivative check on smooth location families for the
@@ -37,8 +42,9 @@ from .distributions import (
     Schema,
     Column,
     mixture_at,
+    seeded_rng,
 )
-from .errors import DerivativeUnstableError, ValidationError
+from .errors import DerivativeUnstableError, InfluenceLabError, ValidationError
 from .estimands import (
     Ate,
     AverageDensity,
@@ -51,6 +57,7 @@ from .estimands import (
     Quantile,
     TailConditionalExpectation,
     exact_nuisances,
+    require_oracle,
 )
 from ._smooth import (
     GaussianRegressionFamily,
@@ -74,6 +81,41 @@ REMAINDER_DECAY_STEPS = (0.2, 0.1, 0.05)
 # ---------------------------------------------------------------------------
 
 
+def _richardson_rows(values: Callable, n: int, at: float, direction: float,
+                     first_step: float = FIRST_STEP) -> tuple[np.ndarray, np.ndarray]:
+    """``richardson_derivative`` for n functions g_r at once: ``values(t,
+    rows)`` gives g_r(t) for each r of ``rows``, and a row leaves the active
+    set once it converges.  Returns the derivatives and halvings; raises what
+    ``values`` raises, or ``DerivativeUnstableError`` for the first row that
+    does not stabilize."""
+    derivative, halvings = np.full(n, math.nan), np.zeros(n, dtype=int)
+    rows, last = np.arange(n), []
+    g0 = np.asarray(values(at, rows), dtype=float)
+    for k in range(MAX_HALVINGS + 1):
+        h = first_step / (2.0**k)
+        row = [(np.asarray(values(at + direction * h, rows), dtype=float) - g0) / (direction * h)]
+        for j in range(1, min(len(last) + 1, RICHARDSON_ORDER + 1)):
+            factor = 2.0**j
+            row.append((factor * row[j - 1] - last[j - 1]) / (factor - 1.0))
+        if last:
+            current, previous = row[-1], last[-1]
+            scale = np.maximum(1.0, np.abs(current))
+            done = np.abs(current - previous) <= CONVERGENCE_RTOL * scale
+            converged = np.count_nonzero(done)
+            if k == MAX_HALVINGS and converged < len(rows):
+                i = np.argmin(done)
+                raise DerivativeUnstableError(
+                    f"one-sided derivative did not stabilize after {MAX_HALVINGS} halvings "
+                    f"(last extrapolants {float(previous[i])!r}, {float(current[i])!r})"
+                )
+            if converged:
+                derivative[rows[done]], halvings[rows[done]] = current[done], k
+                if converged == len(rows):
+                    return derivative, halvings
+                rows, g0, row = rows[~done], g0[~done], [col[~done] for col in row]
+        last = row
+
+
 def richardson_derivative(
     g: Callable[[float], float],
     at: float = 0.0,
@@ -87,30 +129,11 @@ def richardson_derivative(
     ``RICHARDSON_ORDER`` cancels the leading terms.  Returns the stabilized
     derivative and the number of step halvings used; raises
     ``DerivativeUnstableError`` when successive extrapolants fail to agree to
-    ``CONVERGENCE_RTOL`` (relative) within ``MAX_HALVINGS`` halvings.
+    ``CONVERGENCE_RTOL`` (relative) within ``MAX_HALVINGS`` halvings.  This
+    is the one-row case of ``_richardson_rows``.
     """
-    g0 = g(at)
-    table: list[list[float]] = []
-    previous: Optional[float] = None
-    for k in range(MAX_HALVINGS + 1):
-        h = first_step / (2.0**k)
-        d = (g(at + direction * h) - g0) / (direction * h)
-        row = [d]
-        if table:
-            last = table[-1]
-            for j in range(1, min(len(last) + 1, RICHARDSON_ORDER + 1)):
-                factor = 2.0**j
-                row.append((factor * row[j - 1] - last[j - 1]) / (factor - 1.0))
-        table.append(row)
-        current = row[-1]
-        if previous is not None:
-            if abs(current - previous) <= CONVERGENCE_RTOL * max(1.0, abs(current)):
-                return current, k
-        previous = current
-    raise DerivativeUnstableError(
-        f"one-sided derivative did not stabilize after {MAX_HALVINGS} halvings "
-        f"(last extrapolants {table[-2][-1]!r}, {table[-1][-1]!r})"
-    )
+    derivative, halvings = _richardson_rows(lambda t, rows: [g(t)], 1, at, direction, first_step)
+    return float(derivative[0]), int(halvings[0])
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +252,6 @@ def _min_conditioning_cell(spec: Estimand, law: DiscreteDistribution) -> float:
     )
 
 
-def _require_oracle(spec: Estimand) -> None:
-    if not spec.discrete_oracle:
-        raise ValidationError(
-            f"estimand {spec.name!r} has no finite-support oracle; "
-            "use smooth_path_check instead"
-        )
-
-
 def _skipped(spec: Estimand, law: DiscreteDistribution, at_t: float, labels, whose: str) -> list:
     """One skipped report per label when a conditioning cell of ``law`` is
     below ``MIN_CELL_PROB``, and none otherwise."""
@@ -262,39 +277,47 @@ def verify_eif(
 
     By default every atom of the base support becomes a point-mass
     contaminant, and E_Q[phi] is phi at that atom: the exact nuisances of
-    the base are built once and phi is evaluated at all atoms in one call.
-    Paths whose base law has a conditioning cell below ``MIN_CELL_PROB``
-    are reported as skipped rather than silently passed.
+    the base are built once and phi is evaluated at all atoms in one call,
+    and the derivatives run in lockstep.  The first path (in order) whose
+    derivative fails raises its error.  Paths whose base law has a
+    conditioning cell below ``MIN_CELL_PROB`` are reported as skipped rather
+    than silently passed.
     """
-    _require_oracle(spec)
+    require_oracle(spec)
     if contaminants is None:
-        labeled = [
-            (DiscreteDistribution(base.schema, base.values[i : i + 1], [1.0]), f"atom:{i}")
-            for i in range(base.n_atoms)
-        ]
+        labels = [f"atom:{i}" for i in range(base.n_atoms)]
     else:
-        labeled = [(q, f"law:{i}") for i, q in enumerate(contaminants)]
+        labels = [f"law:{i}" for i in range(len(contaminants))]
     psi0 = spec.plugin_value(base)
-    skipped = _skipped(spec, base, 0.0, [label for _, label in labeled], "")
+    skipped = _skipped(spec, base, 0.0, labels, "")
     if skipped:
         return skipped
     nuis = exact_nuisances(spec, base)
     if contaminants is None:
         atoms = ColumnSet.from_matrix(base.schema, base.values)
         analytic = spec.eif_values(atoms, nuis, psi0).tolist()
+        p, point_masses = base.probs, np.eye(base.n_atoms)
+
+        def values(t: float, rows: np.ndarray) -> np.ndarray:
+            return spec.plugin_values(base, (1.0 - t) * p + t * point_masses[rows])
+
+        try:
+            derivative, halvings = _richardson_rows(values, base.n_atoms, 0.0, 1.0)
+        except InfluenceLabError:  # one path at a time: the first failing atom raises its error
+            for i in range(base.n_atoms):
+                _richardson_rows(lambda t, rows: values(t, rows + i), 1, 0.0, 1.0)
+            raise
+        steps = zip(derivative.tolist(), halvings.tolist())
     else:
         analytic = [_eif_mean(spec, q, nuis, psi0) for q in contaminants]
-    reports = []
-    for (contaminant, label), value in zip(labeled, analytic):
-        path = MixturePath(base, contaminant)
-        derivative, halvings = numerical_gateaux(spec, path, at_t=0.0)
-        reports.append(
-            GateauxReport(
-                spec=spec, at_t=0.0, numerical_derivative=derivative,
-                analytic_value=value, halvings=halvings, contaminant_label=label,
-            )
+        steps = (numerical_gateaux(spec, MixturePath(base, q), 0.0) for q in contaminants)
+    return [
+        GateauxReport(
+            spec=spec, at_t=0.0, numerical_derivative=value, analytic_value=phi,
+            halvings=k, contaminant_label=label,
         )
-    return reports
+        for label, phi, (value, k) in zip(labels, analytic, steps)
+    ]
 
 
 def check_t1_identity(
@@ -303,7 +326,7 @@ def check_t1_identity(
     contaminant: DiscreteDistribution,
 ) -> GateauxReport:
     """Check d/dt Psi(P_t)|_1 = -E_P[phi(O, Q)] on one path."""
-    _require_oracle(spec)
+    require_oracle(spec)
     skipped = _skipped(spec, contaminant, 1.0, ["law"], " of the contaminant")
     if skipped:
         return skipped[0]
@@ -591,7 +614,7 @@ def oracle_sweep(
             f"a sweep needs trials >= 1 and max_support >= 3, got {trials} and {max_support}"
         )
     plan = _only(SWEEP_PLAN, only, lambda case: case[0].split(":")[0])
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     reports: list[GateauxReport] = []
     for entry, schema in plan:
         for _ in range(trials):

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._normal import normal_cdf, normal_pdf, normal_ppf
 from ._smooth import NormalMixture
-from .distributions import Column, Dataset, Schema
+from .distributions import Column, Dataset, Schema, seeded_rng
 from .errors import (
     ConfigError,
     InfluenceLabError,
@@ -95,7 +95,7 @@ class NormalMeanDgp:
     params = _params
 
     def generate(self, n: int, seed: int) -> Dataset:
-        rng = np.random.default_rng(seed)
+        rng = seeded_rng(seed)
         y = rng.normal(self.mu, self.sigma, n)
         return Dataset(self.schema, y[:, None])
 
@@ -140,7 +140,7 @@ class AteLinearDgp:
     params = _params
 
     def generate(self, n: int, seed: int) -> Dataset:
-        rng = np.random.default_rng(seed)
+        rng = seeded_rng(seed)
         d = len(self.beta)
         Z = rng.uniform(0.0, 1.0, (n, d))
         pi = _expit(Z @ np.asarray(self.gamma))
@@ -222,7 +222,7 @@ class AteNonlinearDgp:
         return _expit(g0 + g1 * z + g2 * z**2)
 
     def generate(self, n: int, seed: int) -> Dataset:
-        rng = np.random.default_rng(seed)
+        rng = seeded_rng(seed)
         z = rng.uniform(-self.z_half_width, self.z_half_width, n)
         x = (rng.uniform(size=n) < self.propensity(z)).astype(float)
         y = self.regression(x, z) + rng.normal(0.0, self.sigma, n)
@@ -268,7 +268,7 @@ class PartiallyLinearDgp:
     params = _params
 
     def generate(self, n: int, seed: int) -> Dataset:
-        rng = np.random.default_rng(seed)
+        rng = seeded_rng(seed)
         Z = rng.uniform(-1.0, 1.0, (n, 2))
         h = 0.5 * Z[:, 0] - 0.7 * Z[:, 1] + 0.3 * Z[:, 0] ** 2
         x = h + rng.normal(0.0, self.sigma_x, n)
@@ -311,7 +311,7 @@ class MediationDgp:
     params = _params
 
     def generate(self, n: int, seed: int) -> Dataset:
-        rng = np.random.default_rng(seed)
+        rng = seeded_rng(seed)
         z = (rng.uniform(size=n) < 0.5).astype(float)
         g0, g1 = self.gamma
         x = (rng.uniform(size=n) < _expit(g0 + g1 * z)).astype(float)
@@ -355,7 +355,7 @@ class DensityMixtureDgp:
         )
 
     def generate(self, n: int, seed: int) -> Dataset:
-        rng = np.random.default_rng(seed)
+        rng = seeded_rng(seed)
         component = rng.uniform(size=n) >= self.weight
         mu = np.where(component, self.means[1], self.means[0])
         sd = np.where(component, self.sds[1], self.sds[0])

@@ -66,4 +66,6 @@ def test_spans_trace_a_verify_run(capsys):
         assert names.get(name, {}).get("calls", 0) > 0, name
     # one path-function build per case of the smooth battery
     assert names.get("smooth.path_functions", {}).get("calls", 0) == len(gateaux.SMOOTH_CASES) == 7
+    # a trial builds its law, and at t=1 its contaminant; no law per atom
+    assert names["distributions.law_init"]["calls"] <= 3 * len(gateaux.SWEEP_PLAN)
     assert dict(gateaux.SMOOTH_PATH_FUNCTIONS) == builders

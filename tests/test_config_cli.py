@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 from dataclasses import fields
@@ -645,22 +646,34 @@ class TestVerifyCommand:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        trials=st.integers(-2, 2), max_support=st.integers(-1, 25), seed=st.integers(-2, 5)
+        trials=st.integers(-2, 2), max_support=st.integers(-1, 25), seed=st.integers(-2, 5),
+        tolerance=st.sampled_from((1e-6, 0.5, 1e300, -1e-6, math.nan, math.inf, -math.inf)),
     )
-    def test_argument_edges_keep_the_exit_code_contract(self, trials, max_support, seed):
+    def test_argument_edges_keep_the_exit_code_contract(self, trials, max_support, seed,
+                                                         tolerance):
         argv = ["verify-eif", "--spec", "population_mean", "--trials", str(trials),
-                "--max-support", str(max_support), "--seed", str(seed)]
+                "--max-support", str(max_support), "--seed", str(seed),
+                f"--tolerance={tolerance!r}"]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli_main(argv)
         assert code in (0, 1)
-        assert (code == 0) == (trials >= 1 and max_support >= 3 and seed >= 0)
+        valid_tolerance = math.isfinite(tolerance) and tolerance >= 0.0
+        assert (code == 0) == (trials >= 1 and max_support >= 3 and seed >= 0 and valid_tolerance)
         if code == 0:
             result = json.loads(out.getvalue())["result"]
             assert result["point_mass_t0"]["checked"] >= 1
             assert result["identity_t1"]["checked"] >= 1
         else:
             assert err.getvalue().startswith("influence-lab: error:")
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_tolerance_exits_1(self, tolerance):
+        proc = run_cli("verify-eif", "--spec", "population_mean", "--trials", "1",
+                       f"--tolerance={tolerance}")
+        assert proc.returncode == 1
+        assert "--tolerance must be a finite number >= 0" in proc.stderr
+        assert proc.stdout == ""
 
     def test_max_support_is_wired_through(self):
         proc = run_cli(

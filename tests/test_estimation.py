@@ -105,6 +105,10 @@ class TestMakeFolds:
         with pytest.raises(ValidationError, match="integer"):
             make_folds(10, True, seed=0)
 
+    def test_negative_seed_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer, got -1"):
+            make_folds(10, 2, seed=-1)
+
 
 @st.composite
 def _fold_arguments(draw):

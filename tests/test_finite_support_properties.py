@@ -324,3 +324,41 @@ def test_mixture_reproduces_endpoints_and_is_affine(pair, t):
                 assert p == (1.0 - t) * base.prob_of(a) + t * cont.prob_of(a)
             else:
                 assert p == want.prob_of(a)
+
+
+@st.composite
+def probability_matrices(draw):
+    """A law and a (rows, atoms) matrix of laws on its support: random rows
+    with zero entries allowed, and rows of the point-mass paths the
+    derivative oracle steps along, (1 - t) p + t * 1{atom}."""
+    schema, rows, probs = draw(raw_laws())
+    law = DiscreteDistribution(schema, rows, probs)
+    k = law.n_atoms
+    matrix = []
+    for _ in range(draw(st.integers(1, 4))):
+        weights = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k))
+        if not any(weights):
+            weights[draw(st.integers(0, k - 1))] = 1
+        matrix.append([w / sum(weights) for w in weights])
+    t = draw(st.sampled_from((0.0, 1e-2 / 2**12, 1e-2, 0.5)))
+    for atom in draw(st.lists(st.integers(0, k - 1), max_size=3)):
+        matrix.append(((1.0 - t) * law.probs + t * np.eye(k)[atom]).tolist())
+    return law, np.array(matrix)
+
+
+@BOUNDED
+@given(probability_matrices())
+def test_batched_plugins_equal_their_one_row_calls(case):
+    law, probs = case
+    for spec in SPECS[law.schema]:
+        alone = [
+            outcome(lambda: spec.plugin_value(DiscreteDistribution(law.schema, law.values, row)))
+            for row in probs
+        ]
+        if UNDEFINED in alone:
+            with pytest.raises(PositivityError):
+                spec.plugin_values(law, probs)
+        else:
+            together = spec.plugin_values(law, probs)
+            assert together.shape == (len(probs),)
+            assert [float(v).hex() for v in together] == [float(v).hex() for v in alone]

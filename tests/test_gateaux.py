@@ -1,5 +1,6 @@
 """Numerical derivative oracle: Riesz identities, remainders, sweeps."""
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -12,15 +13,19 @@ from influence_lab import (
     DerivativeUnstableError,
     DiscreteDistribution,
     MixturePath,
+    IncrementalPropensity,
     NormalMixture,
     Observation,
+    PartiallyLinearCoefficient,
     PopulationMean,
+    PositivityError,
     Quantile,
     Schema,
     TailConditionalExpectation,
     ValidationError,
     check_t1_identity,
     eif_mean_under,
+    exact_nuisances,
     numerical_gateaux,
     oracle_sweep,
     point_mass,
@@ -36,7 +41,14 @@ from influence_lab.gateaux import (
     OUTCOME_ONLY,
     SWEEP_PLAN,
     SweepResult,
+    CATALOG,
+    CONVERGENCE_RTOL,
+    FIRST_STEP,
+    MAX_HALVINGS,
+    RICHARDSON_ORDER,
+    _SWEEP_PARAMS,
     contaminant_law,
+    mixture_at,
     random_law,
 )
 
@@ -123,6 +135,17 @@ class TestVerifyEif:
     def test_estimand_without_discrete_oracle_is_refused(self):
         with pytest.raises(ValidationError, match="smooth"):
             verify_eif(Quantile(tau=0.5), THREE_ATOMS)
+
+    def test_one_oracle_guard_serves_every_entry_point(self):
+        messages = set()
+        for call in (lambda: verify_eif(Quantile(tau=0.5), THREE_ATOMS),
+                     lambda: check_t1_identity(Quantile(tau=0.5), THREE_ATOMS, THREE_ATOMS),
+                     lambda: exact_nuisances(Quantile(tau=0.5), THREE_ATOMS)):
+            with pytest.raises(ValidationError) as caught:
+                call()
+            messages.add(str(caught.value))
+        (message,) = messages
+        assert "no finite-support oracle" in message and "smooth family" in message
 
     def test_explicit_contaminant_list(self):
         q = DiscreteDistribution(Y_ONLY, [[0.0], [1.0], [4.0]], [0.1, 0.1, 0.8])
@@ -286,6 +309,10 @@ class TestOracleSweep:
         with pytest.raises(ValidationError, match="available"):
             oracle_sweep(trials=1, only="no_such_estimand")
 
+    def test_negative_seed_is_a_validation_error(self):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+            oracle_sweep(trials=1, seed=-1)
+
     def test_keep_validation(self):
         with pytest.raises(ValidationError, match="keep"):
             oracle_sweep(trials=1, keep="best")
@@ -316,3 +343,138 @@ class TestOracleSweep:
 
     def test_absurd_tolerance_reports_failures(self):
         assert oracle_sweep(trials=1, seed=5).failures(1e-18)
+
+
+# ---------------------------------------------------------------------------
+# the lockstep point-mass paths of verify_eif
+# ---------------------------------------------------------------------------
+
+
+def scalar_richardson(g, at, direction):
+    """The one-path Richardson derivative on Python floats, kept here as the
+    reference the lockstep table must reproduce bit for bit."""
+    g0 = g(at)
+    table, previous = [], None
+    for k in range(MAX_HALVINGS + 1):
+        h = FIRST_STEP / (2.0**k)
+        row = [(g(at + direction * h) - g0) / (direction * h)]
+        if table:
+            last = table[-1]
+            for j in range(1, min(len(last) + 1, RICHARDSON_ORDER + 1)):
+                factor = 2.0**j
+                row.append((factor * row[j - 1] - last[j - 1]) / (factor - 1.0))
+        table.append(row)
+        current = row[-1]
+        if previous is not None:
+            if abs(current - previous) <= CONVERGENCE_RTOL * max(1.0, abs(current)):
+                return current, k
+        previous = current
+    raise DerivativeUnstableError(
+        f"one-sided derivative did not stabilize after {MAX_HALVINGS} halvings "
+        f"(last extrapolants {table[-2][-1]!r}, {table[-1][-1]!r})"
+    )
+
+
+def per_atom_reference(spec, law):
+    """(derivative, halvings) along the path toward each atom's point mass,
+    one path at a time: the exception of the first failing atom is raised."""
+    out = []
+    for atom in law.support:
+        path = MixturePath(law, point_mass(Observation(atom, law.schema)))
+        out.append(scalar_richardson(
+            lambda t: spec.plugin_value(mixture_at(path, t)), 0.0, 1.0))
+    return out
+
+
+def hexed(pairs):
+    return [(float(d).hex(), k) for d, k in pairs]
+
+
+# a base law whose second atom has probability zero
+ZERO_ATOM_LAW = DiscreteDistribution(
+    FULL_SCHEMA,
+    [[0, 0, 1.0], [0, 0, 5.0], [0, 1, 2.0], [1, 0, 3.0], [1, 1, 4.0], [1, 1, -1.0]],
+    [0.3, 0.0, 0.2, 0.25, 0.15, 0.1],
+)
+
+
+@dataclass(frozen=True)
+class KinkedMean(PopulationMean):
+    """E[Y] plus sqrt(max(0, p_1 - 0.2)): not differentiable along the path
+    toward atom 1 of ``KINK_LAW``.  Undefined once atom ``undefined_at``
+    holds more than its base mass plus 0.001."""
+
+    undefined_at: int = 3
+
+    def plugin_values(self, law, probs):
+        limit = KINK_LAW.probs[self.undefined_at] + 1e-3
+        if np.any(probs[:, self.undefined_at] > limit):
+            raise PositivityError(f"atom {self.undefined_at} holds more than {limit!r}")
+        kink = np.sqrt(np.maximum(0.0, probs[:, 1] - 0.2))
+        return super().plugin_values(law, probs) + kink
+
+
+KINK_LAW = DiscreteDistribution(Y_ONLY, [[0.0], [1.0], [2.0], [4.0]], [0.1, 0.2, 0.3, 0.4])
+
+
+class TestLockstep:
+    def test_reports_equal_the_per_atom_paths_on_every_sweep_entry(self):
+        rng = np.random.default_rng(2026)
+        for entry, schema in SWEEP_PLAN:
+            for _ in range(2):
+                law = random_law(rng, schema)
+                params = _SWEEP_PARAMS.get(entry, lambda rng, law: {})(rng, law)
+                spec = CATALOG[entry.split(":")[0]](**params)
+                reports = verify_eif(spec, law)
+                got = [(r.numerical_derivative, r.halvings) for r in reports]
+                assert hexed(got) == hexed(per_atom_reference(spec, law)), entry
+                assert [r.contaminant_label for r in reports] == [
+                    f"atom:{i}" for i in range(law.n_atoms)]
+
+    @pytest.mark.parametrize("spec", [Ate(), IncrementalPropensity(epsilon=2.0),
+                                      PartiallyLinearCoefficient()])
+    def test_zero_probability_atom(self, spec):
+        reports = verify_eif(spec, ZERO_ATOM_LAW)
+        got = [(r.numerical_derivative, r.halvings) for r in reports]
+        assert hexed(got) == hexed(per_atom_reference(spec, ZERO_ATOM_LAW))
+        assert all(r.rel_error < 1e-6 for r in reports)
+
+    @pytest.mark.parametrize("undefined_at, error", [
+        (3, DerivativeUnstableError),  # atom 1 fails first in atom order, atom 3 earlier in t
+        (0, PositivityError),
+    ])
+    def test_first_failing_atom_gives_its_error(self, undefined_at, error):
+        spec = KinkedMean(undefined_at=undefined_at)
+        with pytest.raises(error) as want:
+            per_atom_reference(spec, KINK_LAW)
+        with pytest.raises(error) as got:
+            verify_eif(spec, KINK_LAW)
+        assert str(got.value) == str(want.value)
+
+    def test_richardson_derivative_is_the_one_row_case(self):
+        for g, at, direction in ((math.exp, 0.0, 1.0), (lambda t: t**3 + 2.0 * t, 1.0, -1.0),
+                                 (lambda t: math.log1p(t) / (1.0 + t), 0.0, 1.0)):
+            got = richardson_derivative(g, at=at, direction=direction)
+            assert hexed([got]) == hexed([scalar_richardson(g, at, direction)])
+        with pytest.raises(DerivativeUnstableError) as want:
+            scalar_richardson(math.sqrt, 0.0, 1.0)
+        with pytest.raises(DerivativeUnstableError) as got:
+            richardson_derivative(math.sqrt, at=0.0)
+        assert str(got.value) == str(want.value)
+
+    def test_default_path_builds_no_law_and_no_path(self, monkeypatch):
+        law, _ = _full_law(4)
+        built = []
+
+        def recording(init):
+            def record(self, *args, **kwargs):
+                built.append(type(self).__name__)
+                init(self, *args, **kwargs)
+            return record
+
+        for cls in (DiscreteDistribution, MixturePath):
+            monkeypatch.setattr(cls, "__init__", recording(cls.__init__))
+        verify_eif(Ate(), law)
+        assert built == []
+        verify_eif(Ate(), law, contaminants=[contaminant_law(np.random.default_rng(1), law)])
+        assert built == ["DiscreteDistribution", "MixturePath"]

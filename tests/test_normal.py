@@ -33,3 +33,30 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, influence_lab.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def test_scalar_arguments_are_bit_identical_to_scipy_special():
+    from scipy.special import ndtr, ndtri
+
+    rng = np.random.default_rng(1)
+    edges = [-np.inf, np.inf, np.nan, 0.0, -0.0, 1.0, 1e-300, -1e-300, 5e-324]
+    x = edges + rng.normal(0.0, 6.0, 200_000).tolist()
+    q = edges + [2.0, -1.0] + rng.uniform(size=100_000).tolist() + (
+        10.0 ** rng.uniform(-300.0, 0.0, 100_000)).tolist()
+    np.testing.assert_array_equal(_bits([normal_cdf(v) for v in x]), _bits(ndtr(x)))
+    np.testing.assert_array_equal(_bits([normal_ppf(v) for v in q]), _bits(ndtri(q)))
+    assert isinstance(normal_cdf(0.3), np.float64) and isinstance(normal_ppf(0.3), np.float64)

@@ -74,6 +74,11 @@ class TestDgps:
         assert a.schema == dgp.schema
         assert a.values.shape == (40, len(dgp.schema.columns))
 
+    @pytest.mark.parametrize("name", sorted(DGPS))
+    def test_negative_seed_is_a_validation_error(self, name):
+        with pytest.raises(ValidationError, match="seed must be a non-negative integer, got -1"):
+            dgp_by_name(name).generate(10, -1)
+
     def test_normal_mean_sample_matches_moments(self):
         data = NormalMeanDgp(mu=0.3, sigma=2.0).generate(1_000_000, seed=1)
         assert np.mean(data.values) == pytest.approx(0.3, abs=0.01)
