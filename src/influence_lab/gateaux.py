@@ -74,6 +74,7 @@ CONVERGENCE_RTOL = 1e-9
 DEFAULT_TOLERANCE = 1e-6
 MIN_CELL_PROB = 1e-6
 REMAINDER_DECAY_STEPS = (0.2, 0.1, 0.05)
+LOCKSTEP_ELEMENTS = 1 << 16  # probabilities per lockstep matrix; larger laws run in blocks
 
 
 # ---------------------------------------------------------------------------
@@ -294,20 +295,28 @@ def verify_eif(
         return skipped
     nuis = exact_nuisances(spec, base)
     if contaminants is None:
-        atoms = ColumnSet.from_matrix(base.schema, base.values)
-        analytic = spec.eif_values(atoms, nuis, psi0).tolist()
-        p, point_masses = base.probs, np.eye(base.n_atoms)
+        cols = ColumnSet.from_matrix(base.schema, base.values)
+        analytic = spec.eif_values(cols, nuis, psi0).tolist()
+        n = base.n_atoms
 
-        def values(t: float, rows: np.ndarray) -> np.ndarray:
-            return spec.plugin_values(base, (1.0 - t) * p + t * point_masses[rows])
+        def values(t: float, atoms: np.ndarray) -> np.ndarray:
+            # row r is (1 - t) p + t * 1{atom r}
+            probs = np.repeat(((1.0 - t) * base.probs)[None, :], len(atoms), axis=0)
+            probs[np.arange(len(atoms)), atoms] += t
+            return spec.plugin_values(base, probs)
 
-        try:
-            derivative, halvings = _richardson_rows(values, base.n_atoms, 0.0, 1.0)
-        except InfluenceLabError:  # one path at a time: the first failing atom raises its error
-            for i in range(base.n_atoms):
-                _richardson_rows(lambda t, rows: values(t, rows + i), 1, 0.0, 1.0)
-            raise
-        steps = zip(derivative.tolist(), halvings.tolist())
+        steps, size = [], max(1, LOCKSTEP_ELEMENTS // n)
+        for start in range(0, n, size):
+            block = np.arange(start, min(start + size, n))
+            try:
+                derivative, halvings = _richardson_rows(
+                    lambda t, rows: values(t, block[rows]), len(block), 0.0, 1.0
+                )
+            except InfluenceLabError:  # one path at a time: the first failing atom raises its error
+                for i in block:
+                    _richardson_rows(lambda t, rows: values(t, rows + i), 1, 0.0, 1.0)
+                raise
+            steps += zip(derivative.tolist(), halvings.tolist())
     else:
         analytic = [_eif_mean(spec, q, nuis, psi0) for q in contaminants]
         steps = (numerical_gateaux(spec, MixturePath(base, q), 0.0) for q in contaminants)

@@ -36,6 +36,7 @@ from influence_lab import (
     verify_eif,
     von_mises_remainder,
 )
+from influence_lab import gateaux
 from influence_lab.gateaux import (
     FULL_SCHEMA,
     OUTCOME_ONLY,
@@ -430,6 +431,24 @@ class TestLockstep:
                 assert hexed(got) == hexed(per_atom_reference(spec, law)), entry
                 assert [r.contaminant_label for r in reports] == [
                     f"atom:{i}" for i in range(law.n_atoms)]
+
+    def test_large_laws_run_in_blocks_of_paths(self, monkeypatch):
+        monkeypatch.setattr(gateaux, "LOCKSTEP_ELEMENTS", 30)  # two to three paths per block
+        rng = np.random.default_rng(7)
+        for entry, schema in SWEEP_PLAN[::3]:
+            law = random_law(rng, schema)
+            params = _SWEEP_PARAMS.get(entry, lambda rng, law: {})(rng, law)
+            spec = CATALOG[entry.split(":")[0]](**params)
+            got = [(r.numerical_derivative, r.halvings) for r in verify_eif(spec, law)]
+            assert hexed(got) == hexed(per_atom_reference(spec, law)), entry
+        monkeypatch.setattr(gateaux, "LOCKSTEP_ELEMENTS", 8)  # atoms 0-1, then 2-3
+        for undefined_at, error in ((3, DerivativeUnstableError), (0, PositivityError)):
+            spec = KinkedMean(undefined_at=undefined_at)
+            with pytest.raises(error) as want:
+                per_atom_reference(spec, KINK_LAW)
+            with pytest.raises(error) as got:
+                verify_eif(spec, KINK_LAW)
+            assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("spec", [Ate(), IncrementalPropensity(epsilon=2.0),
                                       PartiallyLinearCoefficient()])
