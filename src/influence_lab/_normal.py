@@ -7,9 +7,9 @@ They run in scalar Python on ``math.exp`` and ``math.log``, which call the
 C library as the Cephes code does, so every value has the same bits as
 scipy's; ``np.exp`` rounds differently on some inputs and is not used.  An
 array argument is evaluated element by element.  The pdf is the numpy
-expression ``scipy.stats.norm`` uses.  Importing ``scipy.special`` costs
-about 26 MB of memory and 0.3 s, which every command-line call would
-otherwise pay.
+expression ``scipy.stats.norm`` uses.  Importing ``scipy.special`` would
+add tens of megabytes and a few tenths of a second to every command-line
+call.
 """
 from __future__ import annotations
 

@@ -12,8 +12,8 @@ from influence_lab import (
     Column,
     DerivativeUnstableError,
     DiscreteDistribution,
-    MixturePath,
     IncrementalPropensity,
+    MixturePath,
     NormalMixture,
     Observation,
     PartiallyLinearCoefficient,
@@ -38,15 +38,15 @@ from influence_lab import (
 )
 from influence_lab import gateaux
 from influence_lab.gateaux import (
-    FULL_SCHEMA,
-    OUTCOME_ONLY,
-    SWEEP_PLAN,
-    SweepResult,
     CATALOG,
     CONVERGENCE_RTOL,
     FIRST_STEP,
+    FULL_SCHEMA,
     MAX_HALVINGS,
+    OUTCOME_ONLY,
     RICHARDSON_ORDER,
+    SWEEP_PLAN,
+    SweepResult,
     _SWEEP_PARAMS,
     contaminant_law,
     mixture_at,
@@ -441,14 +441,6 @@ class TestLockstep:
             spec = CATALOG[entry.split(":")[0]](**params)
             got = [(r.numerical_derivative, r.halvings) for r in verify_eif(spec, law)]
             assert hexed(got) == hexed(per_atom_reference(spec, law)), entry
-        monkeypatch.setattr(gateaux, "LOCKSTEP_ELEMENTS", 8)  # atoms 0-1, then 2-3
-        for undefined_at, error in ((3, DerivativeUnstableError), (0, PositivityError)):
-            spec = KinkedMean(undefined_at=undefined_at)
-            with pytest.raises(error) as want:
-                per_atom_reference(spec, KINK_LAW)
-            with pytest.raises(error) as got:
-                verify_eif(spec, KINK_LAW)
-            assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("spec", [Ate(), IncrementalPropensity(epsilon=2.0),
                                       PartiallyLinearCoefficient()])
@@ -458,11 +450,13 @@ class TestLockstep:
         assert hexed(got) == hexed(per_atom_reference(spec, ZERO_ATOM_LAW))
         assert all(r.rel_error < 1e-6 for r in reports)
 
+    @pytest.mark.parametrize("elements", [gateaux.LOCKSTEP_ELEMENTS, 8])  # 8: atoms 0-1, 2-3
     @pytest.mark.parametrize("undefined_at, error", [
         (3, DerivativeUnstableError),  # atom 1 fails first in atom order, atom 3 earlier in t
         (0, PositivityError),
     ])
-    def test_first_failing_atom_gives_its_error(self, undefined_at, error):
+    def test_first_failing_atom_gives_its_error(self, monkeypatch, elements, undefined_at, error):
+        monkeypatch.setattr(gateaux, "LOCKSTEP_ELEMENTS", elements)
         spec = KinkedMean(undefined_at=undefined_at)
         with pytest.raises(error) as want:
             per_atom_reference(spec, KINK_LAW)
