@@ -7,9 +7,9 @@ They run in scalar Python on ``math.exp`` and ``math.log``, which call the
 C library as the Cephes code does, so every value has the same bits as
 scipy's; ``np.exp`` rounds differently on some inputs and is not used.  An
 array argument is evaluated element by element.  The pdf is the numpy
-expression ``scipy.stats.norm`` uses.  Importing ``scipy.special`` would
-add tens of megabytes and a few tenths of a second to every command-line
-call.
+expression ``scipy.stats.norm`` uses, evaluated in place on an array.
+Importing ``scipy.special`` would add tens of megabytes and a few tenths of
+a second to every command-line call.
 """
 from __future__ import annotations
 
@@ -149,8 +149,19 @@ def _elementwise(f, values):
 
 
 def normal_pdf(x, loc=0.0, scale=1.0):
-    z = (np.asarray(x, dtype=float) - loc) / scale
-    return np.exp(-z**2 / 2.0) / _SQRT_2PI / scale
+    z = np.asarray(x, dtype=float) - loc  # a new array, or a scalar
+    if np.ndim(z) == 0:
+        z = z / scale
+        return np.exp(-z**2 / 2.0) / _SQRT_2PI / scale
+    # exp(-z**2 / 2) / sqrt(2 pi) / scale, one operation at a time in z's buffer
+    z /= scale
+    np.square(z, out=z)
+    np.negative(z, out=z)
+    z /= 2.0
+    np.exp(z, out=z)
+    z /= _SQRT_2PI
+    z /= scale
+    return z
 
 
 def normal_cdf(x, loc=0.0, scale=1.0):

@@ -11,6 +11,12 @@ closed form, by bisection (quantiles), or by trapezoid quadrature refined
 until the value stabilizes.  The quadrature grid is chosen adaptively once
 per check and then held fixed for every t, so the derivative in t sees a
 smooth function and finite differences are not polluted by grid switching.
+
+Grid arithmetic runs in place, or a block of rows at a time
+(``BLOCK_ELEMENTS``), with the operations of the whole-grid numpy
+expressions in the same order, so every value has their bits while a check
+holds only a few grids at once.  A refinement of the 1-D grid evaluates
+its reference only at the nodes it adds.
 """
 from __future__ import annotations
 
@@ -21,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._normal import normal_cdf, normal_pdf
+from ._normal import _ndtr, normal_cdf, normal_pdf
 from .errors import IntegrationError, SolverError, ValidationError
 from .estimands import (
     AverageDerivativeEffect,
@@ -40,6 +46,7 @@ QUADRATURE_RTOL = 1e-9
 QUADRATURE_MAX_LEVEL_1D = 24
 QUADRATURE_MAX_LEVEL_2D = 11
 RANGE_SDS = 10.0
+BLOCK_ELEMENTS = 1 << 14  # elements per temporary of the blocked grid arithmetic
 
 
 @dataclass(frozen=True)
@@ -60,11 +67,10 @@ class NormalMixture:
             raise ValidationError("mixture component sds must be positive")
 
     def pdf(self, y):
-        y = np.asarray(y, dtype=float)
-        total = np.zeros_like(y)
+        total = np.zeros_like(np.asarray(y, dtype=float))
         for w, m, s in zip(self.weights, self.means, self.sds):
-            total = total + w * normal_pdf(y, loc=m, scale=s)
-        return total
+            total += w * normal_pdf(y, loc=m, scale=s)  # in place
+        return total[()]
 
     def cdf(self, y):
         y = np.asarray(y, dtype=float)
@@ -89,16 +95,24 @@ class NormalMixture:
         hi = max(m + RANGE_SDS * s for m, s in zip(self.means, self.sds))
         return lo, hi
 
+    def _cdf_at(self, y: float) -> float:
+        """``cdf`` at one point, on Python floats: the same operations as
+        the 0-d array path, so the same bits, without its overhead."""
+        total = 0.0
+        for w, m, s in zip(self.weights, self.means, self.sds):
+            total = total + w * _ndtr((y - m) / s)
+        return total
+
     def quantile(self, tau: float) -> float:
         """Quantile by bisection on the closed-form cdf."""
         lo, hi = self.support_range()
-        flo = self.cdf(lo) - tau
-        fhi = self.cdf(hi) - tau
+        flo = self._cdf_at(lo) - tau
+        fhi = self._cdf_at(hi) - tau
         if flo > 0.0 or fhi < 0.0:
             raise SolverError("quantile bracket does not contain the root")
         for _ in range(BISECTION_MAX_ITER):
             mid = 0.5 * (lo + hi)
-            if self.cdf(mid) - tau <= 0.0:
+            if self._cdf_at(mid) - tau <= 0.0:
                 lo = mid
             else:
                 hi = mid
@@ -186,22 +200,60 @@ def _merge_boxes(a, b):
     return (min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3]))
 
 
+def _trapezoid(values: np.ndarray, x: np.ndarray):
+    """``np.trapezoid(values, x, axis=-1)`` of 1-D or 2-D ``values``: the
+    same operations, with one array of terms (1-D) or a block of rows at a
+    time (2-D; each row's sum is its own reduction)."""
+    if values.ndim == 1:
+        return _trapezoid_terms(values, x).sum()
+    rows = max(1, BLOCK_ELEMENTS // values.shape[1])
+    return np.concatenate([_trapezoid_terms(values[i:i + rows], x).sum(axis=1)
+                           for i in range(0, len(values), rows)])
+
+
+def _trapezoid_terms(values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    terms = np.add(values[..., 1:], values[..., :-1])
+    for i in range(0, len(x) - 1, BLOCK_ELEMENTS):
+        terms[..., i:i + BLOCK_ELEMENTS] *= np.diff(x[i:i + BLOCK_ELEMENTS + 1])
+    terms /= 2.0
+    return terms
+
+
+def _mixed(a: np.ndarray, b: np.ndarray, t: float, out=None) -> np.ndarray:
+    """(1 - t) * a + t * b, into ``out`` when given, with t * b made a block
+    of rows at a time."""
+    out = np.multiply(a, 1.0 - t, out=out)
+    rows = max(1, BLOCK_ELEMENTS // a[0].size)
+    for i in range(0, len(a), rows):
+        out[i:i + rows] += np.multiply(b[i:i + rows], t)
+    return out
+
+
 class FixedGrid1D:
     """Trapezoid nodes refined once, then reused for every integrand.
 
     The reference integrand's values at the final nodes and its integral
-    there are kept as ``values`` and ``integral``.
+    there are kept as ``values`` and ``integral``.  Each level's nodes are
+    the previous level's (``np.linspace`` gives them bit for bit, as the
+    step halves exactly) with a node between each pair, so a level
+    evaluates the reference only at its new nodes.
     """
 
     def __init__(self, lo: float, hi: float, reference: Callable, rtol=QUADRATURE_RTOL):
         if hi <= lo:
             raise ValidationError("integration range is empty")
         level = 7
-        previous = None
+        previous = values = None
         while level <= QUADRATURE_MAX_LEVEL_1D:
             nodes = np.linspace(lo, hi, 2**level + 1)
-            values = reference(nodes)
-            value = float(np.trapezoid(values, nodes))
+            if values is None:
+                values = reference(nodes)
+            else:
+                coarse, values = values, np.empty(nodes.size)
+                values[::2] = coarse
+                values[1::2] = reference(nodes[1::2].copy())
+                del coarse
+            value = float(_trapezoid(values, nodes))
             if previous is not None and abs(value - previous) <= rtol * max(1.0, abs(value)):
                 self.nodes, self.values, self.integral = nodes, values, value
                 return
@@ -213,7 +265,7 @@ class FixedGrid1D:
 
     def integrate(self, values: np.ndarray) -> float:
         """Integral of an integrand given by its values at the nodes."""
-        return float(np.trapezoid(values, self.nodes))
+        return float(_trapezoid(values, self.nodes))
 
 
 class FixedGrid2D:
@@ -228,7 +280,7 @@ class FixedGrid2D:
             zs = np.linspace(z_lo, z_hi, 2**level + 1)
             # broadcast views, not copies: each integrand makes its own full arrays
             X, Z = np.meshgrid(xs, zs, indexing="ij", copy=False)
-            value = float(np.trapezoid(np.trapezoid(reference(X, Z), zs, axis=1), xs))
+            value = float(_trapezoid(_trapezoid(reference(X, Z), zs), xs))
             if previous is not None and abs(value - previous) <= rtol * max(1.0, abs(value)):
                 self.xs, self.zs, self.X, self.Z = xs, zs, X, Z
                 return
@@ -240,7 +292,7 @@ class FixedGrid2D:
 
     def integrate(self, values: np.ndarray) -> float:
         """Integral of an integrand given by its values at the nodes (X, Z)."""
-        return float(np.trapezoid(np.trapezoid(values, self.zs, axis=1), self.xs))
+        return float(_trapezoid(_trapezoid(values, self.zs), self.xs))
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +309,9 @@ def quantile_path_functions(spec: Quantile, base: NormalMixture, cont: NormalMix
     lo = min(base.support_range()[0], cont.support_range()[0])
     hi = max(base.support_range()[1], cont.support_range()[1])
     # integrand is piecewise constant times the contaminant density; split at psi0
-    left = FixedGrid1D(lo, psi0, cont.pdf)
-    right = FixedGrid1D(psi0, hi, cont.pdf)
-    analytic = ((spec.tau - 1.0) * left.integral + spec.tau * right.integral) / f0
+    left = FixedGrid1D(lo, psi0, cont.pdf).integral
+    right = FixedGrid1D(psi0, hi, cont.pdf).integral
+    analytic = ((spec.tau - 1.0) * left + spec.tau * right) / f0
     return psi_at, analytic
 
 
@@ -291,28 +343,47 @@ def derivative_path_functions(
     box = _merge_boxes(base.box(), cont.box())
 
     def path_parts(X, Z):
-        """At the nodes (X, Z): the integrand whose integral, less psi(P_0),
-        is the analytic derivative, and the t-free factors of the path
-        integrand."""
+        """At the nodes (X, Z): the t-free factors of the path integrand, and
+        the integral of the integrand that, less psi(P_0), is the analytic
+        derivative.  Products are built in place, a few grids at a time; the
+        weights depend on x only and are one (k, 1) column."""
+        w, wprime = spec.weight_at(X[:, :1])
         fa, fb = base.xz_density(X, Z), cont.xz_density(X, Z)
         fa_dx, fb_dx = base.xz_density_grad_x(X, Z, fa), cont.xz_density_grad_x(X, Z, fb)
-        ma, mb = base.regression(X, Z), cont.regression(X, Z)
-        ma_dx, mb_dx = base.regression_grad(X, Z), cont.regression_grad(X, Z)
-        w, wprime = spec.weight_at(np.asarray(X, dtype=float))
-        analytic = ((-wprime - w * (fa_dx / np.maximum(fa, 1e-300))) * (mb - ma) + w * ma_dx) * fb
+        ma, ma_dx, mb = base.regression(X, Z), base.regression_grad(X, Z), cont.regression(X, Z)
+        # ((-w' - w * fa_dx / fa) * (mb - ma) + w * ma_dx) * fb
+        term = np.maximum(fa, 1e-300)
+        np.divide(fa_dx, term, out=term)
+        term *= w
+        np.subtract(-wprime, term, out=term)
+        term *= mb - ma
+        term += w * ma_dx
+        term *= fb
+        analytic = float(_trapezoid(_trapezoid(term, Z[0]), X[:, 0]))
+        del term
+        ga, ga_dx = fa * ma, fa_dx * ma
+        ga_dx += fa * ma_dx
+        del ma, ma_dx
+        gb, gb_dx = fb * mb, fb_dx * mb
+        del mb
+        mb_dx = cont.regression_grad(X, Z)
+        mb_dx *= fb
+        gb_dx += mb_dx
         return SimpleNamespace(
-            analytic=analytic, fa=fa, fb=fb, ga=fa * ma, gb=fb * mb, fa_dx=fa_dx, fb_dx=fb_dx,
-            ga_dx=fa_dx * ma + fa * ma_dx, gb_dx=fb_dx * mb + fb * mb_dx, w=w,
+            analytic=analytic, fa=fa, fb=fb, ga=ga, gb=gb, fa_dx=fa_dx, fb_dx=fb_dx,
+            ga_dx=ga_dx, gb_dx=gb_dx, w=w,
         )
 
     def path_integrand(p: SimpleNamespace, t: float) -> np.ndarray:
-        ft = (1.0 - t) * p.fa + t * p.fb
-        gt = (1.0 - t) * p.ga + t * p.gb
-        ft_dx = (1.0 - t) * p.fa_dx + t * p.fb_dx
-        gt_dx = (1.0 - t) * p.ga_dx + t * p.gb_dx
-        # d/dx of m_t = (g_t' f_t - g_t f_t') / f_t^2, times f_t leaves f_t once
-        safe = np.maximum(ft, 1e-300, out=ft)  # in place: f_t is not read again
-        return p.w * (gt_dx - (gt / safe) * ft_dx)
+        """w * (g_t' - (g_t / f_t) * f_t'), with g_t = (1 - t) g_a + t g_b and
+        so on: d/dx of m_t = g_t / f_t, times f_t.  Two grids, in place."""
+        gt, ft = _mixed(p.ga, p.gb, t), _mixed(p.fa, p.fb, t)
+        gt /= np.maximum(ft, 1e-300, out=ft)
+        gt *= _mixed(p.fa_dx, p.fb_dx, t, out=ft)
+        gt_dx = _mixed(p.ga_dx, p.gb_dx, t, out=ft)
+        gt_dx -= gt
+        gt_dx *= p.w
+        return gt_dx
 
     parts = None
 
@@ -329,5 +400,5 @@ def derivative_path_functions(
         return grid.integrate(path_integrand(parts, t))
 
     psi0 = psi_at(0.0)
-    analytic = grid.integrate(parts.analytic) - psi0
+    analytic = parts.analytic - psi0
     return psi_at, analytic

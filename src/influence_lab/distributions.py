@@ -8,9 +8,10 @@ verification oracle: a validated array of distinct atoms plus a probability
 vector.  ``MixturePath`` represents the line segment (1 - t) * base + t *
 contaminant, the paths along which functionals are differentiated; every
 law on a path shares one union support.  Atoms are grouped into cells by
-one primitive, ``np.unique`` over rows with ``return_inverse``, so a cell
-total is a weighted ``np.bincount`` (``cell_sums``, for one row of weights
-or many).  A grouping belongs to the support and is computed once for it.
+one primitive, ``_group_rows`` (a stable lexicographic sort of the rows),
+so a cell total is a weighted ``np.bincount`` (``cell_sums``, for one row
+of weights or many).  A grouping belongs to the support and is computed
+once for it.
 """
 from __future__ import annotations
 
@@ -182,12 +183,22 @@ def _records(rows: np.ndarray) -> np.ndarray:
 
 def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The grouping primitive: the distinct rows of ``rows`` in order of first
-    occurrence, and for each row the index of its distinct row."""
-    _, first, cell = np.unique(_records(rows), return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return rows[first[order]], rank[cell]
+    occurrence, and for each row the index of its distinct row.  A stable
+    lexicographic sort puts equal rows (by ``==``, so -0.0 and 0.0 are equal)
+    next to each other in their original order, so each run of equal rows
+    starts at its first occurrence."""
+    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+    ranked = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    run = np.cumsum(starts) - 1  # run of each sorted row
+    first = order[starts]  # first occurrence of each run
+    by_first = np.argsort(first)
+    rank = np.empty_like(first)
+    rank[by_first] = np.arange(first.size)
+    cell = np.empty_like(order)
+    cell[order] = rank[run]
+    return rows[first[by_first]], cell
 
 
 def find_rows(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -336,17 +347,25 @@ class MixturePath:
         q = np.bincount(cell[k:], weights=cont.probs, minlength=size)
         object.__setattr__(self, "_contaminant_probs", q)
 
+    @property
+    def union(self) -> DiscreteDistribution:
+        """The base law on the union support."""
+        return self._union
+
+    def probs_at(self, ts: Sequence[float]) -> np.ndarray:
+        """The probabilities of the laws at each t of ``ts`` on the union
+        support, one row per t: (1 - t) * p_base + t * p_contaminant."""
+        t = np.asarray(ts, dtype=float)[:, None]
+        outside = ~((0.0 <= t) & (t <= 1.0))
+        if outside.any():
+            raise SchemaError(f"mixture parameter t={float(t[outside][0])!r} outside [0, 1]")
+        return (1.0 - t) * self._union.probs + t * self._contaminant_probs
+
 
 def mixture_at(path: MixturePath, t: float) -> DiscreteDistribution:
-    """Law of the path at parameter t.
-
-    The law lives on the path's union support; each atom's probability is
-    the affine combination (1 - t) * p_base + t * p_contaminant.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise SchemaError(f"mixture parameter t={t!r} outside [0, 1]")
-    union = path._union
-    return union._reweighted((1.0 - t) * union.probs + t * path._contaminant_probs)
+    """Law of the path at parameter t, on the path's union support, with the
+    probabilities of ``path.probs_at([t])``."""
+    return path.union._reweighted(path.probs_at([t])[0])
 
 
 def point_mass(obs: Observation) -> DiscreteDistribution:

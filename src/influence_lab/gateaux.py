@@ -18,9 +18,15 @@ endpoint checks share one oracle guard and one skip rule, and a sweep's
 ``SweepResult`` reads its counts and worst error from its reports.
 
 The Richardson table is written once, for paths in lockstep; one path is
-the one-row case.  At t = 0 the k point-mass paths of a law share its
-support, so each halving is one plug-in call on the (k, atoms) matrix of
-rows (1 - h) p + h * 1{atom}, with no law or path built per atom.
+the one-row case.  The plug-in is asked for a window of ``LADDER_WINDOW``
+halvings per call (the first call also for the value at the endpoint).  At
+t = 0 the k point-mass paths of a law share its support, so a window is one
+plug-in call on the matrix of rows (1 - h) p + h * 1{atom}, one per step
+and atom, with no law or path built per atom; at t = 1, and toward explicit
+contaminants, it is one call on the rows of the path's laws on its union
+support.  A window may evaluate steps past convergence; if one raises, the
+ladder runs again one step per call, so every derivative, halving count and
+error is the one the step-by-step table gives.
 
 The module also computes von Mises remainders
 R(P, Q) = Psi(Q) - Psi(P) + E_P[ phi(O, Q) ] (second order in Q - P) and
@@ -75,6 +81,7 @@ DEFAULT_TOLERANCE = 1e-6
 MIN_CELL_PROB = 1e-6
 REMAINDER_DECAY_STEPS = (0.2, 0.1, 0.05)
 LOCKSTEP_ELEMENTS = 1 << 16  # probabilities per lockstep matrix; larger laws run in blocks
+LADDER_WINDOW = RICHARDSON_ORDER + 1  # halvings per plug-in call of a derivative ladder
 
 
 # ---------------------------------------------------------------------------
@@ -83,18 +90,39 @@ LOCKSTEP_ELEMENTS = 1 << 16  # probabilities per lockstep matrix; larger laws ru
 
 
 def _richardson_rows(values: Callable, n: int, at: float, direction: float,
-                     first_step: float = FIRST_STEP) -> tuple[np.ndarray, np.ndarray]:
-    """``richardson_derivative`` for n functions g_r at once: ``values(t,
-    rows)`` gives g_r(t) for each r of ``rows``, and a row leaves the active
-    set once it converges.  Returns the derivatives and halvings; raises what
-    ``values`` raises, or ``DerivativeUnstableError`` for the first row that
-    does not stabilize."""
+                     first_step: float = FIRST_STEP,
+                     window: int = LADDER_WINDOW) -> tuple[np.ndarray, np.ndarray]:
+    """``richardson_derivative`` for n functions g_r at once.  ``values(ts,
+    rows)`` gives g_r(t) for each t of ``ts`` and each r of ``rows``, as a
+    (len(ts), len(rows)) array.  It is asked for g(at) and the first
+    ``window`` steps in one call, then for the next ``window`` steps at a
+    time, and a row leaves the active set once it converges.  Returns the
+    derivatives and halvings; raises what ``values`` raises, or
+    ``DerivativeUnstableError`` for the first row that does not stabilize.
+
+    A window may evaluate steps past a row's convergence, which one step per
+    call never reaches.  If a window raises, the table is run again one step
+    per call, and its value or first error is the result."""
+    if window > 1:
+        try:
+            return _richardson_table(values, n, at, direction, first_step, window)
+        except InfluenceLabError:  # perhaps at a step the step-by-step table never takes
+            pass
+    return _richardson_table(values, n, at, direction, first_step, 1)
+
+
+def _richardson_table(values: Callable, n: int, at: float, direction: float,
+                      first_step: float, window: int) -> tuple[np.ndarray, np.ndarray]:
     derivative, halvings = np.full(n, math.nan), np.zeros(n, dtype=int)
     rows, last = np.arange(n), []
-    g0 = np.asarray(values(at, rows), dtype=float)
-    for k in range(MAX_HALVINGS + 1):
-        h = first_step / (2.0**k)
-        row = [(np.asarray(values(at + direction * h, rows), dtype=float) - g0) / (direction * h)]
+    steps = [first_step / (2.0**k) for k in range(MAX_HALVINGS + 1)]
+    for k, h in enumerate(steps):
+        if k % window == 0:
+            ts = [at + direction * s for s in steps[k:k + window]]
+            g = np.asarray(values(ts if k else [at] + ts, rows), dtype=float)
+            if not k:
+                g0, g = g[0], g[1:]
+        row = [(g[k % window] - g0) / (direction * h)]
         for j in range(1, min(len(last) + 1, RICHARDSON_ORDER + 1)):
             factor = 2.0**j
             row.append((factor * row[j - 1] - last[j - 1]) / (factor - 1.0))
@@ -113,7 +141,8 @@ def _richardson_rows(values: Callable, n: int, at: float, direction: float,
                 derivative[rows[done]], halvings[rows[done]] = current[done], k
                 if converged == len(rows):
                     return derivative, halvings
-                rows, g0, row = rows[~done], g0[~done], [col[~done] for col in row]
+                rows, g0, g = rows[~done], g0[~done], g[:, ~done]
+                row = [col[~done] for col in row]
         last = row
 
 
@@ -131,9 +160,10 @@ def richardson_derivative(
     derivative and the number of step halvings used; raises
     ``DerivativeUnstableError`` when successive extrapolants fail to agree to
     ``CONVERGENCE_RTOL`` (relative) within ``MAX_HALVINGS`` halvings.  This
-    is the one-row case of ``_richardson_rows``.
+    is the one-row case of ``_richardson_rows``, one step per call of g.
     """
-    derivative, halvings = _richardson_rows(lambda t, rows: [g(t)], 1, at, direction, first_step)
+    derivative, halvings = _richardson_rows(
+        lambda ts, rows: [[g(t)] for t in ts], 1, at, direction, first_step, window=1)
     return float(derivative[0]), int(halvings[0])
 
 
@@ -233,15 +263,18 @@ def _eif_mean(spec: Estimand, law: DiscreteDistribution, nuis: NuisanceSet, psi:
 
 
 def numerical_gateaux(spec: Estimand, path: MixturePath, at_t: float = 0.0) -> tuple[float, int]:
-    """Richardson derivative of t -> Psi(P_t) at an endpoint of the path."""
+    """Richardson derivative of t -> Psi(P_t) at an endpoint of the path.
+    Each window of halvings is one ``plugin_values`` call on the laws of the
+    path at those t, as rows on its union support (``MixturePath.probs_at``,
+    the probabilities ``mixture_at`` gives)."""
     if at_t not in (0.0, 1.0):
         raise ValidationError(f"derivative endpoint must be 0 or 1, got {at_t!r}")
     direction = 1.0 if at_t == 0.0 else -1.0
-
-    def g(t: float) -> float:
-        return spec.plugin_value(mixture_at(path, t))
-
-    return richardson_derivative(g, at=at_t, direction=direction)
+    derivative, halvings = _richardson_rows(
+        lambda ts, rows: spec.plugin_values(path.union, path.probs_at(ts))[:, None],
+        1, at_t, direction,
+    )
+    return float(derivative[0]), int(halvings[0])
 
 
 def _min_conditioning_cell(spec: Estimand, law: DiscreteDistribution) -> float:
@@ -279,10 +312,11 @@ def verify_eif(
     By default every atom of the base support becomes a point-mass
     contaminant, and E_Q[phi] is phi at that atom: the exact nuisances of
     the base are built once and phi is evaluated at all atoms in one call,
-    and the derivatives run in lockstep.  The first path (in order) whose
-    derivative fails raises its error.  Paths whose base law has a
-    conditioning cell below ``MIN_CELL_PROB`` are reported as skipped rather
-    than silently passed.
+    and the derivatives run in lockstep, in blocks of at most
+    ``LOCKSTEP_ELEMENTS`` probabilities per plug-in call.  The first path
+    (in order) whose derivative fails raises its error.  Paths whose base
+    law has a conditioning cell below ``MIN_CELL_PROB`` are reported as
+    skipped rather than silently passed.
     """
     require_oracle(spec)
     if contaminants is None:
@@ -299,22 +333,23 @@ def verify_eif(
         analytic = spec.eif_values(cols, nuis, psi0).tolist()
         n = base.n_atoms
 
-        def values(t: float, atoms: np.ndarray) -> np.ndarray:
-            # row r is (1 - t) p + t * 1{atom r}
-            probs = np.repeat(((1.0 - t) * base.probs)[None, :], len(atoms), axis=0)
-            probs[np.arange(len(atoms)), atoms] += t
-            return spec.plugin_values(base, probs)
+        def values(ts: list, atoms: np.ndarray) -> np.ndarray:
+            # row (s, r) is (1 - t_s) p + t_s * 1{atom r}
+            t = np.asarray(ts)
+            probs = np.repeat(((1.0 - t)[:, None] * base.probs)[:, None, :], len(atoms), axis=1)
+            probs[:, np.arange(len(atoms)), atoms] += t[:, None]
+            return spec.plugin_values(base, probs.reshape(-1, n)).reshape(len(ts), len(atoms))
 
-        steps, size = [], max(1, LOCKSTEP_ELEMENTS // n)
+        steps, size = [], max(1, LOCKSTEP_ELEMENTS // (n * (LADDER_WINDOW + 1)))
         for start in range(0, n, size):
             block = np.arange(start, min(start + size, n))
             try:
                 derivative, halvings = _richardson_rows(
-                    lambda t, rows: values(t, block[rows]), len(block), 0.0, 1.0
+                    lambda ts, rows: values(ts, block[rows]), len(block), 0.0, 1.0
                 )
             except InfluenceLabError:  # one path at a time: the first failing atom raises its error
                 for i in block:
-                    _richardson_rows(lambda t, rows: values(t, rows + i), 1, 0.0, 1.0)
+                    _richardson_rows(lambda ts, rows: values(ts, rows + i), 1, 0.0, 1.0)
                 raise
             steps += zip(derivative.tolist(), halvings.tolist())
     else:

@@ -482,6 +482,17 @@ def _replicate_once(task: tuple) -> tuple:
         return "err", r, f"{type(exc).__name__}: {exc}"
 
 
+def _pool_workers() -> int:
+    """The process-pool size ``INFLUENCE_LAB_THREADS`` asks for (1 when unset)."""
+    raw = os.environ.get("INFLUENCE_LAB_THREADS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValidationError(
+            f"INFLUENCE_LAB_THREADS must be an integer, got {raw!r}"
+        ) from None
+
+
 def run_replications(
     dgp,
     spec: Estimand,
@@ -510,10 +521,10 @@ def run_replications(
     if R < 1:
         raise ValidationError("at least one replication is required")
     truth_value, truth_mc_se = truth if truth is not None else dgp.truth(spec)
+    workers = _pool_workers()
     tasks = [
         (dgp, spec, method, settings, n, folds, alpha, seed, r) for r in range(R)
     ]
-    workers = int(os.environ.get("INFLUENCE_LAB_THREADS", "1"))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_replicate_once, tasks, chunksize=8))

@@ -32,6 +32,7 @@ from influence_lab import (
     exact_nuisances,
     mixture_at,
 )
+from influence_lab.distributions import _group_rows
 from influence_lab.gateaux import EXPOSURE_OUTCOME, FULL_SCHEMA, MEDIATION_SCHEMA, OUTCOME_ONLY
 
 SPECS = {
@@ -362,3 +363,32 @@ def test_batched_plugins_equal_their_one_row_calls(case):
             together = spec.plugin_values(law, probs)
             assert together.shape == (len(probs),)
             assert [float(v).hex() for v in together] == [float(v).hex() for v in alone]
+
+
+def unique_reference(rows: np.ndarray):
+    """The grouping by ``np.unique`` over the rows viewed as records, which
+    compare field by field (so -0.0 and 0.0 are equal)."""
+    rows = np.ascontiguousarray(rows, dtype=float)
+    if rows.shape[1]:
+        records = rows.view([(f"c{j}", float) for j in range(rows.shape[1])])[:, 0]
+    else:
+        records = np.zeros(len(rows), dtype=[("c", float)])
+    _, first, cell = np.unique(records, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rows[first[order]], rank[cell]
+
+
+@BOUNDED
+@given(st.integers(0, 4).flatmap(lambda width: st.lists(
+    st.tuples(*[st.sampled_from((-0.0, 0.0, 1.0, -2.5, 1e-300))] * width),
+    min_size=1, max_size=16)))
+def test_grouping_equals_the_unique_reference(rows):
+    rows = np.array(rows, dtype=float)
+    distinct, cell = _group_rows(rows)
+    want_distinct, want_cell = unique_reference(rows)
+    assert distinct.shape == want_distinct.shape
+    assert [v.hex() for v in distinct.ravel().tolist()] == [
+        v.hex() for v in want_distinct.ravel().tolist()]
+    assert cell.tolist() == want_cell.tolist()

@@ -4,6 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from influence_lab import (
@@ -418,6 +420,21 @@ class KinkedMean(PopulationMean):
 KINK_LAW = DiscreteDistribution(Y_ONLY, [[0.0], [1.0], [2.0], [4.0]], [0.1, 0.2, 0.3, 0.4])
 
 
+@dataclass(frozen=True)
+class UndefinedNear(PopulationMean):
+    """E[Y], refused on a law other than ``center`` whose probabilities all
+    lie within ``gap`` of it."""
+
+    center: tuple = ()
+    gap: float = 1e-3
+
+    def plugin_values(self, law, probs):
+        shift = np.abs(probs - np.asarray(self.center)).max(axis=1)
+        if np.any((shift > 0.0) & (shift < self.gap)):
+            raise PositivityError(f"a law within {self.gap} of the center")
+        return super().plugin_values(law, probs)
+
+
 class TestLockstep:
     def test_reports_equal_the_per_atom_paths_on_every_sweep_entry(self):
         rng = np.random.default_rng(2026)
@@ -433,7 +450,8 @@ class TestLockstep:
                     f"atom:{i}" for i in range(law.n_atoms)]
 
     def test_large_laws_run_in_blocks_of_paths(self, monkeypatch):
-        monkeypatch.setattr(gateaux, "LOCKSTEP_ELEMENTS", 30)  # two to three paths per block
+        # two to three paths per block: a block holds (window + 1) rows per path
+        monkeypatch.setattr(gateaux, "LOCKSTEP_ELEMENTS", 30 * (gateaux.LADDER_WINDOW + 1))
         rng = np.random.default_rng(7)
         for entry, schema in SWEEP_PLAN[::3]:
             law = random_law(rng, schema)
@@ -450,7 +468,9 @@ class TestLockstep:
         assert hexed(got) == hexed(per_atom_reference(spec, ZERO_ATOM_LAW))
         assert all(r.rel_error < 1e-6 for r in reports)
 
-    @pytest.mark.parametrize("elements", [gateaux.LOCKSTEP_ELEMENTS, 8])  # 8: atoms 0-1, 2-3
+    # the second: two paths per block (atoms 0-1, 2-3), of (window + 1) rows of 4 atoms each
+    @pytest.mark.parametrize("elements", [gateaux.LOCKSTEP_ELEMENTS,
+                                          8 * (gateaux.LADDER_WINDOW + 1)])
     @pytest.mark.parametrize("undefined_at, error", [
         (3, DerivativeUnstableError),  # atom 1 fails first in atom order, atom 3 earlier in t
         (0, PositivityError),
@@ -475,6 +495,41 @@ class TestLockstep:
             richardson_derivative(math.sqrt, at=0.0)
         assert str(got.value) == str(want.value)
 
+    def test_a_step_past_convergence_that_raises_leaves_the_result(self):
+        # E[Y] converges at the first halving (k = 1); the first window also
+        # asks for steps down to FIRST_STEP / 16, where these laws are refused
+        spec = UndefinedNear(center=tuple(KINK_LAW.probs.tolist()))
+        toward_atom_0 = MixturePath(KINK_LAW, point_mass(Observation((0.0,), Y_ONLY)))
+        with pytest.raises(PositivityError):
+            spec.plugin_value(mixture_at(toward_atom_0, FIRST_STEP / 16))
+        got = [(r.numerical_derivative, r.halvings) for r in verify_eif(spec, KINK_LAW)]
+        assert hexed(got) == hexed(per_atom_reference(spec, KINK_LAW))
+        assert [k for _, k in got] == [1] * KINK_LAW.n_atoms
+
+        q = DiscreteDistribution(Y_ONLY, KINK_LAW.values, KINK_LAW.probs[::-1])
+        path, spec = MixturePath(KINK_LAW, q), UndefinedNear(center=tuple(q.probs.tolist()))
+        with pytest.raises(PositivityError):
+            spec.plugin_value(mixture_at(path, 1.0 - FIRST_STEP / 4))
+        want = scalar_richardson(lambda t: spec.plugin_value(mixture_at(path, t)), 1.0, -1.0)
+        assert hexed([numerical_gateaux(spec, path, at_t=1.0)]) == hexed([want])
+        assert want[1] == 1
+
+    def test_one_plugin_call_per_window(self, monkeypatch):
+        calls = []
+        original = PopulationMean.plugin_values
+
+        def counted(self, law, probs):
+            calls.append(len(probs))
+            return original(self, law, probs)
+
+        monkeypatch.setattr(PopulationMean, "plugin_values", counted)
+        verify_eif(PopulationMean(), KINK_LAW)  # the base value, then one window for all paths
+        assert calls == [1, (gateaux.LADDER_WINDOW + 1) * KINK_LAW.n_atoms]
+        calls.clear()
+        q = DiscreteDistribution(Y_ONLY, KINK_LAW.values, KINK_LAW.probs[::-1])
+        numerical_gateaux(PopulationMean(), MixturePath(KINK_LAW, q), at_t=1.0)
+        assert calls == [gateaux.LADDER_WINDOW + 1]
+
     def test_default_path_builds_no_law_and_no_path(self, monkeypatch):
         law, _ = _full_law(4)
         built = []
@@ -491,3 +546,28 @@ class TestLockstep:
         assert built == []
         verify_eif(Ate(), law, contaminants=[contaminant_law(np.random.default_rng(1), law)])
         assert built == ["DiscreteDistribution", "MixturePath"]
+
+
+def outcome(f):
+    """``f()`` as float-hex (derivative, halvings) pairs, or its error."""
+    try:
+        return hexed(f())
+    except Exception as exc:  # the reference and the ladder must fail alike
+        return (type(exc).__name__, str(exc))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), entry=st.sampled_from(SWEEP_PLAN))
+def test_windowed_ladders_equal_the_step_by_step_reference(seed, entry):
+    """On random laws of every sweep schema, at t = 0 (every point-mass path
+    of the law) and at t = 1 (a random contaminant on its atoms)."""
+    name, schema = entry
+    rng = np.random.default_rng(seed)
+    law = random_law(rng, schema)
+    spec = CATALOG[name.split(":")[0]](**_SWEEP_PARAMS.get(name, lambda rng, law: {})(rng, law))
+    got = outcome(lambda: [(r.numerical_derivative, r.halvings) for r in verify_eif(spec, law)])
+    assert got == outcome(lambda: per_atom_reference(spec, law))
+    path = MixturePath(law, contaminant_law(rng, law))
+    got = outcome(lambda: [numerical_gateaux(spec, path, at_t=1.0)])
+    assert got == outcome(lambda: [scalar_richardson(
+        lambda t: spec.plugin_value(mixture_at(path, t)), 1.0, -1.0)])
