@@ -219,16 +219,6 @@ def _trapezoid_terms(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     return terms
 
 
-def _mixed(a: np.ndarray, b: np.ndarray, t: float, out=None) -> np.ndarray:
-    """(1 - t) * a + t * b, into ``out`` when given, with t * b made a block
-    of rows at a time."""
-    out = np.multiply(a, 1.0 - t, out=out)
-    rows = max(1, BLOCK_ELEMENTS // a[0].size)
-    for i in range(0, len(a), rows):
-        out[i:i + rows] += np.multiply(b[i:i + rows], t)
-    return out
-
-
 class FixedGrid1D:
     """Trapezoid nodes refined once, then reused for every integrand.
 
@@ -375,15 +365,17 @@ def derivative_path_functions(
         )
 
     def path_integrand(p: SimpleNamespace, t: float) -> np.ndarray:
-        """w * (g_t' - (g_t / f_t) * f_t'), with g_t = (1 - t) g_a + t g_b and
-        so on: d/dx of m_t = g_t / f_t, times f_t.  Two grids, in place."""
-        gt, ft = _mixed(p.ga, p.gb, t), _mixed(p.fa, p.fb, t)
-        gt /= np.maximum(ft, 1e-300, out=ft)
-        gt *= _mixed(p.fa_dx, p.fb_dx, t, out=ft)
-        gt_dx = _mixed(p.ga_dx, p.gb_dx, t, out=ft)
-        gt_dx -= gt
-        gt_dx *= p.w
-        return gt_dx
+        """The path integrand at the nodes, a block of rows at a time."""
+        values = np.empty_like(p.fa)
+        step = max(1, BLOCK_ELEMENTS // values.shape[1])
+        for r in (slice(i, i + step) for i in range(0, len(values), step)):
+            ft = (1.0 - t) * p.fa[r] + t * p.fb[r]
+            gt = (1.0 - t) * p.ga[r] + t * p.gb[r]
+            ft_dx = (1.0 - t) * p.fa_dx[r] + t * p.fb_dx[r]
+            gt_dx = (1.0 - t) * p.ga_dx[r] + t * p.gb_dx[r]
+            # d/dx of m_t = (g_t' f_t - g_t f_t') / f_t^2, times f_t leaves f_t once
+            values[r] = p.w[r] * (gt_dx - (gt / np.maximum(ft, 1e-300)) * ft_dx)
+        return values
 
     parts = None
 
