@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._normal import _ndtr, normal_cdf, normal_pdf
+from ._normal import _elementwise, _ndtr, normal_cdf, normal_pdf
 from .errors import IntegrationError, SolverError, ValidationError
 from .estimands import (
     AverageDerivativeEffect,
@@ -73,10 +73,15 @@ class NormalMixture:
         return total[()]
 
     def cdf(self, y):
-        y = np.asarray(y, dtype=float)
-        total = np.zeros_like(y)
+        """The cdf at a float, or at each point of an array, on Python
+        floats: the operations of the array expression sum_k w_k *
+        Phi((y - m_k) / s_k), so its bits, without the overhead of 0-d arrays
+        in the quantile bisection."""
+        if not isinstance(y, float):
+            return _elementwise(self.cdf, y)
+        total = 0.0
         for w, m, s in zip(self.weights, self.means, self.sds):
-            total = total + w * normal_cdf(y, loc=m, scale=s)
+            total = total + w * _ndtr((y - m) / s)
         return total
 
     def partial_mean(self, c: float) -> float:
@@ -95,24 +100,16 @@ class NormalMixture:
         hi = max(m + RANGE_SDS * s for m, s in zip(self.means, self.sds))
         return lo, hi
 
-    def _cdf_at(self, y: float) -> float:
-        """``cdf`` at one point, on Python floats: the same operations as
-        the 0-d array path, so the same bits, without its overhead."""
-        total = 0.0
-        for w, m, s in zip(self.weights, self.means, self.sds):
-            total = total + w * _ndtr((y - m) / s)
-        return total
-
     def quantile(self, tau: float) -> float:
         """Quantile by bisection on the closed-form cdf."""
         lo, hi = self.support_range()
-        flo = self._cdf_at(lo) - tau
-        fhi = self._cdf_at(hi) - tau
+        flo = self.cdf(lo) - tau
+        fhi = self.cdf(hi) - tau
         if flo > 0.0 or fhi < 0.0:
             raise SolverError("quantile bracket does not contain the root")
         for _ in range(BISECTION_MAX_ITER):
             mid = 0.5 * (lo + hi)
-            if self._cdf_at(mid) - tau <= 0.0:
+            if self.cdf(mid) - tau <= 0.0:
                 lo = mid
             else:
                 hi = mid
@@ -312,13 +309,13 @@ def tail_path_functions(
 
     def psi_at(t: float) -> float:
         mixed = mix_outcome_families(base, cont, t)
-        mass = float(mixed.cdf(np.asarray([c]))[0])
+        mass = float(mixed.cdf(c))
         if mass <= 0.0:
             raise SolverError("tail event has no probability along the path")
         return mixed.partial_mean(c) / mass
 
     psi0 = psi_at(0.0)
-    F0 = float(base.cdf(np.asarray([c]))[0])
+    F0 = float(base.cdf(c))
     lo = min(base.support_range()[0], cont.support_range()[0])
     grid = FixedGrid1D(lo, c, cont.pdf)
     analytic = grid.integrate((grid.nodes - psi0) * grid.values) / F0
@@ -365,17 +362,23 @@ def derivative_path_functions(
         )
 
     def path_integrand(p: SimpleNamespace, t: float) -> np.ndarray:
-        """The path integrand at the nodes, a block of rows at a time."""
-        values = np.empty_like(p.fa)
-        step = max(1, BLOCK_ELEMENTS // values.shape[1])
-        for r in (slice(i, i + step) for i in range(0, len(values), step)):
-            ft = (1.0 - t) * p.fa[r] + t * p.fb[r]
-            gt = (1.0 - t) * p.ga[r] + t * p.gb[r]
-            ft_dx = (1.0 - t) * p.fa_dx[r] + t * p.fb_dx[r]
-            gt_dx = (1.0 - t) * p.ga_dx[r] + t * p.gb_dx[r]
-            # d/dx of m_t = (g_t' f_t - g_t f_t') / f_t^2, times f_t leaves f_t once
-            values[r] = p.w[r] * (gt_dx - (gt / np.maximum(ft, 1e-300)) * ft_dx)
-        return values
+        """w * (g_t' - (g_t / f_t) * f_t'), with f_t = (1 - t) f_a + t f_b and
+        so on: d/dx of m_t = g_t / f_t, times f_t.  Three grids, in place."""
+        scratch = np.empty_like(p.fa)
+
+        def mixed(a, b, out=None):
+            out = np.multiply(a, 1.0 - t, out=out)
+            out += np.multiply(b, t, out=scratch)
+            return out
+
+        ft = mixed(p.fa, p.fb)
+        gt = mixed(p.ga, p.gb)
+        gt /= np.maximum(ft, 1e-300, out=ft)
+        gt *= mixed(p.fa_dx, p.fb_dx, out=ft)
+        gt_dx = mixed(p.ga_dx, p.gb_dx, out=ft)
+        gt_dx -= gt
+        gt_dx *= p.w
+        return gt_dx
 
     parts = None
 
