@@ -101,11 +101,15 @@ def _richardson_rows(values: Callable, n: int, at: float, direction: float,
     ``DerivativeUnstableError`` for the first row that does not stabilize.
 
     A window may evaluate steps past a row's convergence, which one step per
-    call never reaches.  If a window raises, the table is run again one step
-    per call, and its value or first error is the result."""
+    call never reaches.  If ``values`` raises in a window, the table is run
+    again one step per call, and its value or first error is the result.  An
+    unstable row is raised at once: the table arithmetic is the same at
+    every window, so the rerun would raise it again."""
     if window > 1:
         try:
             return _richardson_table(values, n, at, direction, first_step, window)
+        except DerivativeUnstableError:
+            raise
         except InfluenceLabError:  # perhaps at a step the step-by-step table never takes
             pass
     return _richardson_table(values, n, at, direction, first_step, 1)

@@ -514,6 +514,22 @@ class TestLockstep:
         assert hexed([numerical_gateaux(spec, path, at_t=1.0)]) == hexed([want])
         assert want[1] == 1
 
+    def test_an_unstable_ladder_raises_without_a_step_by_step_rerun(self):
+        calls = []
+
+        def values(ts, rows):
+            calls.append(len(ts))
+            return [[math.sqrt(t)] * len(rows) for t in ts]
+
+        with pytest.raises(DerivativeUnstableError) as got:
+            gateaux._richardson_rows(values, 2, 0.0, 1.0)
+        with pytest.raises(DerivativeUnstableError) as want:
+            scalar_richardson(math.sqrt, 0.0, 1.0)
+        assert str(got.value) == str(want.value)
+        # g(0) and MAX_HALVINGS + 1 steps, a window per call, each step once
+        assert len(calls) == math.ceil((MAX_HALVINGS + 1) / gateaux.LADDER_WINDOW)
+        assert sum(calls) == MAX_HALVINGS + 2
+
     def test_one_plugin_call_per_window(self, monkeypatch):
         calls = []
         original = PopulationMean.plugin_values
