@@ -7,7 +7,9 @@ each column, a role (outcome, exposure, covariate, mediator) and a kind
 verification oracle: a validated array of distinct atoms plus a probability
 vector.  ``MixturePath`` represents the line segment (1 - t) * base + t *
 contaminant, the paths along which functionals are differentiated; every
-law on a path shares one union support.  Atoms are grouped into cells by
+law on a path shares one union support.  ``mixture_probs`` is the one
+builder of path probabilities, for many t and many contaminants at once;
+``mixture_at`` is its one-law case.  Atoms are grouped into cells by
 one primitive, ``_group_rows`` (a stable lexicographic sort of the rows),
 so a cell total is a weighted ``np.bincount`` (``cell_sums``, for one row
 of weights or many).  A grouping belongs to the support and is computed
@@ -323,15 +325,16 @@ class MixturePath:
     """The segment of laws (1 - t) * base + t * contaminant, for t in [0, 1].
 
     Every law on the path lives on one union support: the base atoms, then
-    the contaminant atoms the base lacks.  When the contaminant adds none (a
-    point mass at a base atom, say) it is the base's own support, groupings
-    included.
+    the contaminant atoms the base lacks.  ``union`` is the base law on it
+    and ``contaminant_probs`` the contaminant's probabilities there.  When
+    the contaminant adds no atom (a point mass at a base atom, say) the union
+    is the base itself, groupings included.
     """
 
     base: DiscreteDistribution
     contaminant: DiscreteDistribution
-    _union: DiscreteDistribution = field(init=False, repr=False, compare=False)
-    _contaminant_probs: np.ndarray = field(init=False, repr=False, compare=False)
+    union: DiscreteDistribution = field(init=False, repr=False, compare=False)
+    contaminant_probs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         base, cont = self.base, self.contaminant
@@ -343,29 +346,27 @@ class MixturePath:
         if size > k:
             base_probs = np.bincount(cell[:k], weights=base.probs, minlength=size)
             base = DiscreteDistribution(base.schema, values, base_probs)
-        object.__setattr__(self, "_union", base)
+        object.__setattr__(self, "union", base)
         q = np.bincount(cell[k:], weights=cont.probs, minlength=size)
-        object.__setattr__(self, "_contaminant_probs", q)
+        object.__setattr__(self, "contaminant_probs", q)
 
-    @property
-    def union(self) -> DiscreteDistribution:
-        """The base law on the union support."""
-        return self._union
 
-    def probs_at(self, ts: Sequence[float]) -> np.ndarray:
-        """The probabilities of the laws at each t of ``ts`` on the union
-        support, one row per t: (1 - t) * p_base + t * p_contaminant."""
-        t = np.asarray(ts, dtype=float)[:, None]
-        outside = ~((0.0 <= t) & (t <= 1.0))
-        if outside.any():
-            raise SchemaError(f"mixture parameter t={float(t[outside][0])!r} outside [0, 1]")
-        return (1.0 - t) * self._union.probs + t * self._contaminant_probs
+def mixture_probs(p: np.ndarray, q: np.ndarray, ts: Sequence[float]) -> np.ndarray:
+    """The one place the path is written: for each t of ``ts`` and each row
+    q_r of the (rows, atoms) matrix ``q``, the probabilities (1 - t) * p +
+    t * q_r, as a (len(ts), rows, atoms) array."""
+    t = np.asarray(ts, dtype=float)[:, None, None]
+    outside = ~((0.0 <= t) & (t <= 1.0))
+    if outside.any():
+        raise SchemaError(f"mixture parameter t={float(t[outside][0])!r} outside [0, 1]")
+    return (1.0 - t) * p + t * q
 
 
 def mixture_at(path: MixturePath, t: float) -> DiscreteDistribution:
-    """Law of the path at parameter t, on the path's union support, with the
-    probabilities of ``path.probs_at([t])``."""
-    return path.union._reweighted(path.probs_at([t])[0])
+    """Law of the path at parameter t, on the path's union support: the
+    one-row case of ``mixture_probs``."""
+    probs = mixture_probs(path.union.probs, path.contaminant_probs[None, :], [t])
+    return path.union._reweighted(probs[0, 0])
 
 
 def point_mass(obs: Observation) -> DiscreteDistribution:

@@ -234,21 +234,9 @@ def eif_array(
 # ---------------------------------------------------------------------------
 
 
-# The support array last read by ``_columns_of`` and its role columns.  Every
-# law along a ``MixturePath`` shares one support array, so the steps of a
-# Richardson derivative reuse the columns instead of rebuilding them.
-_last_support_columns: tuple = (None, None)
-
-
 def _columns_of(law: DiscreteDistribution, **roles: bool) -> ColumnSet:
     """Role columns of a law's atoms; the outcome is always required."""
-    global _last_support_columns
-    support, cols = _last_support_columns
-    if support is not law.values:
-        cols = ColumnSet.from_matrix(law.schema, law.values)
-        cols.Z.setflags(write=False)  # shared by every law on the support
-        cols.M.setflags(write=False)
-        _last_support_columns = (law.values, cols)
+    cols = ColumnSet.from_matrix(law.schema, law.values)
     cols.require(outcome=True, **roles)
     return cols
 

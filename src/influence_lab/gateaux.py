@@ -17,16 +17,17 @@ analytic influence function (or the plug-in), not the arithmetic.  Both
 endpoint checks share one oracle guard and one skip rule, and a sweep's
 ``SweepResult`` reads its counts and worst error from its reports.
 
-The Richardson table is written once, for paths in lockstep; one path is
-the one-row case.  The plug-in is asked for a window of ``LADDER_WINDOW``
-halvings per call (the first call also for the value at the endpoint).  At
-t = 0 the k point-mass paths of a law share its support, so a window is one
-plug-in call on the matrix of rows (1 - h) p + h * 1{atom}, one per step
-and atom, with no law or path built per atom; at t = 1, and toward explicit
-contaminants, it is one call on the rows of the path's laws on its union
-support.  A window may evaluate steps past convergence; if one raises, the
-ladder runs again one step per call, so every derivative, halving count and
-error is the one the step-by-step table gives.
+The Richardson table is written once, for paths in lockstep, and every
+Gateaux ladder runs through one driver, ``_path_derivatives``: the paths
+from a law p toward the rows q_r of a matrix, with one plug-in call per
+window of ``LADDER_WINDOW`` halvings on the rows (1 - h) p + h q_r that
+the one path builder, ``distributions.mixture_probs``, gives.  At t = 0 the
+point-mass paths of a law are blocks of identity rows, so no law or path
+is built per atom; at t = 1, and toward explicit contaminants, q is the
+contaminant's one row on the path's union support.  A window may evaluate
+steps past convergence; if a plug-in call raises, each path runs again
+alone, one step per call, so every derivative, halving count and error is
+the one the step-by-step table gives.
 
 The module also computes von Mises remainders
 R(P, Q) = Psi(Q) - Psi(P) + E_P[ phi(O, Q) ] (second order in Q - P) and
@@ -48,6 +49,7 @@ from .distributions import (
     Schema,
     Column,
     mixture_at,
+    mixture_probs,
     seeded_rng,
 )
 from .errors import DerivativeUnstableError, InfluenceLabError, ValidationError
@@ -98,25 +100,7 @@ def _richardson_rows(values: Callable, n: int, at: float, direction: float,
     ``window`` steps in one call, then for the next ``window`` steps at a
     time, and a row leaves the active set once it converges.  Returns the
     derivatives and halvings; raises what ``values`` raises, or
-    ``DerivativeUnstableError`` for the first row that does not stabilize.
-
-    A window may evaluate steps past a row's convergence, which one step per
-    call never reaches.  If ``values`` raises in a window, the table is run
-    again one step per call, and its value or first error is the result.  An
-    unstable row is raised at once: the table arithmetic is the same at
-    every window, so the rerun would raise it again."""
-    if window > 1:
-        try:
-            return _richardson_table(values, n, at, direction, first_step, window)
-        except DerivativeUnstableError:
-            raise
-        except InfluenceLabError:  # perhaps at a step the step-by-step table never takes
-            pass
-    return _richardson_table(values, n, at, direction, first_step, 1)
-
-
-def _richardson_table(values: Callable, n: int, at: float, direction: float,
-                      first_step: float, window: int) -> tuple[np.ndarray, np.ndarray]:
+    ``DerivativeUnstableError`` for the first row that does not stabilize."""
     derivative, halvings = np.full(n, math.nan), np.zeros(n, dtype=int)
     rows, last = np.arange(n), []
     steps = [first_step / (2.0**k) for k in range(MAX_HALVINGS + 1)]
@@ -266,18 +250,39 @@ def _eif_mean(spec: Estimand, law: DiscreteDistribution, nuis: NuisanceSet, psi:
     return float(np.dot(law.probs, spec.eif_values(cols, nuis, psi)))
 
 
+def _path_derivatives(spec: Estimand, law: DiscreteDistribution, q: np.ndarray,
+                      at_t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Richardson derivatives of t -> Psi((1 - t) p + t q_r) at ``at_t``, for
+    p the probabilities of ``law`` and each row q_r of the (rows, atoms)
+    matrix ``q`` on its support, in lockstep windows of one ``plugin_values``
+    call each.  If a call raises, perhaps at a step past some path's
+    convergence, each path runs again alone, one step per call, and its
+    value or first error is the result.  An unstable path raises at once:
+    the rerun would raise it again."""
+    direction = 1.0 if at_t == 0.0 else -1.0
+
+    def values(ts: list, rows: np.ndarray) -> np.ndarray:
+        probs = mixture_probs(law.probs, q[rows], ts)
+        return spec.plugin_values(law, probs.reshape(-1, law.n_atoms)).reshape(len(ts), len(rows))
+
+    try:
+        return _richardson_rows(values, len(q), at_t, direction)
+    except DerivativeUnstableError:
+        raise
+    except InfluenceLabError:
+        pass
+    alone = [_richardson_rows(lambda ts, rows: values(ts, rows + r), 1, at_t, direction, window=1)
+             for r in range(len(q))]
+    return tuple(np.concatenate(parts) for parts in zip(*alone))
+
+
 def numerical_gateaux(spec: Estimand, path: MixturePath, at_t: float = 0.0) -> tuple[float, int]:
-    """Richardson derivative of t -> Psi(P_t) at an endpoint of the path.
-    Each window of halvings is one ``plugin_values`` call on the laws of the
-    path at those t, as rows on its union support (``MixturePath.probs_at``,
-    the probabilities ``mixture_at`` gives)."""
+    """Richardson derivative of t -> Psi(P_t) at an endpoint of the path: the
+    one-path case of ``_path_derivatives``, on the path's union support."""
     if at_t not in (0.0, 1.0):
         raise ValidationError(f"derivative endpoint must be 0 or 1, got {at_t!r}")
-    direction = 1.0 if at_t == 0.0 else -1.0
-    derivative, halvings = _richardson_rows(
-        lambda ts, rows: spec.plugin_values(path.union, path.probs_at(ts))[:, None],
-        1, at_t, direction,
-    )
+    derivative, halvings = _path_derivatives(
+        spec, path.union, path.contaminant_probs[None, :], at_t)
     return float(derivative[0]), int(halvings[0])
 
 
@@ -316,7 +321,7 @@ def verify_eif(
     By default every atom of the base support becomes a point-mass
     contaminant, and E_Q[phi] is phi at that atom: the exact nuisances of
     the base are built once and phi is evaluated at all atoms in one call,
-    and the derivatives run in lockstep, in blocks of at most
+    and the derivatives run in lockstep on blocks of identity rows, at most
     ``LOCKSTEP_ELEMENTS`` probabilities per plug-in call.  The first path
     (in order) whose derivative fails raises its error.  Paths whose base
     law has a conditioning cell below ``MIN_CELL_PROB`` are reported as
@@ -336,25 +341,10 @@ def verify_eif(
         cols = ColumnSet.from_matrix(base.schema, base.values)
         analytic = spec.eif_values(cols, nuis, psi0).tolist()
         n = base.n_atoms
-
-        def values(ts: list, atoms: np.ndarray) -> np.ndarray:
-            # row (s, r) is (1 - t_s) p + t_s * 1{atom r}
-            t = np.asarray(ts)
-            probs = np.repeat(((1.0 - t)[:, None] * base.probs)[:, None, :], len(atoms), axis=1)
-            probs[:, np.arange(len(atoms)), atoms] += t[:, None]
-            return spec.plugin_values(base, probs.reshape(-1, n)).reshape(len(ts), len(atoms))
-
         steps, size = [], max(1, LOCKSTEP_ELEMENTS // (n * (LADDER_WINDOW + 1)))
         for start in range(0, n, size):
-            block = np.arange(start, min(start + size, n))
-            try:
-                derivative, halvings = _richardson_rows(
-                    lambda ts, rows: values(ts, block[rows]), len(block), 0.0, 1.0
-                )
-            except InfluenceLabError:  # one path at a time: the first failing atom raises its error
-                for i in block:
-                    _richardson_rows(lambda ts, rows: values(ts, rows + i), 1, 0.0, 1.0)
-                raise
+            block = np.eye(min(size, n - start), n, start)  # point masses at these atoms
+            derivative, halvings = _path_derivatives(spec, base, block, 0.0)
             steps += zip(derivative.tolist(), halvings.tolist())
     else:
         analytic = [_eif_mean(spec, q, nuis, psi0) for q in contaminants]
@@ -439,11 +429,11 @@ def von_mises_remainder(
             bound += math.sqrt(ratio_sq) * math.sqrt(diff_sq)
         bound_kind = "cauchy_schwarz"
     elif isinstance(spec, AverageDensity):
-        # the two endpoints of their path share one support and its groupings
+        # the two endpoints of their path, on its union support
         path = MixturePath(base, contaminant)
-        p_end, q_end = mixture_at(path, 0.0), mixture_at(path, 1.0)
-        _, y = p_end.cells("outcome")
-        gap = np.bincount(y, weights=p_end.probs) - np.bincount(y, weights=q_end.probs)
+        _, y = path.union.cells("outcome")
+        gap = np.bincount(y, weights=path.union.probs) - np.bincount(
+            y, weights=path.contaminant_probs)
         bound = float(np.dot(gap, gap))
         bound_kind = "exact_squared_mass"
     return RemainderReport(
@@ -459,7 +449,10 @@ def remainder_decay_check(
     steps: Sequence[float] = REMAINDER_DECAY_STEPS,
 ) -> list[float]:
     """R(P, P_t) / t^2 along the path; second-order behavior means the
-    ratios stabilize.  Returns the ratios for the given steps."""
+    ratios stabilize.  Returns the ratios for the given steps in (0, 1]."""
+    outside = [t for t in steps if not 0.0 < t <= 1.0]
+    if outside:
+        raise ValidationError(f"remainder steps must lie in (0, 1], got {outside!r}")
     path = MixturePath(base, contaminant)
     ratios = []
     for t in steps:
@@ -652,9 +645,12 @@ def oracle_sweep(
 
     ``keep="worst"`` records only the largest-error report of each
     (estimand, trial) pair; the checks run either way.  ``only`` restricts
-    the plan to one estimand name.  Fewer than one trial, or fewer than
-    three atoms (the smallest outcome-only law), is refused.
+    the plan to one estimand name.  An endpoint other than 0 or 1, fewer
+    than one trial, or fewer than three atoms (the smallest outcome-only
+    law) is refused.
     """
+    if at_t not in (0.0, 1.0):
+        raise ValidationError(f"sweep endpoint must be 0 or 1, got {at_t!r}")
     if keep not in ("all", "worst"):
         raise ValidationError(f"keep must be 'all' or 'worst', got {keep!r}")
     if trials < 1 or max_support < 3:

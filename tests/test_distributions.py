@@ -16,6 +16,7 @@ from influence_lab import (
     mixture_at,
     point_mass,
 )
+from influence_lab.distributions import mixture_probs
 
 YX = Schema(
     (Column("x", "exposure", "binary"), Column("y", "outcome", "continuous"))
@@ -125,6 +126,19 @@ class TestMixturePath:
         end = mixture_at(path, 1.0)
         assert end.prob_of((0.0,)) == 0.0
         assert end.prob_of((2.0,)) == pytest.approx(0.5)
+
+    def test_one_builder_for_many_steps_and_contaminants(self):
+        base = DiscreteDistribution(Y_ONLY, [[0.0], [1.0], [2.0]], [0.5, 0.3, 0.2])
+        q = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.2, 0.3, 0.5]])
+        ts = [0.0, 0.01, 0.5, 1.0]
+        probs = mixture_probs(base.probs, q, ts)
+        assert probs.shape == (len(ts), len(q), base.n_atoms)
+        for r, row in enumerate(q):
+            path = MixturePath(base, DiscreteDistribution(Y_ONLY, base.values, row))
+            for s, t in enumerate(ts):
+                assert np.array_equal(probs[s, r], mixture_at(path, t).probs)
+        with pytest.raises(SchemaError, match="t=-0.5 outside"):
+            mixture_probs(base.probs, q, [0.5, -0.5])
 
     def test_parameter_and_schema_validation(self):
         base = DiscreteDistribution(Y_ONLY, [[0.0]], [1.0])

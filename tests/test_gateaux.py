@@ -1,5 +1,6 @@
 """Numerical derivative oracle: Riesz identities, remainders, sweeps."""
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,6 +233,13 @@ class TestRemainderDecay:
         for a, b in zip(ratios, ratios[1:]):
             assert abs(b - a) <= 0.2 * max(1e-12, abs(a))
 
+    @pytest.mark.parametrize("steps, named", [((0.0,), "[0.0]"), ((0.1, 1.5, -0.2), "[1.5, -0.2]")])
+    def test_steps_outside_the_unit_interval_are_refused(self, steps, named):
+        law, rng = _full_law(0)
+        cont = contaminant_law(rng, law)
+        with pytest.raises(ValidationError, match=re.escape(f"(0, 1], got {named}")):
+            remainder_decay_check(Ate(), law, cont, steps=steps)
+
     def test_average_density_ratio_is_constant(self):
         # R(P, P_t) = t^2 * sum (p - q)^2, so R / t^2 is flat in t and
         # equals the exact bound of the full-contaminant report.
@@ -319,6 +327,11 @@ class TestOracleSweep:
     def test_keep_validation(self):
         with pytest.raises(ValidationError, match="keep"):
             oracle_sweep(trials=1, keep="best")
+
+    @pytest.mark.parametrize("at_t", [0.5, -1.0, 2.0])
+    def test_endpoint_other_than_0_or_1_is_refused(self, at_t):
+        with pytest.raises(ValidationError, match=f"sweep endpoint must be 0 or 1, got {at_t!r}"):
+            oracle_sweep(trials=1, at_t=at_t)
 
     def test_t1_sweep_runs_one_check_per_trial(self):
         result = oracle_sweep(trials=2, seed=29, at_t=1.0)
