@@ -202,6 +202,8 @@ def _parse_data(entries: dict) -> tuple:
                 path = value
             elif key == "dgp":
                 dgp = value
+            elif value < 1:
+                raise ConfigError(f"line {lineno}: n must be at least 1, got {value}")
             else:
                 n = value
         else:

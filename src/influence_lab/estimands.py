@@ -12,6 +12,9 @@ field's type.  Class-level declarations state the rest once:
 * ``required_params``: the parameters a run configuration must spell out
   even where the field has a default, so a run never silently targets an
   unintended quantile or threshold.
+* ``contrast``: for a contrast of potential-outcome means, its
+  ``(arm, weight)`` pairs; the targeted estimator and the von Mises bound
+  read the arms from it, and each arm's influence term is ``_pom_terms``.
 
 Two pure operations carry the mathematics: ``plugin_value(law)``, the
 functional evaluated exactly on an explicit finite-support law, and
@@ -171,6 +174,7 @@ class Estimand:
     slots: ClassVar[frozenset] = frozenset()
     conditioning_cells: ClassVar[tuple] = ()
     required_params: ClassVar[tuple] = ()
+    contrast: ClassVar[tuple] = ()
 
     def params(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -429,14 +433,15 @@ def _propensity(values: dict) -> np.ndarray:
     bad = (pi <= 0.0) | (pi >= 1.0)
     if np.any(bad):
         raise PositivityError(
-            f"propensity outside (0, 1) at {int(bad.sum())} rows; "
-            "trim or bound the propensity model"
+            f"propensity must lie strictly inside (0, 1) but does not at "
+            f"{int(bad.sum())} rows; trim or bound the propensity model"
         )
     return pi
 
 
 def _pom_terms(cols: ColumnSet, values: dict, arm: int) -> np.ndarray:
-    """Uncentered augmented inverse-probability terms for one exposure arm."""
+    """Uncentered augmented inverse-probability (AIPW) terms for one exposure
+    arm: the only place they are written."""
     pi = _propensity(values)
     arm_prob = pi if arm == 1 else 1.0 - pi
     m_arm = values[f"m{arm}"]
@@ -456,6 +461,10 @@ class PotentialOutcomeMean(Estimand):
     def __post_init__(self) -> None:
         if self.x not in (0, 1):
             raise ValidationError(f"potential outcome arm must be 0 or 1, got {self.x!r}")
+
+    @property
+    def contrast(self) -> tuple:
+        return ((self.x, 1.0),)
 
     def plugin_values(self, law: DiscreteDistribution, probs: np.ndarray) -> np.ndarray:
         return _total(_standardized_terms(law, probs, float(self.x)))
@@ -477,6 +486,7 @@ class Ate(Estimand):
     name: ClassVar[str] = "ate"
     slots: ClassVar[frozenset] = frozenset({"outcome_mean", "propensity"})
     conditioning_cells: ClassVar[tuple] = (("covariate", "exposure"),)
+    contrast: ClassVar[tuple] = ((1, 1.0), (0, -1.0))
 
     def plugin_values(self, law: DiscreteDistribution, probs: np.ndarray) -> np.ndarray:
         terms = (_standardized_terms(law, probs, 1.0), -_standardized_terms(law, probs, 0.0))
@@ -943,11 +953,9 @@ class IncrementalPropensity(Estimand):
         denom = eps * pi + 1.0 - pi
         g1 = eps * pi / denom
         g0 = 1.0 - g1
-        at1 = (cols.x == 1.0).astype(float)
-        at0 = 1.0 - at1
         u = (
-            g1 * (at1 / pi * (cols.y - m1) + m1)
-            + g0 * (at0 / (1.0 - pi) * (cols.y - m0) + m0)
+            g1 * _pom_terms(cols, v, 1)
+            + g0 * _pom_terms(cols, v, 0)
             + g1 * g0 / (pi * (1.0 - pi)) * (cols.x - pi) * (m1 - m0)
         )
         return u, np.ones(cols.n)

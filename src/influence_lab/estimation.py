@@ -3,7 +3,9 @@
 Folds, per-fold nuisance fitting, and the debiasing constructions: plug-in,
 one-step correction, estimating-equation solve, and the targeted
 (fluctuation-based) estimator for arm means and their contrast.  Standard
-errors come from the sample variance of the influence function values.
+errors come from the sample variance of the influence function values.  The
+targeted influence values are the estimand's AIPW terms (``_pom_terms``),
+taken over the arms and weights of its declared ``contrast``.
 
 Each nuisance is evaluated once per row: after the fits on each fold's
 complement, the estimand's ``nuisance_values`` runs once per fold, on that
@@ -32,14 +34,7 @@ from .errors import (
     SolverError,
     ValidationError,
 )
-from .estimands import (
-    Ate,
-    ColumnSet,
-    Estimand,
-    NuisanceSet,
-    PotentialOutcomeMean,
-    Quantile,
-)
+from .estimands import ColumnSet, Estimand, NuisanceSet, _pom_terms, _propensity
 from .learners import (
     FeatureMap,
     fit_kde,
@@ -244,7 +239,7 @@ def _fit_outcome_mean(y, x, Z, settings: LearnerSettings, binary_exposure: bool)
             mask = x == level
             if mask.sum() < 2:
                 raise PositivityError(
-                    f"fewer than two training rows with exposure level {level!r}"
+                    f"fewer than two training rows with exposure level {float(level)!r}"
                 )
             fits[level] = _fit_learner("outcome", Z[mask], y[mask], settings)[0]
         return _ArmRegression(fits), None
@@ -640,14 +635,14 @@ def estimating_equation(
 
     Estimands whose influence function is affine in psi solve in closed form,
     written as plug-in + correction so that slope-one estimands reproduce the
-    one-step arithmetic operation by operation.  The quantile's estimating
-    function is a step function in psi; bisection finds its sign change, and
-    the density denominator (a positive constant in psi) drops out of the
-    root-finding entirely.
+    one-step arithmetic operation by operation.  The one non-affine estimand,
+    the quantile, has a step-function estimating function in psi; bisection
+    finds its sign change, and the density denominator (a positive constant
+    in psi) drops out of the root-finding entirely.
     """
     cols = ColumnSet.from_dataset(dataset)
     diag = _base_diagnostics(nuis)
-    if isinstance(spec, Quantile):
+    if not spec.affine:
         lo = float(np.min(cols.y)) - 1.0
         hi = float(np.max(cols.y)) + 1.0
         r_lo = spec.ee_residual(cols, lo)
@@ -667,7 +662,7 @@ def estimating_equation(
         psi = 0.5 * (lo + hi)
         diag["solver_iterations"] = iterations
         phi = spec.eif_values(cols, nuis, psi)
-    elif spec.affine:
+    else:
         psi0 = spec.plugin_estimate(cols, nuis)
         u, s = spec.eif_terms(cols, nuis)
         mean_s = float(np.mean(s))
@@ -679,65 +674,52 @@ def estimating_equation(
         diag["plugin_psi"] = float(psi0)
         diag["solver_iterations"] = 0
         phi = u - s * psi
-    else:
-        raise ValidationError(
-            f"no estimating-equation solver for estimand {spec.name!r}"
-        )
     _check_eif_magnitude(phi)
     return _assemble(spec, "estimating_equation", psi, phi, alpha, diag)
 
 
 def tmle(spec: Estimand, dataset: Dataset, nuis, alpha: float = DEFAULT_ALPHA):
-    """Targeted update of the outcome regression for arm means and their contrast.
+    """Targeted update of the outcome regression for each arm of the
+    estimand's declared ``contrast`` (arm means and their difference).
 
     Each arm's regression is fluctuated by epsilon / propensity with epsilon
     solving the arm's score equation in closed form (the equation is linear
-    in epsilon), after which the plug-in of the retargeted fit satisfies
-    mean-influence = 0 by construction; that residual is checked against
-    ``TMLE_SCORE_TOL`` and reported.
+    in epsilon).  The arm's influence values are the estimand's own AIPW
+    terms, ``_pom_terms``, at the retargeted regression, so the plug-in of
+    the retargeted fit satisfies mean-influence = 0 by construction; that
+    residual is checked against ``TMLE_SCORE_TOL`` and reported.  Estimate
+    and influence values are the contrast's weighted sums over the arms.
     """
-    if isinstance(spec, Ate):
-        arms = (1.0, 0.0)
-    elif isinstance(spec, PotentialOutcomeMean):
-        arms = (float(spec.x),)
-    else:
+    if not spec.contrast:
         raise ValidationError(
             "the targeted estimator is implemented for potential-outcome means "
             f"and their contrast, not {spec.name!r}"
         )
     cols = ColumnSet.from_dataset(dataset)
     values = nuis.table(spec, cols)
-    pi_one = values["propensity"]
-    if np.any((pi_one <= 0.0) | (pi_one >= 1.0)):
-        raise PositivityError("propensity predictions must lie strictly inside (0, 1)")
+    pi = _propensity(values)
     diag = _base_diagnostics(nuis, solver_iterations=0)
-    arm_psi, arm_centered, epsilons, scores = {}, {}, [], []
-    for arm in arms:
+    psi, phi, epsilons, scores = 0.0, 0.0, [], []
+    for arm, weight in spec.contrast:
         indicator = (cols.x == arm).astype(float)
         if indicator.sum() == 0.0:
             raise PositivityError(f"no observations with exposure level {arm!r}")
-        pi_arm = pi_one if arm == 1.0 else 1.0 - pi_one
-        m_arm = values[f"m{arm:g}"]
-        weight = indicator / pi_arm
-        epsilon = float(np.sum(weight * (cols.y - m_arm)) / np.sum(indicator / pi_arm**2))
+        pi_arm = pi if arm == 1 else 1.0 - pi
+        m_arm = values[f"m{arm}"]
+        epsilon = float(np.sum(indicator / pi_arm * (cols.y - m_arm))
+                        / np.sum(indicator / pi_arm**2))
         m_star = m_arm + epsilon / pi_arm
         psi_arm = float(np.mean(m_star))
-        u_arm = weight * (cols.y - m_star) + m_star
+        u_arm = _pom_terms(cols, {"propensity": pi, f"m{arm}": m_star}, arm)
         score = float(np.mean(u_arm) - psi_arm)
         if abs(score) > TMLE_SCORE_TOL:
             raise SolverError(
                 f"targeted update failed to zero the arm-{arm:g} score: {score:.3e}"
             )
-        arm_psi[arm] = psi_arm
-        arm_centered[arm] = u_arm - psi_arm
+        psi += weight * psi_arm
+        phi += weight * (u_arm - psi_arm)
         epsilons.append(epsilon)
         scores.append(score)
-    if isinstance(spec, Ate):
-        psi = arm_psi[1.0] - arm_psi[0.0]
-        phi = arm_centered[1.0] - arm_centered[0.0]
-    else:
-        psi = arm_psi[arms[0]]
-        phi = arm_centered[arms[0]]
     _check_eif_magnitude(phi)
     diag["tmle_epsilon"] = epsilons
     diag["tmle_score"] = scores

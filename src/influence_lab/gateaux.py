@@ -54,14 +54,12 @@ from .distributions import (
 )
 from .errors import DerivativeUnstableError, InfluenceLabError, ValidationError
 from .estimands import (
-    Ate,
     AverageDensity,
     AverageDerivativeEffect,
     CATALOG,
     ColumnSet,
     Estimand,
     NuisanceSet,
-    PotentialOutcomeMean,
     Quantile,
     TailConditionalExpectation,
     exact_nuisances,
@@ -92,7 +90,6 @@ LADDER_WINDOW = RICHARDSON_ORDER + 1  # halvings per plug-in call of a derivativ
 
 
 def _richardson_rows(values: Callable, n: int, at: float, direction: float,
-                     first_step: float = FIRST_STEP,
                      window: int = LADDER_WINDOW) -> tuple[np.ndarray, np.ndarray]:
     """``richardson_derivative`` for n functions g_r at once.  ``values(ts,
     rows)`` gives g_r(t) for each t of ``ts`` and each r of ``rows``, as a
@@ -103,7 +100,7 @@ def _richardson_rows(values: Callable, n: int, at: float, direction: float,
     ``DerivativeUnstableError`` for the first row that does not stabilize."""
     derivative, halvings = np.full(n, math.nan), np.zeros(n, dtype=int)
     rows, last = np.arange(n), []
-    steps = [first_step / (2.0**k) for k in range(MAX_HALVINGS + 1)]
+    steps = [FIRST_STEP / (2.0**k) for k in range(MAX_HALVINGS + 1)]
     for k, h in enumerate(steps):
         if k % window == 0:
             ts = [at + direction * s for s in steps[k:k + window]]
@@ -138,7 +135,6 @@ def richardson_derivative(
     g: Callable[[float], float],
     at: float = 0.0,
     direction: float = 1.0,
-    first_step: float = FIRST_STEP,
 ) -> tuple[float, int]:
     """One-sided derivative of g at ``at`` by successive halving.
 
@@ -151,7 +147,7 @@ def richardson_derivative(
     is the one-row case of ``_richardson_rows``, one step per call of g.
     """
     derivative, halvings = _richardson_rows(
-        lambda ts, rows: [[g(t)] for t in ts], 1, at, direction, first_step, window=1)
+        lambda ts, rows: [[g(t)] for t in ts], 1, at, direction, window=1)
     return float(derivative[0]), int(halvings[0])
 
 
@@ -397,9 +393,10 @@ def von_mises_remainder(
 
     Estimand-specific bounds attached to the report:
 
-    * ``Ate`` and ``PotentialOutcomeMean``: per-arm Cauchy-Schwarz bound
+    * an estimand with a declared ``contrast`` (``Ate``,
+      ``PotentialOutcomeMean``): per-arm Cauchy-Schwarz bound
       sqrt(E_P[(pi_arm/q_arm - 1)^2]) * sqrt(E_P[(m_arm - m_arm_q)^2]),
-      summed over the arms involved.
+      summed over the contrast's arms.
     * ``AverageDensity``: the remainder equals sum_y (p(y) - q(y))^2
       exactly; the bound field carries that sum for comparison.
     """
@@ -415,12 +412,11 @@ def von_mises_remainder(
     remainder = drift - (psi_q - psi_p)
     bound = None
     bound_kind = ""
-    if isinstance(spec, (Ate, PotentialOutcomeMean)):
-        arms = (1, 0) if isinstance(spec, Ate) else (spec.x,)
+    if spec.contrast:
         bound = 0.0
         v_p = spec.nuisance_values(cols, exact_nuisances(spec, base))
         v_q = spec.nuisance_values(cols, nuis_q)
-        for arm in arms:
+        for arm, _ in spec.contrast:
             pa_p, pa_q = v_p["propensity"], v_q["propensity"]
             if arm == 0:
                 pa_p, pa_q = 1.0 - pa_p, 1.0 - pa_q

@@ -520,6 +520,10 @@ def run_replications(
         )
     if R < 1:
         raise ValidationError("at least one replication is required")
+    if n < 2:
+        raise ValidationError(f"every interval needs at least two rows, got n = {n}")
+    if not 1 <= folds <= n:
+        raise ValidationError(f"fold count must be between 1 and n = {n}, got {folds}")
     truth_value, truth_mc_se = truth if truth is not None else dgp.truth(spec)
     workers = _pool_workers()
     tasks = [

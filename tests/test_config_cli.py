@@ -198,6 +198,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=message):
             parse_config(text)
 
+    @pytest.mark.parametrize("n", [-3, 0])
+    def test_sample_size_below_one_names_its_line(self, n):
+        text = f"[data]\ndgp = normal-mean\nn = {n}\n\n[estimand]\nname = population_mean\n"
+        with pytest.raises(ConfigError, match=f"line 3: n must be at least 1, got {n}"):
+            parse_config(text)
+
     @pytest.mark.parametrize(
         "entry,message",
         [
@@ -623,6 +629,22 @@ class TestSimulateAndReport:
         )
         assert proc.returncode == 1
         assert "defined on the ate-nonlinear process" in proc.stderr
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(-2, 6), folds=st.integers(-1, 7), reps=st.integers(0, 3))
+    def test_size_edges_exit_1_before_any_replication(self, n, folds, reps):
+        argv = ["simulate", "--dgp", "normal-mean", "--estimand", "population_mean",
+                "--n", str(n), "--folds", str(folds), "--reps", str(reps)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(argv)
+        assert code == (0 if reps >= 1 and n >= 2 and 1 <= folds <= n else 1)
+        if code == 0:
+            assert json.loads(out.getvalue())["result"]["completed"] == reps
+        else:
+            assert err.getvalue().startswith("influence-lab: error:")
+            assert "replications failed" not in err.getvalue()
 
 
 class TestVerifyCommand:

@@ -580,6 +580,11 @@ class TestGuards:
         assert report.method == "plugin"
         assert report.psi_hat == 3.0  # the uncorrected regression contrast
 
+    def test_thin_exposure_level_is_named_as_a_python_float(self):
+        data = Dataset(ZXY, [[0, 0, 1.0], [0, 1, 2.0], [1, 1, 3.0], [1, 1, 4.0]])
+        with pytest.raises(PositivityError, match="with exposure level 0.0$"):
+            fit_cross_fitted_nuisances(data, Ate(), plan=make_folds(4, 1, 0))
+
     def test_average_derivative_warns_on_boundary_mass(self):
         # Uniform exposure keeps plenty of density at the sample range edge,
         # so the vanishing-boundary assumption visibly fails.
