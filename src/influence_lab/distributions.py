@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
@@ -401,10 +402,13 @@ def load_csv(path: str, roles: Mapping[str, tuple[str, str]]) -> Dataset:
     header column, short row, non-numeric or non-finite cell, and binary or
     discrete violations.
 
-    The selected cells are converted by one numpy call, which parses each
-    string as ``float()`` does, and checked as arrays.  Blank rows are looked
-    for only when that fails, and the rows are walked cell by cell only to
-    name a failure.
+    The data rows are first parsed by numpy's C reader, ``np.loadtxt``.  Its
+    result is kept only when every row has the header's width, every
+    selected cell passes the checks, and no warning was emitted; otherwise
+    the rows are read by ``csv.reader`` and the selected cells converted by
+    one numpy call, which parses each string as ``float()`` does, and
+    checked as arrays.  Blank rows are looked for only when that fails, and
+    the rows are walked cell by cell only to name a failure.
     """
     if not roles:
         raise CsvParseError(f"{path}: roles mapping is empty; no columns to load")
@@ -427,8 +431,11 @@ def load_csv(path: str, roles: Mapping[str, tuple[str, str]]) -> Dataset:
                     f"{path}: required column {col.name!r} not found in header {header}"
                 )
             positions.append(header.index(col.name))
-        records = list(reader)
-    values = _bulk_values(schema, records, positions, len(header))
+        values = _loadtxt_values(path, schema, positions, len(header))
+        if values is None:
+            records = list(reader)
+    if values is None:
+        values = _bulk_values(schema, records, positions, len(header))
     if values is None:
         numbered = [(rownum, record) for rownum, record in enumerate(records, start=2)
                     if any(map(str.strip, record))]
@@ -438,6 +445,19 @@ def load_csv(path: str, roles: Mapping[str, tuple[str, str]]) -> Dataset:
     if values.shape[0] == 0:
         raise CsvParseError(f"{path}: no data rows")
     return Dataset(schema, values)
+
+
+def _loadtxt_values(path: str, schema: Schema, positions: list, width: int):
+    """The selected cells of the data rows as parsed by ``np.loadtxt``, or
+    None if it fails or warns (an empty file among others), a row is not
+    ``width`` cells wide, or a cell fails ``_checked``."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(path, delimiter=",", skiprows=1, comments=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    return _checked(schema, table[:, positions]) if table.shape[1] == width else None
 
 
 def _bulk_values(schema: Schema, records: list, positions: list, width: int):
@@ -451,7 +471,12 @@ def _bulk_values(schema: Schema, records: list, positions: list, width: int):
         values = np.array([pick(r) for r in records], dtype=float)
     except ValueError:
         return None
-    values = values.reshape(len(records), schema.arity)
+    return _checked(schema, values.reshape(len(records), schema.arity))
+
+
+def _checked(schema: Schema, values: np.ndarray):
+    """``values``, or None if a cell is non-finite or a binary or discrete
+    column holds another value."""
     bad = ~np.isfinite(values)
     for j, col in enumerate(schema.columns):
         if col.kind == "binary":

@@ -439,13 +439,17 @@ def _propensity(values: dict) -> np.ndarray:
     return pi
 
 
-def _pom_terms(cols: ColumnSet, values: dict, arm: int) -> np.ndarray:
+def _arm(cols: ColumnSet, pi: np.ndarray, arm: int) -> tuple[np.ndarray, np.ndarray]:
+    """An exposure arm's indicator and probability, for a propensity that
+    ``_propensity`` has passed."""
+    return (cols.x == float(arm)).astype(float), (pi if arm == 1 else 1.0 - pi)
+
+
+def _pom_terms(cols: ColumnSet, indicator: np.ndarray, arm_prob: np.ndarray,
+               m_arm: np.ndarray) -> np.ndarray:
     """Uncentered augmented inverse-probability (AIPW) terms for one exposure
-    arm: the only place they are written."""
-    pi = _propensity(values)
-    arm_prob = pi if arm == 1 else 1.0 - pi
-    m_arm = values[f"m{arm}"]
-    indicator = (cols.x == float(arm)).astype(float)
+    arm, from its ``_arm`` pieces and regression: the only place they are
+    written."""
     return indicator / arm_prob * (cols.y - m_arm) + m_arm
 
 
@@ -473,7 +477,9 @@ class PotentialOutcomeMean(Estimand):
         return _arm_values(cols, nuis, (self.x,))
 
     def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
-        return _pom_terms(cols, nuis.table(self, cols), self.x), np.ones(cols.n)
+        v = nuis.table(self, cols)
+        u = _pom_terms(cols, *_arm(cols, _propensity(v), self.x), v[f"m{self.x}"])
+        return u, np.ones(cols.n)
 
     def plugin_estimate(self, cols: ColumnSet, nuis: NuisanceSet) -> float:
         return float(np.mean(nuis.table(self, cols)[f"m{self.x}"]))
@@ -497,7 +503,9 @@ class Ate(Estimand):
 
     def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
         v = nuis.table(self, cols)
-        return _pom_terms(cols, v, 1) - _pom_terms(cols, v, 0), np.ones(cols.n)
+        pi = _propensity(v)
+        u1 = _pom_terms(cols, *_arm(cols, pi, 1), v["m1"])
+        return u1 - _pom_terms(cols, *_arm(cols, pi, 0), v["m0"]), np.ones(cols.n)
 
     def plugin_estimate(self, cols: ColumnSet, nuis: NuisanceSet) -> float:
         v = nuis.table(self, cols)
@@ -954,8 +962,8 @@ class IncrementalPropensity(Estimand):
         g1 = eps * pi / denom
         g0 = 1.0 - g1
         u = (
-            g1 * _pom_terms(cols, v, 1)
-            + g0 * _pom_terms(cols, v, 0)
+            g1 * _pom_terms(cols, *_arm(cols, pi, 1), m1)
+            + g0 * _pom_terms(cols, *_arm(cols, pi, 0), m0)
             + g1 * g0 / (pi * (1.0 - pi)) * (cols.x - pi) * (m1 - m0)
         )
         return u, np.ones(cols.n)

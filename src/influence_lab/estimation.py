@@ -34,7 +34,7 @@ from .errors import (
     SolverError,
     ValidationError,
 )
-from .estimands import ColumnSet, Estimand, NuisanceSet, _pom_terms, _propensity
+from .estimands import ColumnSet, Estimand, NuisanceSet, _arm, _pom_terms, _propensity
 from .learners import (
     FeatureMap,
     fit_kde,
@@ -701,16 +701,15 @@ def tmle(spec: Estimand, dataset: Dataset, nuis, alpha: float = DEFAULT_ALPHA):
     diag = _base_diagnostics(nuis, solver_iterations=0)
     psi, phi, epsilons, scores = 0.0, 0.0, [], []
     for arm, weight in spec.contrast:
-        indicator = (cols.x == arm).astype(float)
+        indicator, pi_arm = _arm(cols, pi, arm)
         if indicator.sum() == 0.0:
             raise PositivityError(f"no observations with exposure level {arm!r}")
-        pi_arm = pi if arm == 1 else 1.0 - pi
         m_arm = values[f"m{arm}"]
         epsilon = float(np.sum(indicator / pi_arm * (cols.y - m_arm))
                         / np.sum(indicator / pi_arm**2))
         m_star = m_arm + epsilon / pi_arm
         psi_arm = float(np.mean(m_star))
-        u_arm = _pom_terms(cols, {"propensity": pi, f"m{arm}": m_star}, arm)
+        u_arm = _pom_terms(cols, indicator, pi_arm, m_star)
         score = float(np.mean(u_arm) - psi_arm)
         if abs(score) > TMLE_SCORE_TOL:
             raise SolverError(

@@ -24,8 +24,10 @@ window of ``LADDER_WINDOW`` halvings on the rows (1 - h) p + h q_r that
 the one path builder, ``distributions.mixture_probs``, gives.  At t = 0 the
 point-mass paths of a law are blocks of identity rows, so no law or path
 is built per atom; at t = 1, and toward explicit contaminants, q is the
-contaminant's one row on the path's union support.  A window may evaluate
-steps past convergence; if a plug-in call raises, each path runs again
+contaminant's one row on the path's union support.  The checks pass the
+value at the endpoint, which they compute once for the influence function
+too, so no ladder evaluates it again.  A window may evaluate steps past
+convergence; if a plug-in call raises, each path runs again
 alone, one step per call, so every derivative, halving count and error is
 the one the step-by-step table gives.
 
@@ -90,22 +92,25 @@ LADDER_WINDOW = RICHARDSON_ORDER + 1  # halvings per plug-in call of a derivativ
 
 
 def _richardson_rows(values: Callable, n: int, at: float, direction: float,
-                     window: int = LADDER_WINDOW) -> tuple[np.ndarray, np.ndarray]:
+                     window: int = LADDER_WINDOW,
+                     endpoint: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
     """``richardson_derivative`` for n functions g_r at once.  ``values(ts,
     rows)`` gives g_r(t) for each t of ``ts`` and each r of ``rows``, as a
-    (len(ts), len(rows)) array.  It is asked for g(at) and the first
-    ``window`` steps in one call, then for the next ``window`` steps at a
-    time, and a row leaves the active set once it converges.  Returns the
-    derivatives and halvings; raises what ``values`` raises, or
-    ``DerivativeUnstableError`` for the first row that does not stabilize."""
+    (len(ts), len(rows)) array.  It is asked for g(at), unless every g_r(at)
+    is the known ``endpoint``, and the first ``window`` steps in one call,
+    then for the next ``window`` steps at a time, and a row leaves the active
+    set once it converges.  Returns the derivatives and halvings; raises what
+    ``values`` raises, or ``DerivativeUnstableError`` for the first row that
+    does not stabilize."""
     derivative, halvings = np.full(n, math.nan), np.zeros(n, dtype=int)
     rows, last = np.arange(n), []
+    g0 = None if endpoint is None else np.full(n, float(endpoint))
     steps = [FIRST_STEP / (2.0**k) for k in range(MAX_HALVINGS + 1)]
     for k, h in enumerate(steps):
         if k % window == 0:
             ts = [at + direction * s for s in steps[k:k + window]]
-            g = np.asarray(values(ts if k else [at] + ts, rows), dtype=float)
-            if not k:
+            g = np.asarray(values(ts if g0 is not None else [at] + ts, rows), dtype=float)
+            if g0 is None:
                 g0, g = g[0], g[1:]
         row = [(g[k % window] - g0) / (direction * h)]
         for j in range(1, min(len(last) + 1, RICHARDSON_ORDER + 1)):
@@ -235,9 +240,13 @@ def eif_mean_under(
     spec: Estimand,
     evaluation_law: DiscreteDistribution,
     nuisance_law: DiscreteDistribution,
+    *,
+    psi: Optional[float] = None,
 ) -> float:
-    """E_Q[phi(O, P)] with Q the evaluation law and P the nuisance law."""
-    psi = spec.plugin_value(nuisance_law)
+    """E_Q[phi(O, P)] with Q the evaluation law and P the nuisance law;
+    ``psi``, when given, is the known Psi(P)."""
+    if psi is None:
+        psi = spec.plugin_value(nuisance_law)
     return _eif_mean(spec, evaluation_law, exact_nuisances(spec, nuisance_law), psi)
 
 
@@ -247,14 +256,16 @@ def _eif_mean(spec: Estimand, law: DiscreteDistribution, nuis: NuisanceSet, psi:
 
 
 def _path_derivatives(spec: Estimand, law: DiscreteDistribution, q: np.ndarray,
-                      at_t: float) -> tuple[np.ndarray, np.ndarray]:
+                      at_t: float, endpoint: Optional[float] = None
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Richardson derivatives of t -> Psi((1 - t) p + t q_r) at ``at_t``, for
     p the probabilities of ``law`` and each row q_r of the (rows, atoms)
     matrix ``q`` on its support, in lockstep windows of one ``plugin_values``
-    call each.  If a call raises, perhaps at a step past some path's
-    convergence, each path runs again alone, one step per call, and its
-    value or first error is the result.  An unstable path raises at once:
-    the rerun would raise it again."""
+    call each.  ``endpoint``, when given, is Psi at ``at_t`` on every path
+    and is not evaluated again.  If a call raises, perhaps at a step past
+    some path's convergence, each path runs again alone, one step per call,
+    and its value or first error is the result.  An unstable path raises at
+    once: the rerun would raise it again."""
     direction = 1.0 if at_t == 0.0 else -1.0
 
     def values(ts: list, rows: np.ndarray) -> np.ndarray:
@@ -262,23 +273,26 @@ def _path_derivatives(spec: Estimand, law: DiscreteDistribution, q: np.ndarray,
         return spec.plugin_values(law, probs.reshape(-1, law.n_atoms)).reshape(len(ts), len(rows))
 
     try:
-        return _richardson_rows(values, len(q), at_t, direction)
+        return _richardson_rows(values, len(q), at_t, direction, endpoint=endpoint)
     except DerivativeUnstableError:
         raise
     except InfluenceLabError:
         pass
-    alone = [_richardson_rows(lambda ts, rows: values(ts, rows + r), 1, at_t, direction, window=1)
+    alone = [_richardson_rows(lambda ts, rows: values(ts, rows + r), 1, at_t, direction,
+                              window=1, endpoint=endpoint)
              for r in range(len(q))]
     return tuple(np.concatenate(parts) for parts in zip(*alone))
 
 
-def numerical_gateaux(spec: Estimand, path: MixturePath, at_t: float = 0.0) -> tuple[float, int]:
+def numerical_gateaux(spec: Estimand, path: MixturePath, at_t: float = 0.0, *,
+                      endpoint: Optional[float] = None) -> tuple[float, int]:
     """Richardson derivative of t -> Psi(P_t) at an endpoint of the path: the
-    one-path case of ``_path_derivatives``, on the path's union support."""
+    one-path case of ``_path_derivatives``, on the path's union support.
+    ``endpoint``, when given, is the known Psi(P_at_t)."""
     if at_t not in (0.0, 1.0):
         raise ValidationError(f"derivative endpoint must be 0 or 1, got {at_t!r}")
     derivative, halvings = _path_derivatives(
-        spec, path.union, path.contaminant_probs[None, :], at_t)
+        spec, path.union, path.contaminant_probs[None, :], at_t, endpoint)
     return float(derivative[0]), int(halvings[0])
 
 
@@ -340,11 +354,12 @@ def verify_eif(
         steps, size = [], max(1, LOCKSTEP_ELEMENTS // (n * (LADDER_WINDOW + 1)))
         for start in range(0, n, size):
             block = np.eye(min(size, n - start), n, start)  # point masses at these atoms
-            derivative, halvings = _path_derivatives(spec, base, block, 0.0)
+            derivative, halvings = _path_derivatives(spec, base, block, 0.0, psi0)
             steps += zip(derivative.tolist(), halvings.tolist())
     else:
         analytic = [_eif_mean(spec, q, nuis, psi0) for q in contaminants]
-        steps = (numerical_gateaux(spec, MixturePath(base, q), 0.0) for q in contaminants)
+        steps = (numerical_gateaux(spec, MixturePath(base, q), 0.0, endpoint=psi0)
+                 for q in contaminants)
     return [
         GateauxReport(
             spec=spec, at_t=0.0, numerical_derivative=value, analytic_value=phi,
@@ -364,9 +379,10 @@ def check_t1_identity(
     skipped = _skipped(spec, contaminant, 1.0, ["law"], " of the contaminant")
     if skipped:
         return skipped[0]
+    psi_q = spec.plugin_value(contaminant)  # Psi at t = 1, and the EIF's centre
     path = MixturePath(base, contaminant)
-    derivative, halvings = numerical_gateaux(spec, path, at_t=1.0)
-    analytic = -eif_mean_under(spec, base, contaminant)
+    derivative, halvings = numerical_gateaux(spec, path, at_t=1.0, endpoint=psi_q)
+    analytic = -eif_mean_under(spec, base, contaminant, psi=psi_q)
     return GateauxReport(
         spec=spec, at_t=1.0, numerical_derivative=derivative,
         analytic_value=analytic, halvings=halvings, contaminant_label="law",

@@ -9,9 +9,16 @@ the Gaussian kernel, never by finite differences.
 
 Every kernel pass streams through blocks of query rows of about
 ``KERNEL_BLOCK_ELEMENTS`` weights, so no n_query x n_train matrix is held.  A
-block's weights are built in place, one coordinate at a time, by a one-shot
-(n_query, n_train, d) broadcast's operations in the same order, so they are
-the same bit for bit; its row sums, means and gemvs write into n_query-long
+block's weights are exp(sum_j (q_j - x_j)^2 * f_j) with f_j = -1 / (2 h_j^2)
+taken once per pass: no element is divided by a bandwidth.  The exponent is
+built in place, one coordinate at a time, by a one-shot (n_query, n_train, d)
+broadcast's operations in the same order, so the blocked weights equal that
+broadcast bit for bit; the derivative slopes multiply by 1 / h^2 and the
+density by (2 pi)^(-d/2) / prod(h), each taken once per pass.  A weight of
+normal range stays within 2e-15 * max(1, |exponent|) relative of the
+textbook exp(-0.5 * ((q - x) / h)^2), and tests/test_learners.py checks that
+bound.  Bandwidths whose factors are not finite are refused when a fit is
+made.  A block's row sums, means and gemvs write into n_query-long
 outputs.  Blocks hold a multiple of 8 rows and a tail of fewer than 8 rows
 joins the block before it: single-threaded OpenBLAS then reduces every row
 with the gemv kernel it uses on the whole matrix, while a short tail block (a
@@ -59,18 +66,35 @@ def silverman_bandwidth(sample: np.ndarray) -> float:
     return 0.9 * min(candidates) * sample.size ** (-0.2)
 
 
-def _resolve_bandwidths(sample: np.ndarray, bandwidth) -> np.ndarray:
-    """Per-axis bandwidths from 'auto', a scalar, or a sequence."""
+def _resolve_bandwidths(sample: np.ndarray, bandwidth, density: bool = False) -> np.ndarray:
+    """Per-axis bandwidths from 'auto', a scalar, or a sequence, refused
+    unless every factor a kernel pass takes from them is finite: 1 / h^2 and
+    -1 / (2 h^2) on each axis, and for a ``density`` the normaliser
+    (2 pi)^(-d/2) / prod(h).  Below about 7.5e-155, 1 / h^2 overflows."""
     d = sample.shape[1]
     if isinstance(bandwidth, str):
         if bandwidth != "auto":
             raise SchemaError(f"unknown bandwidth setting {bandwidth!r}")
-        return np.array([silverman_bandwidth(sample[:, j]) for j in range(d)])
-    arr = np.atleast_1d(np.asarray(bandwidth, dtype=float))
-    if arr.size == 1:
-        arr = np.full(d, float(arr[0]))
-    if arr.size != d or np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
-        raise SchemaError(f"need {d} positive bandwidths, got {bandwidth!r}")
+        arr = np.array([silverman_bandwidth(sample[:, j]) for j in range(d)])
+    else:
+        arr = np.atleast_1d(np.asarray(bandwidth, dtype=float))
+        if arr.size == 1:
+            arr = np.full(d, float(arr[0]))
+        if arr.size != d or np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
+            raise SchemaError(f"need {d} positive bandwidths, got {bandwidth!r}")
+    with np.errstate(over="ignore", divide="ignore"):
+        finite = np.isfinite(1.0 / arr**2)  # and so is -1 / (2 h^2), half of it
+        norm = _INV_SQRT_2PI ** d / np.prod(arr) if density else 1.0
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise SchemaError(
+            f"bandwidth {float(arr[j])!r} of axis {j} is too small: 1/h^2 is not finite"
+        )
+    if not np.isfinite(norm):
+        raise SchemaError(
+            f"bandwidths {arr.tolist()!r} of axes 0-{d - 1} are too small: "
+            "the density normaliser (2 pi)^(-d/2) / prod(h) is not finite"
+        )
     return arr
 
 
@@ -286,8 +310,8 @@ def fit_logistic(
 
 
 def _kernel_blocks(queries: np.ndarray, sample: np.ndarray, h: np.ndarray):
-    """Gaussian weights exp(-0.5 * |(q - x) / h|^2) of query rows q against
-    sample rows x, one block of query rows at a time.
+    """Gaussian weights exp(sum_j (q_j - x_j)^2 * f_j), f_j = -1 / (2 h_j^2),
+    of query rows q against sample rows x, one block of query rows at a time.
 
     Yields ``(rows, W, spare)``: the slice of query rows, their weights, and
     a buffer of W's shape that the caller may overwrite.  Both live in
@@ -299,6 +323,7 @@ def _kernel_blocks(queries: np.ndarray, sample: np.ndarray, h: np.ndarray):
     n_query, (n_train, d) = Q.shape[0], sample.shape
     if Q.shape[1] != d:
         raise SchemaError(f"query has {Q.shape[1]} columns, the sample has {d}")
+    factors = -0.5 / h**2
     rows = max(8, KERNEL_BLOCK_ELEMENTS // n_train // 8 * 8)
     starts = list(range(0, n_query, rows))
     if len(starts) > 1 and n_query - starts[-1] < 8:
@@ -308,13 +333,12 @@ def _kernel_blocks(queries: np.ndarray, sample: np.ndarray, h: np.ndarray):
         W, spare = buffers[:, : stop - start]
         if d == 0:
             W.fill(0.0)
-        for j in range(d):  # the squared distance summed one coordinate at a time
+        for j in range(d):  # the exponent summed one coordinate at a time
             z = np.subtract(Q[start:stop, j, None], sample[:, j], out=spare if j else W)
-            np.divide(z, h[j], out=z)
             np.square(z, out=z)
+            np.multiply(z, factors[j], out=z)
             if j:
                 W += z
-        np.multiply(-0.5, W, out=W)
         np.exp(W, out=W)
         yield slice(start, stop), W, spare
 
@@ -348,13 +372,14 @@ class KernelRegressionFit:
         Q = np.atleast_2d(np.asarray(queries, dtype=float))
         sums = np.empty((2 if axis is None else 4, Q.shape[0]))
         total, num = sums[0], sums[1]
+        inv_h2 = None if axis is None else 1.0 / self._h[axis] ** 2
         for rows, W, spare in _kernel_blocks(Q, self._F, self._h):
             np.sum(W, axis=1, out=total[rows])
             np.matmul(W, self._y, out=num[rows])
             if axis is not None:
                 # dW/dq_axis = W * (x_axis - q_axis) / h_axis^2
                 slope = np.subtract(self._F[:, axis], Q[rows, axis, None], out=spare)
-                np.divide(slope, self._h[axis] ** 2, out=slope)
+                np.multiply(slope, inv_h2, out=slope)
                 Wd = np.multiply(W, slope, out=slope)
                 np.sum(Wd, axis=1, out=sums[2, rows])
                 np.matmul(Wd, self._y, out=sums[3, rows])
@@ -396,7 +421,7 @@ class DensityFit:
         if S.shape[0] < 2:
             raise SchemaError("density estimation needs at least two points")
         self._S = S
-        self._h = _resolve_bandwidths(S, bandwidth)
+        self._h = _resolve_bandwidths(S, bandwidth, density=True)
 
     @property
     def bandwidths(self) -> np.ndarray:
@@ -418,13 +443,13 @@ class DensityFit:
         of its derivative along that coordinate."""
         P = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.empty(P.shape[0])
-        scale, volume = _INV_SQRT_2PI ** self._S.shape[1], np.prod(self._h)
+        norm = _INV_SQRT_2PI ** self._S.shape[1] / np.prod(self._h)
+        inv_h2 = None if axis is None else 1.0 / self._h[axis] ** 2
         for rows, K, spare in _kernel_blocks(P, self._S, self._h):
-            np.multiply(K, scale, out=K)
-            np.divide(K, volume, out=K)
+            np.multiply(K, norm, out=K)
             if axis is not None:
                 slope = np.subtract(self._S[:, axis], P[rows, axis, None], out=spare)
-                np.divide(slope, self._h[axis] ** 2, out=slope)
+                np.multiply(slope, inv_h2, out=slope)
                 K = np.multiply(K, slope, out=slope)
             np.mean(K, axis=1, out=out[rows])
         return out

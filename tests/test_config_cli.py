@@ -8,6 +8,7 @@ import subprocess
 import sys
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -448,6 +449,30 @@ folds = 1
         config.write_text(text.format(path=data))
         assert cli_main(["estimate", "--config", str(config)]) == 1
         assert f"row 3, column 'k': non-finite value '{cell}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("estimand, learners, spread, bandwidth", [
+        ("ate", "outcome_model = kernel\npropensity_model = kernel", 1.0, "1e-160"),
+        ("ate", "outcome_model = kernel\npropensity_model = kernel", 1e-170, "auto"),
+        ("average_density", "", 1.0, "1e-160"),
+        ("average_density", "", 1e-170, "auto"),
+    ])
+    def test_a_kernel_bandwidth_too_small_to_square_exits_1(
+        self, tmp_path, capsys, estimand, learners, spread, bandwidth
+    ):
+        rng = np.random.default_rng(4)
+        z = spread * rng.normal(size=60)
+        x = (rng.uniform(size=60) < 0.5).astype(float)
+        y = spread * (x + rng.normal(size=60))
+        data = tmp_path / "obs.csv"
+        rows = zip(y.tolist(), x.tolist(), z.tolist())
+        data.write_text("y,x,z\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in rows))
+        text = (
+            f"[data]\npath = {data}\nrole.y = outcome,continuous\nrole.x = exposure,binary\n"
+            f"role.z = covariate,continuous\n\n[estimand]\nname = {estimand}\n\n"
+            f"[learners]\n{learners}\nbandwidth = {bandwidth}\n\n[run]\nfolds = 2\n"
+        )
+        assert cli_main(["estimate", "--config", write_config(tmp_path, text)]) == 1
+        assert "is too small: 1/h^2 is not finite" in capsys.readouterr().err
 
     def test_data_override_requires_roles(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)

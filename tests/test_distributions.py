@@ -1,6 +1,12 @@
 """Schemas, datasets, finite-support laws, mixture paths, and CSV loading."""
+import os
+import tempfile
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from influence_lab import (
     Column,
@@ -16,6 +22,7 @@ from influence_lab import (
     mixture_at,
     point_mass,
 )
+from influence_lab import distributions
 from influence_lab.distributions import mixture_probs
 
 YX = Schema(
@@ -252,3 +259,57 @@ class TestLoadCsv:
         assert str(info.value) == (
             f"{path}: row 3, column {column!r}: non-finite value {cell!r}"
         )
+
+
+# cells for the differential test of load_csv's two readers: numbers in the
+# formats a writer may use, and what either reader might take differently
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}"),
+    st.floats(min_value=-2.3e-308, max_value=2.3e-308).map(repr),
+    st.integers(-5, 5).map(str),
+)
+_ODD_CELLS = st.sampled_from([
+    "", " ", "\t", '"1"', '" 2.5 "', '"0"', "#", "#1", "1 #2", "nan", "NaN", "inf", "-inf",
+    "1e400", "1_000", "\u0661", "\u0663.5", "0x10", "1d5", " 7 ", "+3", "-0", "0.5", "oops",
+    "1e-320", "4.9e-324", ".5", "5.", "\u00a01",
+])
+_CELLS = st.one_of(_NUMBERS, _ODD_CELLS, st.sampled_from(["0", "1"]))
+_VALID_ROW = st.tuples(st.sampled_from(["0", "1", "0.0", " 1 "]), _NUMBERS,
+                       st.integers(-9, 9).map(str)).map(list)
+_ROW = st.one_of(
+    _VALID_ROW, _VALID_ROW, _VALID_ROW,
+    _VALID_ROW.flatmap(lambda row: st.lists(_CELLS, max_size=2).map(lambda extra: row + extra)),
+    st.lists(_CELLS, max_size=5),
+)
+_LINE = st.one_of(_ROW.map(",".join), _ROW.map(",".join), st.sampled_from(["", "  ", "\t", ",,"]))
+
+
+def _read(path, roles):
+    try:
+        data = load_csv(path, roles)
+    except Exception as exc:  # the readers must fail alike
+        return type(exc).__name__, str(exc)
+    return data.values.shape, data.values.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    header=st.sampled_from(["x,y,k", "x,y,k,extra", "k,y,x", "y,x,k,,"]),
+    lines=st.lists(_LINE, max_size=6),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    last_newline=st.booleans(),
+)
+def test_load_csv_readers_agree(header, lines, newline, last_newline):
+    """Every file the C reader's result is kept for loads the bits that the
+    csv.reader path gives, and every other file fails or loads as before."""
+    roles = TestLoadCsv.XYD
+    text = newline.join([header] + lines) + (newline if last_newline else "")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+        got = _read(path, roles)
+        with mock.patch.object(distributions, "_loadtxt_values", return_value=None):
+            want = _read(path, roles)
+    assert got == want

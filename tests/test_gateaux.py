@@ -552,8 +552,9 @@ class TestLockstep:
             return original(self, law, probs)
 
         monkeypatch.setattr(PopulationMean, "plugin_values", counted)
-        verify_eif(PopulationMean(), KINK_LAW)  # the base value, then one window for all paths
-        assert calls == [1, (gateaux.LADDER_WINDOW + 1) * KINK_LAW.n_atoms]
+        # the base value, then one window for all paths, which reuse it at t = 0
+        verify_eif(PopulationMean(), KINK_LAW)
+        assert calls == [1, gateaux.LADDER_WINDOW * KINK_LAW.n_atoms]
         calls.clear()
         q = DiscreteDistribution(Y_ONLY, KINK_LAW.values, KINK_LAW.probs[::-1])
         numerical_gateaux(PopulationMean(), MixturePath(KINK_LAW, q), at_t=1.0)

@@ -315,10 +315,20 @@ class TestKernelRegression:
 
 
 def _broadcast_weights(Q, F, h):
-    """Gaussian weights as one (n_query, n_train, d) broadcast: the reference
-    that the blocked kernel helper must reproduce bit for bit."""
-    z2 = ((Q[:, None, :] - F[None, :, :]) / h) ** 2
-    return np.exp(-0.5 * z2.sum(axis=2))
+    """Gaussian weights exp(sum_j (q_j - x_j)^2 * f_j), f = -1 / (2 h^2), as
+    one (n_query, n_train, d) broadcast: the reference that the blocked kernel
+    helper must reproduce bit for bit."""
+    return np.exp(((Q[:, None, :] - F[None, :, :]) ** 2 * (-0.5 / h**2)).sum(axis=2))
+
+
+def _broadcast_slope(Q, F, h, axis):
+    """(x_axis - q_axis) / h_axis^2 as a product with the precomputed 1 / h_axis^2."""
+    return (F[None, :, axis] - Q[:, [axis]]) * (1.0 / h[axis] ** 2)
+
+
+def _broadcast_density(W, h):
+    """Weights scaled by the one precomputed normaliser (2 pi)^(-d/2) / prod(h)."""
+    return W * ((1.0 / np.sqrt(2.0 * np.pi)) ** h.size / np.prod(h))
 
 
 def _block_case(d, queries):
@@ -349,7 +359,7 @@ class TestBlockedKernelWeights:
         total = W.sum(axis=1)
         assert np.array_equal(fit.predict(Q), (W @ y) / total)
         for axis in range(d):
-            Wd = W * ((F[None, :, axis] - Q[:, [axis]]) / h[axis] ** 2)
+            Wd = W * _broadcast_slope(Q, F, h, axis)
             grad = ((Wd @ y) * total - (W @ y) * Wd.sum(axis=1)) / total**2
             assert np.array_equal(fit.predict_grad(Q, axis), grad)
 
@@ -357,10 +367,10 @@ class TestBlockedKernelWeights:
     def test_density_equals_one_shot_broadcast(self, d, queries):
         S, h, P = _block_case(d, queries)
         fit = fit_kde(S, bandwidth=h)
-        K = _broadcast_weights(P, S, h) * (1.0 / np.sqrt(2.0 * np.pi)) ** d / np.prod(h)
+        K = _broadcast_density(_broadcast_weights(P, S, h), h)
         assert np.array_equal(fit.density_at(P), K.mean(axis=1))
         for axis in range(d):
-            slope = (S[None, :, axis] - P[:, [axis]]) / h[axis] ** 2
+            slope = _broadcast_slope(P, S, h, axis)
             assert np.array_equal(fit.density_grad_at(P, axis), (K * slope).mean(axis=1))
 
     def test_no_columns_gives_the_sample_mean(self):
@@ -381,6 +391,57 @@ class TestBlockedKernelWeights:
         for method in (fit.predict, lambda q: fit.predict_grad(q, axis=0)):
             with pytest.raises(ExtrapolationError, match=f"query row {2 * rows + 7};"):
                 method(queries)
+
+
+class TestKernelArithmetic:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_weights_stay_near_the_textbook_expression(self, d):
+        # exponents from 0 down past the normal range, bandwidths over six decades
+        rng = np.random.default_rng(40 + d)
+        h = 10.0 ** rng.uniform(-3.0, 3.0, size=d)
+        F = rng.normal(scale=12.0, size=(300, d)) * h
+        Q = rng.normal(scale=12.0, size=(70, d)) * h
+        W = np.concatenate([w.copy() for _, w, _ in learners._kernel_blocks(Q, F, h)])
+        exponent = -0.5 * (((Q[:, None, :] - F[None, :, :]) / h) ** 2).sum(axis=2)
+        textbook = np.exp(exponent)
+        normal = textbook >= np.finfo(float).tiny
+        assert 0.2 < normal.mean() < 1.0
+        error = np.abs(W - textbook)[normal]
+        bound = 2e-15 * np.maximum(1.0, np.abs(exponent)) * textbook
+        assert np.all(error <= bound[normal])
+
+    def test_a_bandwidth_whose_factor_overflows_is_refused(self):
+        # at 1e-160, 1 / h^2 is infinite: a query on a training row would get
+        # the weight 0 * -inf = nan
+        x = np.array([0.0, 1.0, 2.0])
+        with pytest.raises(SchemaError, match="1e-160 of axis 0 is too small"):
+            fit_kernel_regression(x[:, None], x, bandwidth=1e-160)
+        with pytest.raises(SchemaError, match="1e-160 of axis 0 is too small"):
+            fit_kde(x, bandwidth=1e-160)
+        with pytest.raises(SchemaError, match="of axis 1 is too small"):
+            fit_kernel_regression(np.column_stack([x, x]), x, bandwidth=[1.0, 1e-160])
+        for h in (1e-150, 1e-154):  # 1 / h^2 is finite: accepted, and exact on a row
+            with np.errstate(over="ignore"):  # exponents past -1.8e308 are -inf: weight 0
+                predicted = fit_kernel_regression(x[:, None], x, bandwidth=h).predict(x[:, None])
+                density = fit_kde(x, bandwidth=h).density_at(x[:, None])
+            assert predicted.tolist() == [0.0, 1.0, 2.0]
+            assert np.all(np.isfinite(density) & (density > 0.0))
+
+    def test_a_density_normaliser_that_overflows_is_refused(self):
+        # each 1 / h^2 is finite, but prod(h) = 1e-330 underflows to zero
+        S = np.random.default_rng(2).normal(size=(5, 3))
+        with pytest.raises(SchemaError, match="axes 0-2 are too small"):
+            fit_kde(S, bandwidth=1e-110)
+        fit_kernel_regression(S, S[:, 0], bandwidth=1e-110)  # regression has no normaliser
+
+    def test_an_automatic_bandwidth_of_a_tiny_spread_is_refused(self):
+        x = np.arange(6.0) * 1e-170
+        with pytest.raises(SchemaError, match="of axis 0 is too small"):
+            fit_kernel_regression(x[:, None], x)
+        with pytest.raises(SchemaError, match="of axis 0 is too small"):
+            fit_kde(x)
+        with pytest.raises(SchemaError, match="of axis 1 is too small"):
+            fit_kde(np.column_stack([np.arange(6.0), x]))
 
 
 def _block_rows(n_train):
@@ -409,10 +470,10 @@ class TestStreamedKernels:
         W = _broadcast_weights(Q, F, h)
         total = W.sum(axis=1)
         assert np.array_equal(regression.predict(Q), (W @ y) / total)
-        K = W * (1.0 / np.sqrt(2.0 * np.pi)) ** d / np.prod(h)
+        K = _broadcast_density(W, h)
         assert np.array_equal(density.density_at(Q), K.mean(axis=1))
         for axis in range(d):
-            slope = (F[None, :, axis] - Q[:, [axis]]) / h[axis] ** 2
+            slope = _broadcast_slope(Q, F, h, axis)
             Wd = W * slope
             grad = ((Wd @ y) * total - (W @ y) * Wd.sum(axis=1)) / total**2
             assert np.array_equal(regression.predict_grad(Q, axis), grad)

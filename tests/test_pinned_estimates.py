@@ -6,7 +6,9 @@ case.  A change to the estimation code that is meant to keep the numbers
 must reproduce them: bit for bit for the arm-mean estimands (their
 arithmetic is a fixed sequence of array operations), and to a relative
 drift of at most 1e-12 elsewhere.  After a deliberate change of numbers,
-re-record with ``PYTHONPATH=src python tests/test_pinned_estimates.py``.
+re-record with ``PYTHONPATH=src python tests/test_pinned_estimates.py``; it
+prints how many values changed against the file it replaces and the largest
+|change| / max(1, |v|).
 """
 import json
 import math
@@ -120,7 +122,39 @@ def test_estimate_matches_the_recorded_numbers(run, pinned):
     _close(_estimate(*spec), pinned[run], exact=spec[0] in EXACT, where=run)
 
 
+def _leaves(record, where=""):
+    """(path, value) for every leaf of a record, nested keys and indices
+    joined into the path."""
+    if isinstance(record, dict):
+        for key in sorted(record):
+            yield from _leaves(record[key], f"{where}.{key}")
+    elif isinstance(record, list):
+        for i, item in enumerate(record):
+            yield from _leaves(item, f"{where}[{i}]")
+    else:
+        yield where, record
+
+
+def _changes(old: dict, new: dict) -> tuple[int, int, float]:
+    """How many of the new records' values differ from the old ones (a value
+    without a counterpart counts as changed), out of how many, and the
+    largest |new - old| / max(1, |old|) among the numbers in both."""
+    before = dict(_leaves(old))
+    after = dict(_leaves(new))
+    changed = [path for path, value in after.items()
+               if path not in before or before[path] != value]
+    drift = max((abs(after[p] - before[p]) / max(1.0, abs(before[p])) for p in changed
+                 if p in before and isinstance(before[p], (int, float))
+                 and isinstance(after[p], (int, float))), default=0.0)
+    return len(changed), len(after), drift
+
+
 if __name__ == "__main__":
     records = {run: _estimate(*spec) for run, spec in RUNS.items()}
+    old = json.loads(PINNED.read_text()) if PINNED.exists() else {}
     PINNED.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
-    sys.stdout.write(f"recorded {len(records)} runs in {PINNED}\n")
+    count, total, drift = _changes(old, records)
+    sys.stdout.write(
+        f"recorded {len(records)} runs in {PINNED}: {count} of {total} values changed, "
+        f"largest |change| / max(1, |v|) = {drift:.3g}\n"
+    )
