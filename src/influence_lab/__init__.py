@@ -58,12 +58,8 @@ from .estimands import (
     PotentialOutcomeMean,
     Quantile,
     TailConditionalExpectation,
-    eif_array,
-    eif_at,
     exact_nuisances,
     from_config,
-    nuisance_requirements,
-    plugin_value,
 )
 from .learners import (
     DensityFit,

@@ -21,7 +21,6 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -405,10 +404,11 @@ def load_csv(path: str, roles: Mapping[str, tuple[str, str]]) -> Dataset:
     The data rows are first parsed by numpy's C reader, ``np.loadtxt``.  Its
     result is kept only when every row has the header's width, every
     selected cell passes the checks, and no warning was emitted; otherwise
-    the rows are read by ``csv.reader`` and the selected cells converted by
-    one numpy call, which parses each string as ``float()`` does, and
-    checked as arrays.  Blank rows are looked for only when that fails, and
-    the rows are walked cell by cell only to name a failure.
+    the rows are read by ``csv.reader``, the selected cells converted by
+    ``float()``, save the cells ``np.loadtxt`` refuses (stripped text not
+    ASCII, or holding ``_``), and checked as arrays.  Blank rows are looked
+    for only when that fails, and the rows are walked cell by cell only to
+    name a failure.
     """
     if not roles:
         raise CsvParseError(f"{path}: roles mapping is empty; no columns to load")
@@ -466,12 +466,21 @@ def _bulk_values(schema: Schema, records: list, positions: list, width: int):
     discrete column holds another value."""
     if min(map(len, records), default=width) < width:
         return None
-    pick = itemgetter(*positions) if len(positions) > 1 else lambda r: r[positions[0]]
     try:
-        values = np.array([pick(r) for r in records], dtype=float)
+        values = np.array([_number(r[p]) for r in records for p in positions], dtype=float)
     except ValueError:
         return None
     return _checked(schema, values.reshape(len(records), schema.arity))
+
+
+def _number(cell: str) -> float:
+    """``float(cell)``, refusing as ``np.loadtxt`` does a cell whose stripped
+    text is not ASCII or holds an underscore; ``float()`` alone takes digit
+    group underscores and non-ASCII digits and signs."""
+    text = cell.strip()
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a plain ASCII number: {cell!r}")
+    return float(text)
 
 
 def _checked(schema: Schema, values: np.ndarray):
@@ -497,7 +506,7 @@ def _first_failure(path: str, schema: Schema, numbered: list, positions: list,
             cell = record[pos].strip()
             where = f"{path}: row {rownum}, column {col.name!r}"
             try:
-                value = float(cell)
+                value = _number(cell)
             except ValueError:
                 return CsvParseError(f"{where}: cannot parse {cell!r} as a number")
             if col.kind == "binary" and value not in (0.0, 1.0):

@@ -54,7 +54,7 @@ from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from .distributions import Dataset, DiscreteDistribution, Observation, Schema, cell_sums, find_rows
+from .distributions import Dataset, DiscreteDistribution, Schema, cell_sums, find_rows
 from .errors import (
     NotPathwiseDifferentiableError,
     NuisanceError,
@@ -212,25 +212,6 @@ class Estimand:
     def plugin_estimate(self, cols: ColumnSet, nuis: NuisanceSet) -> float:
         """Plug-in estimate on data given fitted nuisances."""
         raise NotImplementedError
-
-
-def plugin_value(spec: Estimand, law: DiscreteDistribution) -> float:
-    return spec.plugin_value(law)
-
-
-def nuisance_requirements(spec: Estimand) -> frozenset:
-    return spec.nuisance_requirements()
-
-
-def eif_at(spec: Estimand, obs: Observation, nuis: NuisanceSet, psi: float) -> float:
-    cols = ColumnSet.from_matrix(obs.schema, np.asarray([obs.values]))
-    return float(spec.eif_values(cols, nuis, psi)[0])
-
-
-def eif_array(
-    spec: Estimand, schema: Schema, values: np.ndarray, nuis: NuisanceSet, psi: float
-) -> np.ndarray:
-    return spec.eif_values(ColumnSet.from_matrix(schema, values), nuis, psi)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ tests/test_learners.py keeps as the reference.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,7 @@ KERNEL_WEIGHT_FLOOR = 1e-300
 KERNEL_BLOCK_ELEMENTS = 1 << 15
 MAX_POLY_DEGREE = 3
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def silverman_bandwidth(sample: np.ndarray) -> float:
@@ -318,6 +320,11 @@ def _kernel_blocks(queries: np.ndarray, sample: np.ndarray, h: np.ndarray):
     buffers reused from block to block, so no block may be kept.  A block
     holds a multiple of 8 rows, about ``KERNEL_BLOCK_ELEMENTS`` weights, and
     a tail of fewer than 8 rows joins the block before it.
+
+    At an accepted bandwidth below about 1e-153 an exponent, or a caller's
+    gradient slope, can overflow, but only where the weight is exactly 0
+    anyway; so each pass runs its whole block loop under
+    ``np.errstate(over="ignore")``.
     """
     Q = np.atleast_2d(np.asarray(queries, dtype=float))
     n_query, (n_train, d) = Q.shape[0], sample.shape
@@ -341,6 +348,23 @@ def _kernel_blocks(queries: np.ndarray, sample: np.ndarray, h: np.ndarray):
                 W += z
         np.exp(W, out=W)
         yield slice(start, stop), W, spare
+
+
+def _slope_overflows(sample_axis, query_axis, inv_h2: float) -> bool:
+    """Whether (x - q) / h^2 overflows for some pair of a pass; since
+    rounding is monotone, it does so only if it does for the widest pair."""
+    lo = min(float(sample_axis.min()), float(query_axis.min(initial=math.inf)))
+    hi = max(float(sample_axis.max()), float(query_axis.max(initial=-math.inf)))
+    return not math.isfinite((hi - lo) * inv_h2)
+
+
+def _slope(sample_axis, query_axis, inv_h2, out, clip: bool):
+    """(x - q) / h^2 of one axis into ``out``.  With ``clip`` it is held to
+    the finite range, so a weight of exactly 0 times it adds 0, not
+    0 * inf = nan, to a sum."""
+    slope = np.subtract(sample_axis, query_axis[:, None], out=out)
+    np.multiply(slope, inv_h2, out=slope)
+    return np.clip(slope, -_FLOAT_MAX, _FLOAT_MAX, out=slope) if clip else slope
 
 
 class KernelRegressionFit:
@@ -373,16 +397,17 @@ class KernelRegressionFit:
         sums = np.empty((2 if axis is None else 4, Q.shape[0]))
         total, num = sums[0], sums[1]
         inv_h2 = None if axis is None else 1.0 / self._h[axis] ** 2
-        for rows, W, spare in _kernel_blocks(Q, self._F, self._h):
-            np.sum(W, axis=1, out=total[rows])
-            np.matmul(W, self._y, out=num[rows])
-            if axis is not None:
-                # dW/dq_axis = W * (x_axis - q_axis) / h_axis^2
-                slope = np.subtract(self._F[:, axis], Q[rows, axis, None], out=spare)
-                np.multiply(slope, inv_h2, out=slope)
-                Wd = np.multiply(W, slope, out=slope)
-                np.sum(Wd, axis=1, out=sums[2, rows])
-                np.matmul(Wd, self._y, out=sums[3, rows])
+        with np.errstate(over="ignore"):  # see _kernel_blocks
+            clip = axis is not None and _slope_overflows(self._F[:, axis], Q[:, axis], inv_h2)
+            for rows, W, spare in _kernel_blocks(Q, self._F, self._h):
+                np.sum(W, axis=1, out=total[rows])
+                np.matmul(W, self._y, out=num[rows])
+                if axis is not None:
+                    # dW/dq_axis = W * (x_axis - q_axis) / h_axis^2
+                    slope = _slope(self._F[:, axis], Q[rows, axis], inv_h2, spare, clip)
+                    Wd = np.multiply(W, slope, out=slope)
+                    np.sum(Wd, axis=1, out=sums[2, rows])
+                    np.matmul(Wd, self._y, out=sums[3, rows])
         if np.any(total < KERNEL_WEIGHT_FLOOR):
             raise ExtrapolationError(
                 f"kernel weight underflow at query row {int(np.argmin(total))}; "
@@ -445,13 +470,14 @@ class DensityFit:
         out = np.empty(P.shape[0])
         norm = _INV_SQRT_2PI ** self._S.shape[1] / np.prod(self._h)
         inv_h2 = None if axis is None else 1.0 / self._h[axis] ** 2
-        for rows, K, spare in _kernel_blocks(P, self._S, self._h):
-            np.multiply(K, norm, out=K)
-            if axis is not None:
-                slope = np.subtract(self._S[:, axis], P[rows, axis, None], out=spare)
-                np.multiply(slope, inv_h2, out=slope)
-                K = np.multiply(K, slope, out=slope)
-            np.mean(K, axis=1, out=out[rows])
+        with np.errstate(over="ignore"):  # see _kernel_blocks
+            clip = axis is not None and _slope_overflows(self._S[:, axis], P[:, axis], inv_h2)
+            for rows, K, spare in _kernel_blocks(P, self._S, self._h):
+                np.multiply(K, norm, out=K)
+                if axis is not None:
+                    slope = _slope(self._S[:, axis], P[rows, axis], inv_h2, spare, clip)
+                    K = np.multiply(K, slope, out=slope)
+                np.mean(K, axis=1, out=out[rows])
         return out
 
     def density_at(self, points: np.ndarray) -> np.ndarray:

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -456,41 +454,25 @@ class MetricsReport:
         return out
 
 
-def _replicate_once(task: tuple) -> tuple:
-    """Run one replication; returns ('ok', r, payload) or ('err', r, message)."""
-    dgp, spec, method, settings, n, folds, alpha, master_seed, r = task
-    rep_seed = hash64(master_seed, r)
-    try:
-        dataset = dgp.generate(n, rep_seed)
-        plan = make_folds(n, folds, hash64(master_seed, r, "folds"))
-        start = time.perf_counter()
-        nuis = fit_cross_fitted_nuisances(dataset, spec, settings, plan)
-        report = ESTIMATORS[method](spec, dataset, nuis, alpha)
-        payload = {
-            "psi": report.psi_hat,
-            "se": report.se,
-            "lo": report.ci[0],
-            "hi": report.ci[1],
-            "runtime": time.perf_counter() - start,
-        }
-        if method == "tmle":
-            companion = one_step(spec, dataset, nuis, alpha)
-            payload["tmle_score"] = max(abs(s) for s in report.diagnostics["tmle_score"])
-            payload["tmle_aipw_gap"] = abs(report.psi_hat - companion.psi_hat)
-        return "ok", r, payload
-    except InfluenceLabError as exc:
-        return "err", r, f"{type(exc).__name__}: {exc}"
-
-
-def _pool_workers() -> int:
-    """The process-pool size ``INFLUENCE_LAB_THREADS`` asks for (1 when unset)."""
-    raw = os.environ.get("INFLUENCE_LAB_THREADS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(
-            f"INFLUENCE_LAB_THREADS must be an integer, got {raw!r}"
-        ) from None
+def _replicate_once(dgp, spec, method, settings, n, folds, alpha, master_seed, r) -> dict:
+    """Run replication r of master seed ``master_seed``; returns its payload."""
+    dataset = dgp.generate(n, hash64(master_seed, r))
+    plan = make_folds(n, folds, hash64(master_seed, r, "folds"))
+    start = time.perf_counter()
+    nuis = fit_cross_fitted_nuisances(dataset, spec, settings, plan)
+    report = ESTIMATORS[method](spec, dataset, nuis, alpha)
+    payload = {
+        "psi": report.psi_hat,
+        "se": report.se,
+        "lo": report.ci[0],
+        "hi": report.ci[1],
+        "runtime": time.perf_counter() - start,
+    }
+    if method == "tmle":
+        companion = one_step(spec, dataset, nuis, alpha)
+        payload["tmle_score"] = max(abs(s) for s in report.diagnostics["tmle_score"])
+        payload["tmle_aipw_gap"] = abs(report.psi_hat - companion.psi_hat)
+    return payload
 
 
 def run_replications(
@@ -508,11 +490,10 @@ def run_replications(
 ) -> MetricsReport:
     """R independent datasets through one estimator, aggregated against truth.
 
-    Replication r uses seed hash64(seed, r).  Failed replications are
-    excluded with a recorded reason; more than ``MAX_EXCLUSION_FRACTION`` of
-    them fails the whole run.  Set INFLUENCE_LAB_THREADS > 1 to fan
-    replications out to a process pool; results are keyed by replication
-    index so the aggregate does not depend on completion order.
+    Replications run in order in the calling process; replication r uses
+    seed hash64(seed, r), so any one of them can be re-run alone.  One that
+    raises an ``InfluenceLabError`` is excluded with its reason; more than
+    ``MAX_EXCLUSION_FRACTION`` of them fails the whole run.
     """
     if method not in ESTIMATORS:
         raise ValidationError(
@@ -525,18 +506,12 @@ def run_replications(
     if not 1 <= folds <= n:
         raise ValidationError(f"fold count must be between 1 and n = {n}, got {folds}")
     truth_value, truth_mc_se = truth if truth is not None else dgp.truth(spec)
-    workers = _pool_workers()
-    tasks = [
-        (dgp, spec, method, settings, n, folds, alpha, seed, r) for r in range(R)
-    ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_replicate_once, tasks, chunksize=8))
-    else:
-        raw = [_replicate_once(task) for task in tasks]
-    raw.sort(key=lambda item: item[1])
-    results = [payload for kind, _, payload in raw if kind == "ok"]
-    excluded = tuple((r, payload) for kind, r, payload in raw if kind == "err")
+    results, excluded = [], []
+    for r in range(R):
+        try:
+            results.append(_replicate_once(dgp, spec, method, settings, n, folds, alpha, seed, r))
+        except InfluenceLabError as exc:
+            excluded.append((r, f"{type(exc).__name__}: {exc}"))
     if len(excluded) > MAX_EXCLUSION_FRACTION * R:
         preview = "; ".join(f"rep {r}: {msg}" for r, msg in excluded[:3])
         raise RunFailedError(
@@ -573,7 +548,7 @@ def run_replications(
         mean_runtime=float(np.mean([item["runtime"] for item in results])),
         psi_hats=tuple(float(v) for v in psi),
         ses=tuple(float(v) for v in ses),
-        excluded=excluded,
+        excluded=tuple(excluded),
         extras=extras,
     )
 

@@ -639,13 +639,14 @@ class TestSimulateAndReport:
         assert proc.returncode == 1
         assert "unknown method 'bayes'" in proc.stderr
 
-    def test_non_integer_thread_count_exits_1_naming_the_variable(self, monkeypatch):
-        monkeypatch.setenv("INFLUENCE_LAB_THREADS", "abc")
-        proc = run_cli("simulate", "--dgp", "normal-mean", "--estimand", "population_mean",
-                       "--reps", "1", "--n", "10")
-        assert proc.returncode == 1
-        assert "INFLUENCE_LAB_THREADS must be an integer, got 'abc'" in proc.stderr
-        assert "Traceback" not in proc.stderr
+    def test_the_cli_loads_no_process_pool(self):
+        # replications run one after another in the calling process
+        code = ("import sys, influence_lab.cli; "
+                "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_arms_require_the_nonlinear_process(self):
         proc = run_cli(

@@ -248,16 +248,23 @@ class TestLoadCsv:
         expected = np.array([float(cell) for cell in cells])
         assert data.values[:, 0].tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("cell, column", [
-        ("nan", "k"), ("inf", "k"), ("-Infinity", "k"), ("NaN", "y"), ("1e400", "y"),
+    PROBLEMS = {"non-finite": "non-finite value {!r}", "unparsed": "cannot parse {!r} as a number"}
+
+    # float() takes digit-group underscores and non-ASCII digits, which
+    # np.loadtxt refuses; both readers refuse them
+    @pytest.mark.parametrize("cell, column, problem", [
+        ("nan", "k", "non-finite"), ("inf", "k", "non-finite"), ("-Infinity", "k", "non-finite"),
+        ("NaN", "y", "non-finite"), ("1e400", "y", "non-finite"),
+        ("1_000", "y", "unparsed"), ("1_0", "x", "unparsed"), ("\u0661", "k", "unparsed"),
+        ("\u0663.5", "y", "unparsed"), ("\uff11", "x", "unparsed"), ("\u22121", "y", "unparsed"),
     ])
-    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell, column):
+    def test_refused_cell_names_row_and_column(self, tmp_path, cell, column, problem):
         row = {"x": "1", "y": "2.5", "k": "3", column: f" {cell}"}
         path = self._write(tmp_path, f"x,y,k\n0,1.5,2\n{row['x']},{row['y']},{row['k']}\n")
         with pytest.raises(CsvParseError) as info:
             load_csv(path, self.XYD)
         assert str(info.value) == (
-            f"{path}: row 3, column {column!r}: non-finite value {cell!r}"
+            f"{path}: row 3, column {column!r}: {self.PROBLEMS[problem].format(cell)}"
         )
 
 

@@ -25,10 +25,8 @@ from influence_lab import (
     SchemaError,
     TailConditionalExpectation,
     ValidationError,
-    eif_array,
     exact_nuisances,
     from_config,
-    plugin_value,
 )
 
 ZXY = Schema((
@@ -105,55 +103,55 @@ class TestPluginValues:
     """Closed-form functional values on the small four-atom laws."""
 
     def test_population_mean(self):
-        assert plugin_value(PopulationMean(), DET_LAW) == pytest.approx(2.7)
+        assert PopulationMean().plugin_value(DET_LAW) == pytest.approx(2.7)
 
     def test_ate(self):
         # Both covariate cells have arm difference 1.
-        assert plugin_value(Ate(), DET_LAW) == pytest.approx(1.0)
+        assert Ate().plugin_value(DET_LAW) == pytest.approx(1.0)
 
     def test_potential_outcome_means(self):
-        assert plugin_value(PotentialOutcomeMean(x=1), DET_LAW) == pytest.approx(3.0)
-        assert plugin_value(PotentialOutcomeMean(x=0), DET_LAW) == pytest.approx(2.0)
+        assert PotentialOutcomeMean(x=1).plugin_value(DET_LAW) == pytest.approx(3.0)
+        assert PotentialOutcomeMean(x=0).plugin_value(DET_LAW) == pytest.approx(2.0)
 
     def test_covariance(self):
         p = DET_LAW.probs
         y = DET_LAW.values[:, 2]
         x = DET_LAW.values[:, 1]
         byhand = np.dot(p, x * y) - np.dot(p, x) * np.dot(p, y)
-        assert plugin_value(Covariance(), DET_LAW) == pytest.approx(byhand)
+        assert Covariance().plugin_value(DET_LAW) == pytest.approx(byhand)
 
     def test_expected_conditional_covariance(self):
         # z = 0: pi = 0.6, E[XY|z] = 1.2, E[X|z]E[Y|z] = 0.96 -> 0.24
         # z = 1: pi = 0.8, E[XY|z] = 3.2, E[X|z]E[Y|z] = 3.04 -> 0.16
-        value = plugin_value(ExpectedConditionalCovariance(), DET_LAW)
+        value = ExpectedConditionalCovariance().plugin_value(DET_LAW)
         assert value == pytest.approx(0.5 * 0.24 + 0.5 * 0.16)
 
     def test_average_density_is_squared_mass(self):
-        assert plugin_value(AverageDensity(), DET_LAW) == pytest.approx(
+        assert AverageDensity().plugin_value(DET_LAW) == pytest.approx(
             0.2**2 + 0.3**2 + 0.1**2 + 0.4**2
         )
 
     def test_quantile_walks_the_cdf(self):
-        assert plugin_value(Quantile(tau=0.5), DET_LAW) == pytest.approx(2.0)
-        assert plugin_value(Quantile(tau=0.55), DET_LAW) == pytest.approx(3.0)
-        assert plugin_value(Quantile(tau=0.7), DET_LAW) == pytest.approx(4.0)
+        assert Quantile(tau=0.5).plugin_value(DET_LAW) == pytest.approx(2.0)
+        assert Quantile(tau=0.55).plugin_value(DET_LAW) == pytest.approx(3.0)
+        assert Quantile(tau=0.7).plugin_value(DET_LAW) == pytest.approx(4.0)
 
     def test_tail_conditional_expectation(self):
         spec = TailConditionalExpectation(threshold=2.5)
         expected = (0.2 * 1.0 + 0.3 * 2.0) / 0.5
-        assert plugin_value(spec, DET_LAW) == pytest.approx(expected)
+        assert spec.plugin_value(DET_LAW) == pytest.approx(expected)
         with pytest.raises(PositivityError, match="threshold"):
-            plugin_value(TailConditionalExpectation(threshold=0.0), DET_LAW)
+            TailConditionalExpectation(threshold=0.0).plugin_value(DET_LAW)
 
     def test_conditional_cdf(self):
         spec = ConditionalCdf(y=2.5, x=1.0)
-        assert plugin_value(spec, DET_LAW) == pytest.approx(0.3 / 0.7)
+        assert spec.plugin_value(DET_LAW) == pytest.approx(0.3 / 0.7)
 
     def test_missing_role_raises(self):
         y_only = Schema((Column("y", "outcome", "continuous"),))
         law = DiscreteDistribution(y_only, [[0.0], [1.0]], [0.5, 0.5])
         with pytest.raises(SchemaError, match="exposure"):
-            plugin_value(Ate(), law)
+            Ate().plugin_value(law)
 
 
 class TestExactNuisances:
@@ -226,7 +224,7 @@ class TestEifValues:
     def test_eif_has_mean_zero_under_exact_nuisances(self, spec):
         law = DET_LAW
         nuis = exact_nuisances(spec, law)
-        psi = plugin_value(spec, law)
+        psi = spec.plugin_value(law)
         cols = ColumnSet.from_matrix(law.schema, law.values)
         phi = spec.eif_values(cols, nuis, psi)
         assert float(np.dot(law.probs, phi)) == pytest.approx(0.0, abs=1e-12)
@@ -242,22 +240,13 @@ class TestEifValues:
 
     def test_noisy_law_ate_eif_values(self):
         nuis = exact_nuisances(Ate(), NOISY_LAW)
-        psi = plugin_value(Ate(), NOISY_LAW)
+        psi = Ate().plugin_value(NOISY_LAW)
         assert psi == pytest.approx(2.0 / 3.0 - 0.25)
         cols = ColumnSet.from_matrix(XY, NOISY_LAW.values)
         phi = Ate().eif_values(cols, nuis, psi)
         # (x=1, y=1): (y - m1) / pi with the regression part cancelling psi.
         assert phi[3] == pytest.approx((1.0 - 2.0 / 3.0) / 0.6)
         assert float(np.dot(NOISY_LAW.probs, phi)) == pytest.approx(0.0, abs=1e-14)
-
-    def test_eif_array_matches_method(self):
-        nuis = exact_nuisances(Covariance(), NOISY_LAW)
-        psi = plugin_value(Covariance(), NOISY_LAW)
-        data = NOISY_LAW.sample(50, np.random.default_rng(0))
-        direct = Covariance().eif_values(ColumnSet.from_dataset(data), nuis, psi)
-        np.testing.assert_array_equal(
-            eif_array(Covariance(), data.schema, data.values, nuis, psi), direct
-        )
 
     def test_quantile_ee_residual_and_eif(self):
         spec = Quantile(tau=0.5)

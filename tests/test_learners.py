@@ -421,11 +421,19 @@ class TestKernelArithmetic:
         with pytest.raises(SchemaError, match="of axis 1 is too small"):
             fit_kernel_regression(np.column_stack([x, x]), x, bandwidth=[1.0, 1e-160])
         for h in (1e-150, 1e-154):  # 1 / h^2 is finite: accepted, and exact on a row
-            with np.errstate(over="ignore"):  # exponents past -1.8e308 are -inf: weight 0
-                predicted = fit_kernel_regression(x[:, None], x, bandwidth=h).predict(x[:, None])
-                density = fit_kde(x, bandwidth=h).density_at(x[:, None])
+            # at 1e-154 an exponent and the slope (x - q) / h^2 overflow two
+            # rows from a query, where the weight is exactly 0: silently, and
+            # that row adds 0, not 0 * inf = nan, to the slope sums
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                nw = fit_kernel_regression(x[:, None], x, bandwidth=h)
+                kde = fit_kde(x, bandwidth=h)
+                predicted, slopes = nw.predict(x[:, None]), nw.predict_grad(x[:, None], 0)
+                density, density_slopes = kde.density_at(x[:, None]), kde.density_grad_at(x[:, None])
             assert predicted.tolist() == [0.0, 1.0, 2.0]
+            assert slopes.tolist() == [0.0, 0.0, 0.0]
             assert np.all(np.isfinite(density) & (density > 0.0))
+            assert density_slopes.tolist() == [0.0, 0.0, 0.0]
 
     def test_a_density_normaliser_that_overflows_is_refused(self):
         # each 1 / h^2 is finite, but prod(h) = 1e-330 underflows to zero

@@ -242,16 +242,6 @@ class TestRunReplications:
         with pytest.raises(RunFailedError, match="rep 0"):
             run_replications(dgp, PopulationMean(), n=30, R=100, seed=5, folds=1)
 
-    def test_process_pool_matches_serial(self, monkeypatch):
-        serial = run_replications(NormalMeanDgp(), PopulationMean(), n=60, R=8,
-                                  seed=9, folds=2)
-        monkeypatch.setenv("INFLUENCE_LAB_THREADS", "3")
-        pooled = run_replications(NormalMeanDgp(), PopulationMean(), n=60, R=8,
-                                  seed=9, folds=2)
-        assert pooled.psi_hats == serial.psi_hats
-        assert pooled.ses == serial.ses
-        assert pooled.coverage == serial.coverage
-
     def test_report_json_draw_toggle(self):
         report = run_replications(NormalMeanDgp(), PopulationMean(), n=40, R=3,
                                   seed=2, folds=1)
