@@ -405,10 +405,10 @@ def load_csv(path: str, roles: Mapping[str, tuple[str, str]]) -> Dataset:
     result is kept only when every row has the header's width, every
     selected cell passes the checks, and no warning was emitted; otherwise
     the rows are read by ``csv.reader``, the selected cells converted by
-    ``float()``, save the cells ``np.loadtxt`` refuses (stripped text not
-    ASCII, or holding ``_``), and checked as arrays.  Blank rows are looked
-    for only when that fails, and the rows are walked cell by cell only to
-    name a failure.
+    one numpy call, which parses each string as ``float()`` does, and
+    checked as arrays and, for ``_plain``, as one joined text.  Blank rows
+    are looked for only when that fails, and the rows are walked cell by
+    cell only to name a failure.
     """
     if not roles:
         raise CsvParseError(f"{path}: roles mapping is empty; no columns to load")
@@ -462,25 +462,32 @@ def _loadtxt_values(path: str, schema: Schema, positions: list, width: int):
 
 def _bulk_values(schema: Schema, records: list, positions: list, width: int):
     """The selected cells of ``records`` as an (n, arity) float array, or None
-    if a row is short, a cell does not parse or is non-finite, or a binary or
-    discrete column holds another value."""
+    if a row is short, a cell does not parse or is not ``_plain``, or a cell
+    is non-finite or a binary or discrete column holds another value."""
     if min(map(len, records), default=width) < width:
         return None
+    cells = [r[p] for r in records for p in positions]
     try:
-        values = np.array([_number(r[p]) for r in records for p in positions], dtype=float)
+        values = np.array(cells, dtype=float)
     except ValueError:
+        return None
+    if not _plain("".join(cells)):
         return None
     return _checked(schema, values.reshape(len(records), schema.arity))
 
 
+def _plain(text: str) -> bool:
+    """Whether ``text``, cells that ``float()`` parses, is ASCII once its
+    whitespace is gone and holds no ``_``, as ``np.loadtxt`` also requires;
+    ``float()`` alone takes digit-group ``_`` and non-ASCII digits."""
+    return "_" not in text and "".join(text.split()).isascii()
+
+
 def _number(cell: str) -> float:
-    """``float(cell)``, refusing as ``np.loadtxt`` does a cell whose stripped
-    text is not ASCII or holds an underscore; ``float()`` alone takes digit
-    group underscores and non-ASCII digits and signs."""
-    text = cell.strip()
-    if not text.isascii() or "_" in text:
+    """``float(cell)``, refusing a cell that is not ``_plain``."""
+    if not _plain(cell):
         raise ValueError(f"not a plain ASCII number: {cell!r}")
-    return float(text)
+    return float(cell)
 
 
 def _checked(schema: Schema, values: np.ndarray):

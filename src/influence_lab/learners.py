@@ -32,12 +32,12 @@ tests/test_learners.py keeps as the reference.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExtrapolationError, SchemaError, SeparationError, SingularityError, SolverError
+from .errors import (ExtrapolationError, NumericalError, SchemaError, SeparationError,
+                     SingularityError, SolverError)
 
 IRLS_SCORE_TOL = 1e-8
 IRLS_MAX_ITER = 100
@@ -321,10 +321,10 @@ def _kernel_blocks(queries: np.ndarray, sample: np.ndarray, h: np.ndarray):
     holds a multiple of 8 rows, about ``KERNEL_BLOCK_ELEMENTS`` weights, and
     a tail of fewer than 8 rows joins the block before it.
 
-    At an accepted bandwidth below about 1e-153 an exponent, or a caller's
-    gradient slope, can overflow, but only where the weight is exactly 0
-    anyway; so each pass runs its whole block loop under
-    ``np.errstate(over="ignore")``.
+    At an accepted bandwidth below about 1e-153 an exponent can overflow, to
+    a weight of exactly 0.  So a pass runs its block loop with numpy's
+    overflow and invalid warnings off, and ``_require_finite`` then refuses
+    a result that a real overflow left infinite or nan.
     """
     Q = np.atleast_2d(np.asarray(queries, dtype=float))
     n_query, (n_train, d) = Q.shape[0], sample.shape
@@ -350,21 +350,22 @@ def _kernel_blocks(queries: np.ndarray, sample: np.ndarray, h: np.ndarray):
         yield slice(start, stop), W, spare
 
 
-def _slope_overflows(sample_axis, query_axis, inv_h2: float) -> bool:
-    """Whether (x - q) / h^2 overflows for some pair of a pass; since
-    rounding is monotone, it does so only if it does for the widest pair."""
-    lo = min(float(sample_axis.min()), float(query_axis.min(initial=math.inf)))
-    hi = max(float(sample_axis.max()), float(query_axis.max(initial=-math.inf)))
-    return not math.isfinite((hi - lo) * inv_h2)
-
-
-def _slope(sample_axis, query_axis, inv_h2, out, clip: bool):
-    """(x - q) / h^2 of one axis into ``out``.  With ``clip`` it is held to
-    the finite range, so a weight of exactly 0 times it adds 0, not
-    0 * inf = nan, to a sum."""
+def _slope(sample_axis, query_axis, inv_h2: float, out: np.ndarray) -> np.ndarray:
+    """(x - q) / h^2 of one axis into ``out``, held to the finite range: it
+    overflows only where the weight is exactly 0, which must then add 0,
+    not 0 * inf = nan, to a sum.  A finite slope keeps its bits."""
     slope = np.subtract(sample_axis, query_axis[:, None], out=out)
     np.multiply(slope, inv_h2, out=slope)
-    return np.clip(slope, -_FLOAT_MAX, _FLOAT_MAX, out=slope) if clip else slope
+    return np.clip(slope, -_FLOAT_MAX, _FLOAT_MAX, out=slope)
+
+
+def _require_finite(values: np.ndarray, what: str) -> None:
+    """Raise if a kernel pass left a value non-finite: past the weights'
+    exponents nothing in a pass may overflow."""
+    rows = np.nonzero(~np.isfinite(values))[-1]
+    if rows.size:
+        raise NumericalError(f"kernel {what} overflows at query row {rows.min()}; "
+                             "the bandwidth is too small or the data too large")
 
 
 class KernelRegressionFit:
@@ -397,17 +398,17 @@ class KernelRegressionFit:
         sums = np.empty((2 if axis is None else 4, Q.shape[0]))
         total, num = sums[0], sums[1]
         inv_h2 = None if axis is None else 1.0 / self._h[axis] ** 2
-        with np.errstate(over="ignore"):  # see _kernel_blocks
-            clip = axis is not None and _slope_overflows(self._F[:, axis], Q[:, axis], inv_h2)
+        with np.errstate(over="ignore", invalid="ignore"):  # see _kernel_blocks
             for rows, W, spare in _kernel_blocks(Q, self._F, self._h):
                 np.sum(W, axis=1, out=total[rows])
                 np.matmul(W, self._y, out=num[rows])
                 if axis is not None:
                     # dW/dq_axis = W * (x_axis - q_axis) / h_axis^2
-                    slope = _slope(self._F[:, axis], Q[rows, axis], inv_h2, spare, clip)
+                    slope = _slope(self._F[:, axis], Q[rows, axis], inv_h2, spare)
                     Wd = np.multiply(W, slope, out=slope)
                     np.sum(Wd, axis=1, out=sums[2, rows])
                     np.matmul(Wd, self._y, out=sums[3, rows])
+        _require_finite(sums, "sum")
         if np.any(total < KERNEL_WEIGHT_FLOOR):
             raise ExtrapolationError(
                 f"kernel weight underflow at query row {int(np.argmin(total))}; "
@@ -470,14 +471,14 @@ class DensityFit:
         out = np.empty(P.shape[0])
         norm = _INV_SQRT_2PI ** self._S.shape[1] / np.prod(self._h)
         inv_h2 = None if axis is None else 1.0 / self._h[axis] ** 2
-        with np.errstate(over="ignore"):  # see _kernel_blocks
-            clip = axis is not None and _slope_overflows(self._S[:, axis], P[:, axis], inv_h2)
+        with np.errstate(over="ignore", invalid="ignore"):  # see _kernel_blocks
             for rows, K, spare in _kernel_blocks(P, self._S, self._h):
                 np.multiply(K, norm, out=K)
                 if axis is not None:
-                    slope = _slope(self._S[:, axis], P[rows, axis], inv_h2, spare, clip)
+                    slope = _slope(self._S[:, axis], P[rows, axis], inv_h2, spare)
                     K = np.multiply(K, slope, out=slope)
                 np.mean(K, axis=1, out=out[rows])
+        _require_finite(out, "density" if axis is None else "density gradient")
         return out
 
     def density_at(self, points: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from scipy import stats
 from influence_lab import (
     ExtrapolationError,
     FeatureMap,
+    NumericalError,
     SchemaError,
     SeparationError,
     SingularityError,
@@ -434,6 +435,22 @@ class TestKernelArithmetic:
             assert slopes.tolist() == [0.0, 0.0, 0.0]
             assert np.all(np.isfinite(density) & (density > 0.0))
             assert density_slopes.tolist() == [0.0, 0.0, 0.0]
+
+    def test_a_kernel_result_that_overflows_is_refused(self):
+        # at h = (1e-120, 1e-120) the density (about 1e238) is finite, but its
+        # gradient one h from a sample is about 1e359
+        x = np.array([0.0, 1.0, 2.0])
+        S = np.column_stack([x, x]) * 1e-120
+        kde = fit_kde(S, bandwidth=[1e-120, 1e-120])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isfinite(kde.density_at(S)))
+            with pytest.raises(NumericalError, match="kernel density gradient overflows at "
+                               "query row 0; the bandwidth is too small or the data too large"):
+                kde.density_grad_at(S + [1e-120, 0.0], axis=0)
+            nw = fit_kernel_regression(x[:, None], np.full(3, 1e308), bandwidth=100.0)
+            with pytest.raises(NumericalError, match="kernel sum overflows at query row 0;"):
+                nw.predict(x[:, None])
 
     def test_a_density_normaliser_that_overflows_is_refused(self):
         # each 1 / h^2 is finite, but prod(h) = 1e-330 underflows to zero
