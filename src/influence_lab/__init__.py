@@ -67,6 +67,7 @@ from .learners import (
     KernelRegressionFit,
     LinearFit,
     LogisticFit,
+    StackedFits,
     fit_kde,
     fit_kernel_regression,
     fit_logistic,

@@ -7,13 +7,20 @@ errors come from the sample variance of the influence function values.  The
 targeted influence values are the estimand's AIPW terms (``_pom_terms``),
 taken over the arms and weights of its declared ``contrast``.
 
-Each nuisance is evaluated once per row: after the fits on each fold's
-complement, the estimand's ``nuisance_values`` runs once per fold, on that
-fold's held-out rows, and fills one table of n-row arrays.  The estimators
-compute the influence-function terms (u, s) once from it; plug-in,
-one-step, estimating-equation and targeted values are arithmetic on those
-arrays.  Values that are not per row (a density at the estimated quantile,
-a cdf at a threshold) go through ``probe``, the average over fold fits.
+Nuisances are fit on each fold's complement.  ``_fit_fold_slots`` states a
+fold's fits once, and ``_cross_fit`` runs it for every fold in step, so each
+slot's OLS fits of all folds (and of all exposure arms) go to one stacked
+``fit_ols`` call and its logistic fits to one ``fit_logistic`` call per
+training size; kernel fits stay per fold.  A failure is the one a loop over
+the folds, one after another, raises first.
+
+Each nuisance is evaluated once per row: after the fits, the estimand's
+``nuisance_values`` runs once per fold, on that fold's held-out rows, and
+fills one table of n-row arrays.  The estimators compute the
+influence-function terms (u, s) once from it; plug-in, one-step,
+estimating-equation and targeted values are arithmetic on those arrays.
+Values that are not per row (a density at the estimated quantile, a cdf at
+a threshold) go through ``probe``, the average over fold fits.
 """
 from __future__ import annotations
 
@@ -37,6 +44,8 @@ from .errors import (
 from .estimands import ColumnSet, Estimand, NuisanceSet, _arm, _pom_terms, _propensity
 from .learners import (
     FeatureMap,
+    LinearFit,
+    LogisticFit,
     fit_kde,
     fit_kernel_regression,
     fit_logistic,
@@ -175,35 +184,68 @@ def _as_flat(values) -> np.ndarray:
     return arr.ravel() if arr.ndim > 1 else arr
 
 
-def _fit_learner(family: str, V, target, settings: LearnerSettings):
+def _fit_learners(family: str, problems: list, settings: LearnerSettings):
     """Fit the learner ``settings`` names for ``family`` ("outcome" or
-    "propensity") on the raw columns V.
+    "propensity") on the raw columns V of each ``(V, target)`` of
+    ``problems``.
 
-    Returns the prediction function of raw query columns and, for OLS and
-    kernel fits, its derivative along the first column (None for logistic).
+    A generator: OLS and logistic problems are yielded as one list of
+    ``(model, features, target)`` and sent back fitted, so that
+    ``_cross_fit`` can fit those of every fold in one stacked call; kernel
+    problems are fit here.  Returns, per problem, its prediction function of
+    raw query columns and, for OLS and kernel fits, its derivative along the
+    first column (None for logistic), or the exception its fit raised.
     Probabilities come out raw; the callers clip them.  A logistic fit that
-    did not converge raises ``SolverError``.
+    did not converge gives ``SolverError``.
     """
     model = getattr(settings, f"{family}_model")
     if model == "kernel":  # kernel fits consume raw coordinates
-        fit = fit_kernel_regression(V, target, settings.bandwidth)
-        return (lambda Vq: fit.predict(Vq)), (lambda Vq: fit.predict_grad(Vq, axis=0))
+        fits = []
+        for V, target in problems:
+            try:
+                fits.append(_kernel_pair(fit_kernel_regression(V, target, settings.bandwidth)))
+            except Exception as exc:  # raised by the caller, in the caller's order
+                fits.append(exc)
+        return fits
     fmap = FeatureMap(
         degree=getattr(settings, f"{family}_degree"),
         interactions=getattr(settings, f"{family}_interactions"),
     )
-    if model == "ols":
-        fit = fit_ols(fmap.transform(V), target, settings.ridge_lambda)
+    with np.errstate(over="ignore"):  # the fit refuses features that overflowed
+        asked = [(model, fmap.transform(V), target) for V, target in problems]
+    fits = yield asked
+    return [_parametric_pair(fit, fmap) for fit in fits]
+
+
+def _kernel_pair(fit) -> tuple:
+    return (lambda Vq: fit.predict(Vq)), (lambda Vq: fit.predict_grad(Vq, axis=0))
+
+
+def _parametric_pair(fit, fmap: FeatureMap):
+    if isinstance(fit, LinearFit):
         return (
             lambda Vq: fit.predict(fmap.transform(Vq)),
             lambda Vq: fit.predict_grad(fmap.grad_transform(Vq, axis=0)),
         )
-    fit = fit_logistic(fmap.transform(V), target, settings.ridge_lambda)
-    if not fit.converged:
-        raise SolverError(
-            f"logistic fit did not converge in {fit.iterations} IRLS iterations"
-        )
-    return (lambda Vq: fit.predict(fmap.transform(Vq))), None
+    if isinstance(fit, LogisticFit):
+        if not fit.converged:
+            return SolverError(
+                f"logistic fit did not converge in {fit.iterations} IRLS iterations"
+            )
+        return (lambda Vq: fit.predict(fmap.transform(Vq))), None
+    return fit
+
+
+def _fit_learner(family: str, V, target, settings: LearnerSettings):
+    """``_fit_learners`` of one problem; a failed fit raises."""
+    (fit,) = yield from _fit_learners(family, [(V, target)], settings)
+    return _fitted(fit)
+
+
+def _fitted(fit):
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
 class _ArmRegression:
@@ -232,19 +274,25 @@ class _ArmRegression:
 
 
 def _fit_outcome_mean(y, x, Z, settings: LearnerSettings, binary_exposure: bool):
-    """Regression of y on (x, Z); per-level fits when the exposure is discrete."""
+    """Regression of y on (x, Z); per-level fits when the exposure is discrete.
+
+    The levels are fit together, then checked and taken level by level, so a
+    failure is raised in the order of fitting them one after another."""
     if binary_exposure:
-        fits = {}
-        for level in np.unique(x):
-            mask = x == level
+        masks = {level: x == level for level in np.unique(x)}
+        fits = yield from _fit_learners(
+            "outcome", [(Z[mask], y[mask]) for mask in masks.values()], settings
+        )
+        arms = {}
+        for (level, mask), fit in zip(masks.items(), fits):
             if mask.sum() < 2:
                 raise PositivityError(
                     f"fewer than two training rows with exposure level {float(level)!r}"
                 )
-            fits[level] = _fit_learner("outcome", Z[mask], y[mask], settings)[0]
-        return _ArmRegression(fits), None
+            arms[level] = _fitted(fit)[0]
+        return _ArmRegression(arms), None
     # continuous exposure: one fit on the joint (x, Z) coordinates
-    mean, grad = _fit_learner("outcome", _design(x, Z), y, settings)
+    mean, grad = yield from _fit_learner("outcome", _design(x, Z), y, settings)
     return (lambda xq, Zq: mean(_design(xq, Zq))), (lambda xq, Zq: grad(_design(xq, Zq)))
 
 
@@ -281,7 +329,11 @@ def _fit_fold_slots(
     settings: LearnerSettings,
     binary_exposure: bool,
 ) -> dict:
-    """Fit every required slot on the training rows of one fold."""
+    """Fit every required slot on the training rows of one fold.
+
+    A generator, run by ``_cross_fit``: each OLS or logistic fit is yielded
+    as a list of problems and sent back fitted (see ``_fit_learners``).
+    Returns the slots."""
     slots: dict = {}
     y = cols.y[train] if cols.y is not None else None
     x = cols.x[train] if cols.x is not None else None
@@ -289,7 +341,7 @@ def _fit_fold_slots(
     M = cols.M[train] if cols.M is not None else None
 
     if "outcome_mean" in reqs or "outcome_mean_grad" in reqs:
-        mean_fn, grad_fn = _fit_outcome_mean(y, x, Z, settings, binary_exposure)
+        mean_fn, grad_fn = yield from _fit_outcome_mean(y, x, Z, settings, binary_exposure)
         slots["outcome_mean"] = mean_fn
         if "outcome_mean_grad" in reqs:
             if grad_fn is None:
@@ -299,11 +351,11 @@ def _fit_fold_slots(
             slots["outcome_mean_grad"] = grad_fn
     if "propensity" in reqs:
         _check_binary(x, "the exposure")
-        slots["propensity"] = _fit_learner("propensity", Z, x, settings)[0]
+        slots["propensity"] = (yield from _fit_learner("propensity", Z, x, settings))[0]
     if "conditional_mean_y" in reqs:
-        slots["conditional_mean_y"] = _fit_learner("outcome", Z, y, settings)[0]
+        slots["conditional_mean_y"] = (yield from _fit_learner("outcome", Z, y, settings))[0]
     if "conditional_mean_x" in reqs or "exposure_residual_var" in reqs:
-        cond_x = _fit_learner("outcome", Z, x, settings)[0]
+        cond_x = (yield from _fit_learner("outcome", Z, x, settings))[0]
         if "conditional_mean_x" in reqs:
             slots["conditional_mean_x"] = cond_x
         if "exposure_residual_var" in reqs:
@@ -343,10 +395,10 @@ def _fit_fold_slots(
         m_flat = _as_flat(M)
         _check_binary(m_flat, "the mediator")
         if "mediator_law" in reqs:
-            p_one = _fit_learner("propensity", _design(x, Z), m_flat, settings)[0]
+            p_one = (yield from _fit_learner("propensity", _design(x, Z), m_flat, settings))[0]
             slots["mediator_law"] = p_one  # wrapped into f(M | x, Z) later
         if "mediated_outcome" in reqs:
-            b = _fit_learner("outcome", _design(m_flat, x, Z), y, settings)[0]
+            b = (yield from _fit_learner("outcome", _design(m_flat, x, Z), y, settings))[0]
             slots["mediated_outcome"] = lambda Mq, xq, Zq: b(_design(_as_flat(Mq), xq, Zq))
         if "mediator_support" in reqs:
             slots["mediator_support"] = tuple(sorted(set(m_flat.tolist())))
@@ -389,6 +441,64 @@ def _in_fold(k: int, step: Callable, *args):
         raise type(exc)(f"fold {k}: {exc}") from exc
     except _FOREIGN_NUMERICAL as exc:
         raise NumericalError(f"fold {k}: {type(exc).__name__}: {exc}") from exc
+
+
+def _cross_fit(cols: ColumnSet, plan: FoldPlan, reqs: frozenset, settings: LearnerSettings,
+               binary_exposure: bool) -> list:
+    """Every fold's slots, from ``_fit_fold_slots`` run for all folds in
+    step.  In each round every running fold goes on to its next OLS or
+    logistic problems; then the OLS problems of all folds are fit in one
+    ``fit_ols`` call and the logistic ones in one ``fit_logistic`` call per
+    training size (see ``_fit_stacked``).
+
+    A failure is raised as a fold-by-fold loop would raise it: the first
+    failing fold's first failure.  A fold that fails stops the folds after
+    it, since such a loop never reaches them; earlier folds run on, as they
+    may still fail first.
+    """
+    runs = {k: _fit_fold_slots(cols, plan.training_rows(k), reqs, settings, binary_exposure)
+            for k in range(plan.K)}
+    slots, fits, failure = [None] * plan.K, dict.fromkeys(runs), None
+    while runs:
+        asked = {}
+        for k, run in list(runs.items()):
+            try:
+                asked[k] = _in_fold(k, run.send, fits[k])
+            except StopIteration as done:
+                slots[k] = done.value
+                del runs[k]
+            except Exception as exc:  # raised below, once no earlier fold can fail first
+                failure = exc
+                runs = {j: r for j, r in runs.items() if j < k}
+                break
+        fits = _fit_stacked({k: asked[k] for k in runs}, settings.ridge_lambda)
+    if failure is not None:
+        raise failure
+    return slots
+
+
+def _fit_stacked(asked: dict, ridge_lambda: float) -> dict:
+    """Fit the ``(model, features, target)`` problems each fold asked for:
+    the OLS ones in one ``fit_ols`` call per column count, the logistic ones
+    in one ``fit_logistic`` call per shape.  The folds ask for the same slot
+    in the same round, so that is one call per model, or two when the
+    training sizes differ.  Returns each fold's fits in the order asked, a
+    failed one as the exception its own call raises."""
+    stacks: dict = {}
+    for k, problems in asked.items():
+        for i, (model, features, target) in enumerate(problems):
+            shape = features.shape if model == "logistic" else features.shape[1:]
+            stacks.setdefault((model, shape), []).append((k, i, features, target))
+    fits = {k: [None] * len(problems) for k, problems in asked.items()}
+    for (model, _), stack in stacks.items():
+        fit = fit_ols if model == "ols" else fit_logistic
+        try:
+            members = fit([m[2] for m in stack], [m[3] for m in stack], ridge_lambda).members
+        except Exception as exc:  # the call fails each of its members with it
+            members = [exc] * len(stack)
+        for (k, i, _, _), member in zip(stack, members):
+            fits[k][i] = member
+    return fits
 
 
 @dataclass(eq=False)
@@ -474,11 +584,7 @@ def fit_cross_fitted_nuisances(
     binary_exposure = bool(
         exposure_idx and dataset.schema.columns[exposure_idx[0]].kind != "continuous"
     )
-    fold_slots = [
-        _in_fold(k, _fit_fold_slots, cols, plan.training_rows(k), reqs, settings,
-                 binary_exposure)
-        for k in range(plan.K)
-    ]
+    fold_slots = _cross_fit(cols, plan, reqs, settings, binary_exposure)
     pooled = {
         name: _pooled(name, [slots[name] for slots in fold_slots])
         for name in _POOLED_SLOTS if name in fold_slots[0]

@@ -24,15 +24,24 @@ joins the block before it: single-threaded OpenBLAS then reduces every row
 with the gemv kernel it uses on the whole matrix, while a short tail block (a
 single row above all) would be summed in another order.
 
-The least-squares and IRLS fits are written for few numpy calls per fit (one
-preallocated design, a branch-free logistic, no all-zero penalty terms) with
-every element's floating-point operations unchanged, so their coefficients are
-bit-identical to those of the masked two-branch, full-penalty form that
-tests/test_learners.py keeps as the reference.
+The least-squares and IRLS fits take a stack of designs, so that cross-fitting
+fits every fold of a slot in one call: ``fit_ols`` builds each member's normal
+equations on their own, then runs one stacked svd rank guard and one stacked
+solve; ``fit_logistic`` runs members of one shape as one (B, n, p) IRLS loop
+whose members leave the stack as they converge or fail.  A member that fails
+keeps its own exception and does not stop the others.  Stacked LAPACK calls
+and matmuls run each member through the kernels a one-design call uses, on
+operands of the same layout, so every member's coefficients equal those of
+its own call, which equal those of the masked two-branch, full-penalty form
+that tests/test_learners.py keeps as the reference, bit for bit.  Normal
+equations, designs and IRLS Hessians that are not finite are refused with
+``NumericalError`` before LAPACK sees them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -214,96 +223,254 @@ def _ridge_penalty(size: int, ridge_lambda: float) -> np.ndarray:
     return penalty
 
 
-def fit_ols(features: np.ndarray, targets: np.ndarray, ridge_lambda: float = 0.0) -> LinearFit:
+@dataclass(frozen=True)
+class StackedFits:
+    """The fits of one stacked ``fit_ols`` or ``fit_logistic`` call, in the
+    order of its designs.  A member whose own call would raise holds that
+    exception instead of a fit; ``fit(i)`` returns member i or raises it."""
+
+    members: tuple
+
+    def fit(self, i: int):
+        member = self.members[i]
+        if isinstance(member, Exception):
+            raise member
+        return member
+
+    @property
+    def iterations(self) -> int:
+        """IRLS iterations summed over the fitted logistic members."""
+        return sum(m.iterations for m in self.members if isinstance(m, LogisticFit))
+
+    @property
+    def converged(self) -> bool:
+        """Whether every fitted logistic member converged."""
+        return all(m.converged for m in self.members if isinstance(m, LogisticFit))
+
+
+def _not_finite(what: str) -> NumericalError:
+    return NumericalError(f"the {what} not finite: the features or targets overflow; "
+                          "rescale the data or lower the polynomial degree")
+
+
+def _non_finite_members(*stacks: np.ndarray) -> Optional[np.ndarray]:
+    """Mask of the members with an entry that is not finite in one of the
+    stacks, or None if there is none.  Such an entry makes its stack's sum
+    non-finite, so the entries are looked at one by one only then."""
+    total = 0.0
+    for a in stacks:
+        total += a.sum()
+    if math.isfinite(total):
+        return None
+    finite = [np.isfinite(a).reshape(len(a), -1).all(axis=1) for a in stacks]
+    bad = ~np.logical_and.reduce(finite)
+    return bad if bad.any() else None
+
+
+def _solve_each(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """np.linalg.solve of each system of a stack, with each member's bits
+    equal to its own call's, and the mask of the singular members (None if
+    there are none).  One singular member fails the stacked call as a whole,
+    so only then are the members solved one at a time; a singular one's row
+    is left nan."""
+    try:
+        return np.linalg.solve(lhs, rhs[..., None])[..., 0], None
+    except np.linalg.LinAlgError:
+        out = np.full(rhs.shape, np.nan)
+        singular = np.zeros(len(lhs), dtype=bool)
+        for i, (a, b) in enumerate(zip(lhs, rhs)):
+            try:
+                out[i] = np.linalg.solve(a, b)
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        return out, singular
+
+
+def _leave(members: list, live: np.ndarray, gone: np.ndarray, outcome, *arrays) -> tuple:
+    """Freeze each member j of a stack, ``members[live[j]]``, that ``gone``
+    flags at ``outcome(j)``, called while j still indexes ``arrays``;
+    returns ``live`` and the ``arrays`` without those members."""
+    for j in np.flatnonzero(gone):
+        members[live[j]] = outcome(j)
+    keep = ~gone
+    return (live[keep], *(a[keep] for a in arrays))
+
+
+def fit_ols(features, targets, ridge_lambda: float = 0.0):
     """Solve the (optionally ridge-penalized) normal equations.
 
     The intercept is always included and never penalized.  Singular normal
     equations with ``ridge_lambda == 0`` raise ``SingularityError`` advising
-    a positive penalty.
+    a positive penalty; normal equations that are not finite (an overflow)
+    raise ``NumericalError`` before LAPACK sees them.
+
+    Lists of designs and of target vectors fit a stack, whose designs share
+    their column count but not their row count: each member's normal
+    equations are built on their own, then one stacked svd rank guard and
+    one stacked solve serve them all, and the result is a ``StackedFits``.
+    One design is the stack of one, and returns its ``LinearFit`` or raises.
     """
     if ridge_lambda < 0.0:
         raise SchemaError(f"ridge_lambda must be nonnegative, got {ridge_lambda}")
-    X = _with_intercept(features)
-    y = np.asarray(targets, dtype=float).ravel()
-    if X.shape[0] != y.size:
-        raise SchemaError(f"{X.shape[0]} rows of features but {y.size} targets")
-    lhs = X.T @ X
-    rhs = X.T @ y
+    if not isinstance(features, list):
+        return fit_ols([features], [targets], ridge_lambda).fit(0)
+    members: list = [None] * len(features)
+    lhs, rhs = [], []
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below if not finite
+        for i, (F, t) in enumerate(zip(features, targets)):
+            X = _with_intercept(F)
+            y = np.asarray(t, dtype=float).ravel()
+            if X.shape[0] != y.size:
+                members[i] = SchemaError(f"{X.shape[0]} rows of features but {y.size} targets")
+                continue
+            lhs.append(X.T @ X)
+            rhs.append(X.T @ y)
+        if not lhs:
+            return StackedFits(tuple(members))
+        if len({a.shape for a in lhs}) > 1:
+            raise SchemaError("the designs of a stack must share their column count")
+        lhs, rhs = np.stack(lhs), np.stack(rhs)
+        bad = _non_finite_members(lhs, rhs)
+    live = np.array([i for i, m in enumerate(members) if m is None])
+    if bad is not None:
+        live, lhs, rhs = _leave(members, live, bad,
+                                lambda j: _not_finite("normal equations are"), lhs, rhs)
     if ridge_lambda == 0.0:
         # Guard against numerically singular systems before trusting solve():
         # the rank test of np.linalg.matrix_rank at its default tolerance.
         S = np.linalg.svd(lhs, compute_uv=False)
-        if not (S > S.max() * (lhs.shape[0] * np.finfo(float).eps)).all():
-            raise SingularityError(
+        tol = S.max(axis=1, keepdims=True) * (lhs.shape[1] * np.finfo(float).eps)
+        full_rank = (S > tol).all(axis=1)
+        if not full_rank.all():
+            live, lhs, rhs = _leave(members, live, ~full_rank, lambda j: SingularityError(
                 "normal equations are singular (collinear features); "
                 "set ridge_lambda > 0 to regularize"
-            )
+            ), lhs, rhs)
     else:
-        lhs = lhs + _ridge_penalty(lhs.shape[0], ridge_lambda)
-    try:
-        coef = np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularityError(
+        lhs = lhs + _ridge_penalty(lhs.shape[1], ridge_lambda)
+    coefs, singular = _solve_each(lhs, rhs)
+    for j, i in enumerate(live):
+        members[i] = SingularityError(
             "normal equations are singular; set ridge_lambda > 0 to regularize"
-        ) from exc
-    return LinearFit(coef=coef, ridge_lambda=float(ridge_lambda))
+        ) if singular is not None and singular[j] else LinearFit(
+            coef=coefs[j], ridge_lambda=float(ridge_lambda))
+    return StackedFits(tuple(members))
 
 
-def fit_logistic(
-    features: np.ndarray, targets: np.ndarray, ridge_lambda: float = 0.0
-) -> LogisticFit:
+def fit_logistic(features, targets, ridge_lambda: float = 0.0):
     """Logistic regression by iteratively reweighted least squares.
 
     Convergence is declared when the max absolute score component drops
     below ``IRLS_SCORE_TOL`` (at most ``IRLS_MAX_ITER`` iterations).  With
     no penalty, a coefficient escaping past ``SEPARATION_COEF_BOUND``
     raises ``SeparationError``.  Feature columns that are constant would
-    duplicate the built-in intercept and are rejected.
+    duplicate the built-in intercept and are rejected; a design, score or
+    Hessian that is not finite (an overflow) raises ``NumericalError``
+    before LAPACK sees it.
+
+    Lists of designs of one shape and of target vectors fit a stack in one
+    (B, n, p) IRLS loop, and the result is a ``StackedFits``.  One design is
+    the stack of one, and returns its ``LogisticFit`` or raises.
     """
     if ridge_lambda < 0.0:
         raise SchemaError(f"ridge_lambda must be nonnegative, got {ridge_lambda}")
-    X = _with_intercept(features)
-    y = np.asarray(targets, dtype=float).ravel()
-    if X.shape[0] != y.size:
-        raise SchemaError(f"{X.shape[0]} rows of features but {y.size} targets")
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise SchemaError("logistic targets must be 0/1")
-    if X.shape[1] > 1:
-        F = X[:, 1:]
-        spreads = F.max(axis=0) - F.min(axis=0)
-        if np.any(spreads == 0.0):
-            j = int(np.argmin(spreads))
-            raise SchemaError(
-                f"feature column {j} is constant and duplicates the intercept; drop it"
-            )
+    if not isinstance(features, list):
+        return fit_logistic([features], [targets], ridge_lambda).fit(0)
+    if not features:
+        return StackedFits(())
+    designs = [np.atleast_2d(np.asarray(F, dtype=float)) for F in features]
+    if len({F.shape for F in designs}) > 1:
+        raise SchemaError("the designs of a stack must share one shape")
+    B, (n, d) = len(designs), designs[0].shape
+    X = np.empty((B, n, d + 1))
+    X[:, :, 0] = 1.0
+    Y = np.empty((B, n))
+    members: list = [None] * B
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below if not finite
+        for i, (F, t) in enumerate(zip(designs, targets)):
+            X[i, :, 1:] = F
+            y = np.asarray(t, dtype=float).ravel()
+            if y.size != n:
+                members[i] = SchemaError(f"{n} rows of features but {y.size} targets")
+            elif not np.all((y == 0.0) | (y == 1.0)):
+                members[i] = SchemaError("logistic targets must be 0/1")
+            else:
+                Y[i] = y
+        if d:
+            # per column, over rows made contiguous: an axis-1 max of X is 5x slower
+            columns = X[:, :, 1:].transpose(0, 2, 1).copy()
+            spreads = columns.max(axis=2) - columns.min(axis=2)  # nan at inf - inf
+            bad = _non_finite_members(spreads)
+            for i in range(B):
+                if members[i] is None and bad is not None and bad[i]:
+                    members[i] = _not_finite("design is")
+                elif members[i] is None and np.any(spreads[i] == 0.0):
+                    members[i] = SchemaError(
+                        f"feature column {int(np.argmin(spreads[i]))} is constant and "
+                        "duplicates the intercept; drop it"
+                    )
+        _irls(X, Y, ridge_lambda, members)
+    return StackedFits(tuple(members))
+
+
+def _irls(X: np.ndarray, Y: np.ndarray, ridge_lambda: float, members: list) -> None:
+    """The IRLS loop of ``fit_logistic`` over the members of the (B, n, p)
+    stack of designs ``X`` and targets ``Y`` that ``members`` leaves None;
+    fills in each one's ``LogisticFit`` or the exception its own call raises.
+
+    A member that converges or fails is frozen and leaves the stack, which
+    is indexed anew only then.  Every element of a member meets the
+    floating-point operations of a one-design loop, in the same order, so
+    its bits are those of its own call.
+    """
+    live = np.array([i for i, m in enumerate(members) if m is None], dtype=int)
+    if live.size < len(members):
+        X, Y = X[live], Y[live]
     # With no penalty its terms are exact zeros and are left out.
-    penalty = None if ridge_lambda == 0.0 else _ridge_penalty(X.shape[1], ridge_lambda)
-    beta = np.zeros(X.shape[1])
-    converged = False
-    iterations = 0
+    penalty = None if ridge_lambda == 0.0 else _ridge_penalty(X.shape[2], ridge_lambda)
+    beta = np.zeros((live.size, X.shape[2]))
     for iterations in range(1, IRLS_MAX_ITER + 1):
-        p = _expit(X @ beta)
-        score = X.T @ (y - p)
+        if not live.size:
+            return
+        p = _expit((X @ beta[:, :, None])[:, :, 0])
+        score = (X.transpose(0, 2, 1) @ (Y - p)[:, :, None])[:, :, 0]
         if penalty is not None:
-            score -= penalty @ beta
-        if np.abs(score).max() < IRLS_SCORE_TOL:
-            converged = True
-            break
+            score -= (penalty @ beta[:, :, None])[:, :, 0]
+        converged = np.abs(score).max(axis=1) < IRLS_SCORE_TOL
+        if np.count_nonzero(converged):
+            live, X, Y, beta, p, score = _leave(
+                members, live, converged,
+                lambda j: LogisticFit(coef=beta[j], iterations=iterations, converged=True),
+                X, Y, beta, p, score,
+            )
+            if not live.size:
+                return
         w = np.maximum(p * (1.0 - p), 1e-10)
-        hess = (X.T * w) @ X
+        hess = (X.transpose(0, 2, 1) * w[:, None, :]) @ X
         if penalty is not None:
             hess += penalty
-        try:
-            step = np.linalg.solve(hess, score)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("IRLS update is singular") from exc
-        beta = beta + step
-        if penalty is None and np.abs(beta).max() > SEPARATION_COEF_BOUND:
-            raise SeparationError(
-                "logistic coefficients diverged (classes appear separated); "
-                "set ridge_lambda > 0 or simplify the model"
+        bad = _non_finite_members(hess, score)
+        if bad is not None:
+            live, X, Y, beta, hess, score = _leave(
+                members, live, bad, lambda j: _not_finite("IRLS Hessian or score is"),
+                X, Y, beta, hess, score,
             )
-    return LogisticFit(coef=beta, iterations=iterations, converged=converged)
+        step, singular = _solve_each(hess, score)
+        if singular is not None:
+            live, X, Y, beta, step = _leave(
+                members, live, singular, lambda j: SolverError("IRLS update is singular"),
+                X, Y, beta, step,
+            )
+        beta = beta + step
+        if penalty is None:
+            diverged = np.abs(beta).max(axis=1) > SEPARATION_COEF_BOUND
+            if np.count_nonzero(diverged):
+                live, X, Y, beta = _leave(members, live, diverged, lambda j: SeparationError(
+                    "logistic coefficients diverged (classes appear separated); "
+                    "set ridge_lambda > 0 or simplify the model"
+                ), X, Y, beta)
+    for j, i in enumerate(live):
+        members[i] = LogisticFit(coef=beta[j], iterations=IRLS_MAX_ITER, converged=False)
 
 
 # ---------------------------------------------------------------------------

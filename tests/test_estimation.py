@@ -1,4 +1,6 @@
 """Cross-fitting machinery and the four estimators on hand-checkable data."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from influence_lab import (
     ColumnSet,
     Dataset,
     FeatureMap,
+    InfluenceLabError,
     KernelRegressionFit,
     LearnerSettings,
     NuisanceError,
@@ -24,12 +27,15 @@ from influence_lab import (
     Quantile,
     Schema,
     SeparationError,
+    SingularityError,
     SolverError,
+    StackedFits,
     ValidationError,
     estimate,
     estimating_equation,
     fit_cross_fitted_nuisances,
     fit_logistic,
+    fit_ols,
     make_folds,
     one_step,
     plugin,
@@ -37,7 +43,7 @@ from influence_lab import (
     tmle,
     wald_interval,
 )
-from influence_lab import estimation, learners
+from influence_lab import estimation, learners, simulation
 from influence_lab.cli import main as cli_main
 from influence_lab.simulation import AteLinearDgp, AteNonlinearDgp
 
@@ -392,18 +398,30 @@ class TestCrossFitting:
 
 
 
-def _raise_on_call(exc, calls=(1,)):
-    """A learner stand-in that raises ``exc`` on the given call numbers and
-    otherwise fits a logistic regression."""
+def _planting(fit, plants):
+    """A stand-in for the stacked learner ``fit`` that puts each exception
+    of ``plants``, keyed by (call number, member index), in place of that
+    member's fit.  A stack stops at the first failing fold, so a later call
+    may hold fewer members than planted for."""
     count = [0]
 
-    def fit(*args, **kwargs):
+    def stand_in(*args, **kwargs):
         count[0] += 1
-        if count[0] in calls:
-            raise exc
-        return fit_logistic(*args, **kwargs)
+        members = list(fit(*args, **kwargs).members)
+        for (call, member), exc in plants.items():
+            if call == count[0] and member < len(members):
+                members[member] = exc
+        return StackedFits(tuple(members))
 
-    return fit
+    return stand_in
+
+
+def _raise_for_fold(exc, fold=0, call=1):
+    """A logistic stand-in that puts ``exc`` in place of fold ``fold``'s fit
+    on the given call.  When the fold count divides n, the propensity is
+    fit in one call per replication with one member per fold, in fold
+    order."""
+    return _planting(fit_logistic, {(call, fold): exc})
 
 
 class _TwoArgumentError(Exception):
@@ -418,7 +436,7 @@ class TestFoldFailures:
     def test_numpy_failure_becomes_numerical_error_naming_the_fold(self, monkeypatch):
         monkeypatch.setattr(
             estimation, "fit_logistic",
-            _raise_on_call(np.linalg.LinAlgError("Singular matrix"), calls=(2,)),
+            _raise_for_fold(np.linalg.LinAlgError("Singular matrix"), fold=1),
         )
         with pytest.raises(NumericalError, match="fold 1: LinAlgError: Singular matrix") as info:
             estimate(Ate(), self._data(), folds=3)
@@ -427,13 +445,38 @@ class TestFoldFailures:
 
     def test_cli_exits_2_without_traceback(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(
-            estimation, "fit_logistic", _raise_on_call(np.linalg.LinAlgError("Singular matrix"))
+            estimation, "fit_logistic", _raise_for_fold(np.linalg.LinAlgError("Singular matrix"))
         )
         cfg = tmp_path / "run.ini"
         cfg.write_text("[data]\ndgp = ate-linear\nn = 100\n\n[estimand]\nname = ate\n")
         assert cli_main(["estimate", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "fold 0: LinAlgError" in err and "Traceback" not in err
+
+    def test_overflowing_features_are_refused_before_lapack(self, tmp_path, capfd):
+        # z near 1e200 squared by a degree-2 outcome model: X'X is not finite
+        rng = np.random.default_rng(0)
+        rows = np.column_stack([rng.normal(size=6), rng.normal(size=6),
+                                rng.normal(size=6) * 1e200])
+        data = tmp_path / "obs.csv"
+        data.write_text("y,x,z\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in rows))
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(
+            f"[data]\npath = {data}\nrole.y = outcome,continuous\n"
+            "role.x = exposure,continuous\nrole.z = covariate,continuous\n\n"
+            "[estimand]\nname = average_derivative_effect\n\n"
+            "[learners]\noutcome_degree = 2\n\n[run]\nmethod = ee\nfolds = 2\n"
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main(["estimate", "--config", str(cfg)]) == 2
+        out, err = capfd.readouterr()
+        assert out == "" and not [w for w in caught if w.category is RuntimeWarning]
+        assert err == (
+            "influence-lab: error: fold 0: the normal equations are not finite: the features "
+            "or targets overflow; rescale the data or lower the polynomial degree\n"
+        )
 
     @pytest.mark.parametrize(
         "target, exc, line",
@@ -471,7 +514,7 @@ class TestFoldFailures:
 
     def test_simulate_excludes_the_replication_with_its_reason(self, monkeypatch):
         monkeypatch.setattr(
-            estimation, "fit_logistic", _raise_on_call(FloatingPointError("overflow"))
+            estimation, "fit_logistic", _raise_for_fold(FloatingPointError("overflow"))
         )
         report = run_replications(AteLinearDgp(), Ate(), n=60, R=100, folds=2, seed=3)
         assert report.completed == 99
@@ -512,10 +555,110 @@ class TestFoldFailures:
 
     def test_other_exception_types_propagate_unchanged(self, monkeypatch):
         original = _TwoArgumentError(7, "learner refused")
-        monkeypatch.setattr(estimation, "fit_logistic", _raise_on_call(original))
+        monkeypatch.setattr(estimation, "fit_logistic", _raise_for_fold(original))
         with pytest.raises(_TwoArgumentError) as info:
             estimate(Ate(), self._data(), folds=3)
         assert info.value is original
+
+
+def _arm(fold, level):
+    """Member index of fold ``fold``'s arm ``level`` in the outcome stack of
+    an ATE whose every training fold holds both exposure levels."""
+    return 2 * fold + level
+
+
+PLANTED_SEPARATION = SeparationError("planted separation")
+PLANTED_SINGULARITY = SingularityError("planted singularity")
+
+
+class TestStackedFolds:
+    """Every fold's parametric fits run as one stack per slot, and a failure
+    is the one a fold-by-fold loop raises first: fold order, then slot
+    order (outcome arms, then the propensity)."""
+
+    @pytest.mark.parametrize(
+        "propensity, arm, expected",
+        [
+            (0, (1, 1), (SeparationError, "fold 0: planted separation")),
+            (1, (1, 0), (SingularityError, "fold 1: planted singularity")),
+            (1, (2, 0), (SeparationError, "fold 1: planted separation")),
+            (0, (0, 1), (SingularityError, "fold 0: planted singularity")),
+        ],
+    )
+    def test_the_first_failure_of_a_fold_by_fold_loop_is_raised(
+        self, propensity, arm, expected, monkeypatch
+    ):
+        monkeypatch.setattr(estimation, "fit_logistic",
+                            _planting(fit_logistic, {(1, propensity): PLANTED_SEPARATION}))
+        monkeypatch.setattr(estimation, "fit_ols",
+                            _planting(fit_ols, {(1, _arm(*arm)): PLANTED_SINGULARITY}))
+        with pytest.raises(InfluenceLabError) as info:
+            estimate(Ate(), AteLinearDgp().generate(120, seed=5), folds=3)
+        assert (type(info.value), str(info.value)) == expected
+
+    def test_simulate_excludes_with_the_first_failure_of_a_fold_by_fold_loop(
+        self, monkeypatch
+    ):
+        # replication 1: the fold 1 arm 0 and the fold 0 propensity fail; fold 0
+        # then fits its propensity alone, as member 0 of the second call
+        monkeypatch.setattr(estimation, "fit_logistic",
+                            _planting(fit_logistic, {(2, 0): PLANTED_SEPARATION}))
+        monkeypatch.setattr(estimation, "fit_ols",
+                            _planting(fit_ols, {(2, _arm(1, 0)): PLANTED_SINGULARITY}))
+        report = run_replications(AteLinearDgp(), Ate(), n=60, R=100, folds=2, seed=3)
+        assert report.excluded == ((1, "SeparationError: fold 0: planted separation"),)
+
+    # Recorded with the fold-by-fold loop that fit one fold at a time.
+    SMALL_SAMPLE_EXCLUSIONS = {
+        (16, 4): (
+            (11, "SeparationError: fold 0: logistic coefficients diverged (classes appear "
+                 "separated); set ridge_lambda > 0 or simplify the model"),
+            (12, "SeparationError: fold 3: logistic coefficients diverged (classes appear "
+                 "separated); set ridge_lambda > 0 or simplify the model"),
+            (17, "SingularityError: fold 0: normal equations are singular (collinear "
+                 "features); set ridge_lambda > 0 to regularize"),
+            (22, "SingularityError: fold 1: normal equations are singular (collinear "
+                 "features); set ridge_lambda > 0 to regularize"),
+        ),
+        (24, 3): (
+            (17, "SeparationError: fold 2: logistic coefficients diverged (classes appear "
+                 "separated); set ridge_lambda > 0 or simplify the model"),
+            (23, "SingularityError: fold 0: normal equations are singular (collinear "
+                 "features); set ridge_lambda > 0 to regularize"),
+            (25, "SeparationError: fold 2: logistic coefficients diverged (classes appear "
+                 "separated); set ridge_lambda > 0 or simplify the model"),
+        ),
+    }
+
+    @pytest.mark.parametrize("n, folds", sorted(SMALL_SAMPLE_EXCLUSIONS))
+    def test_small_samples_keep_their_exclusion_reasons(self, n, folds, monkeypatch):
+        monkeypatch.setattr(simulation, "MAX_EXCLUSION_FRACTION", 1.0)
+        report = run_replications(AteLinearDgp(), Ate(), n=n, R=30, folds=folds, seed=7)
+        assert report.excluded == self.SMALL_SAMPLE_EXCLUSIONS[n, folds]
+
+    @pytest.mark.parametrize("n, logistic_calls", [(1000, 1), (1001, 2)])
+    def test_one_call_per_model_and_training_size(self, n, logistic_calls, monkeypatch):
+        calls = {"fit_ols": 0, "fit_logistic": 0, "solve": 0, "svd": 0}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, call)
+
+        for owner, name in ((estimation, "fit_ols"), (estimation, "fit_logistic"),
+                            (np.linalg, "solve"), (np.linalg, "svd")):
+            counted(owner, name)
+        R = 3
+        report = run_replications(AteLinearDgp(), Ate(), n=n, R=R, folds=5, seed=11)
+        assert report.completed == R
+        assert calls["fit_ols"] == R and calls["fit_logistic"] == logistic_calls * R
+        if logistic_calls == 1:
+            # one solve per IRLS iteration of the stack, one for OLS; one svd
+            assert calls["solve"] <= 6 * R and calls["svd"] == R
 
 
 class TestNuisancePasses:

@@ -276,6 +276,147 @@ class TestLeanFitsMatchTheReference:
         assert np.array_equal(fit.predict(F), _reference_expit(_reference_design(F) @ beta))
 
 
+def _outcome(call):
+    """A fit, or its exception as (type, message)."""
+    try:
+        return call()
+    except Exception as exc:  # compared with the stacked member
+        return type(exc), str(exc)
+
+
+def _assert_same_fit(member, alone):
+    """A stacked member equals its own call: the same bits, or the same
+    exception type and message."""
+    if isinstance(alone, tuple):
+        assert (type(member), str(member)) == alone
+        return
+    assert np.array_equal(member.coef, alone.coef)
+    if isinstance(alone, learners.LogisticFit):
+        assert (member.iterations, member.converged) == (alone.iterations, alone.converged)
+
+
+def _stack_cases(B, degree, interactions, equal_rows):
+    """B polynomial designs with OLS and logistic targets; row counts differ
+    between members unless ``equal_rows``."""
+    fmap = FeatureMap(degree=degree, interactions=interactions)
+    cases = []
+    for b in range(B):
+        raw, y, y_binary = _polynomial_case(40 + b, n=300 if equal_rows else 300 - 37 * b)
+        cases.append((fmap.transform(raw), y, y_binary))
+    return cases
+
+
+STACK_CASES = [
+    (B, degree, interactions, ridge)
+    for B in (1, 2, 5)
+    for degree in (1, 2, 3)
+    for interactions in (False, True)
+    for ridge in (0.0, 0.3)
+]
+
+
+class TestStackedFits:
+    """A stack of designs fits each member to the bits of its own call."""
+
+    @pytest.mark.parametrize("B, degree, interactions, ridge", STACK_CASES)
+    def test_ols_members_equal_their_own_calls(self, B, degree, interactions, ridge):
+        cases = _stack_cases(B, degree, interactions, equal_rows=False)
+        stack = fit_ols([F for F, _, _ in cases], [y for _, y, _ in cases], ridge)
+        assert len(stack.members) == B
+        for member, (F, y, _) in zip(stack.members, cases):
+            _assert_same_fit(member, fit_ols(F, y, ridge))
+            assert np.array_equal(member.coef, _reference_ols(F, y, ridge))
+
+    @pytest.mark.parametrize("B, degree, interactions, ridge", STACK_CASES)
+    def test_logistic_members_equal_their_own_calls(self, B, degree, interactions, ridge):
+        cases = _stack_cases(B, degree, interactions, equal_rows=True)
+        stack = fit_logistic([F for F, _, _ in cases], [t for _, _, t in cases], ridge)
+        for member, (F, _, t) in zip(stack.members, cases):
+            _assert_same_fit(member, fit_logistic(F, t, ridge))
+            beta, iterations, converged = _reference_logistic(F, t, ridge)
+            assert np.array_equal(member.coef, beta) and converged
+            assert (member.iterations, member.converged) == (iterations, converged)
+        assert stack.iterations == sum(m.iterations for m in stack.members)
+        assert stack.converged
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.3])
+    def test_failing_ols_members_leave_the_others_intact(self, ridge):
+        rng = np.random.default_rng(5)
+        z = rng.normal(size=(60, 2))
+        designs = [
+            z,                                      # healthy
+            np.column_stack([z[:, 0], 2 * z[:, 0]]),  # collinear
+            z[:40],                                 # fewer rows than targets
+            z * 1e160,                              # X'X overflows
+            np.empty((0, 2)),                       # no rows: singular at any ridge
+            z[:50] ** 2,                            # healthy, other row count
+        ]
+        targets = [rng.normal(size=60), rng.normal(size=60), rng.normal(size=60),
+                   rng.normal(size=60), np.empty(0), rng.normal(size=50)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stack = fit_ols(designs, targets, ridge)
+            alone = [_outcome(lambda F=F, y=y: fit_ols(F, y, ridge))
+                     for F, y in zip(designs, targets)]
+        for member, single in zip(stack.members, alone):
+            _assert_same_fit(member, single)
+        kinds = [type(m) for m in stack.members]
+        assert kinds[0] is kinds[5] is learners.LinearFit
+        assert kinds[2] is SchemaError and kinds[3] is NumericalError
+        assert kinds[4] is SingularityError
+        assert kinds[1] is (SingularityError if ridge == 0.0 else learners.LinearFit)
+
+    @pytest.mark.parametrize("max_iter", [learners.IRLS_MAX_ITER, 3])
+    @pytest.mark.parametrize("ridge", [0.0, 0.3])
+    def test_failing_logistic_members_leave_the_others_intact(self, max_iter, ridge, monkeypatch):
+        monkeypatch.setattr(learners, "IRLS_MAX_ITER", max_iter)
+        rng = np.random.default_rng(8)
+        z = rng.normal(size=(80, 2))
+        x = (rng.uniform(size=80) < 1.0 / (1.0 + np.exp(-z[:, 0]))).astype(float)
+        designs = [
+            z,                                      # healthy
+            np.column_stack([np.ones(80), z[:, 0]]),  # constant column
+            z,                                      # separated classes
+            np.column_stack([z[:, 0], z[:, 0]]),    # singular Hessian
+            z * np.array([1.0, np.inf]),            # design not finite
+            z * 1e160,                              # Hessian overflows
+            z,                                      # targets not 0/1
+            z ** 2,                                 # healthy
+        ]
+        targets = [x, x, (z[:, 0] > 0).astype(float), x, x, x, 2 * x, x]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stack = fit_logistic(designs, targets, ridge)
+            alone = [_outcome(lambda F=F, y=y: fit_logistic(F, y, ridge))
+                     for F, y in zip(designs, targets)]
+        for member, single in zip(stack.members, alone):
+            _assert_same_fit(member, single)
+        kinds = [type(m) for m in stack.members]
+        assert kinds[0] is kinds[7] is learners.LogisticFit
+        assert kinds[1] is kinds[6] is SchemaError
+        assert kinds[4] is kinds[5] is NumericalError
+        if ridge == 0.0:
+            assert kinds[3] is learners.SolverError
+            assert kinds[2] is (learners.LogisticFit if max_iter == 3 else SeparationError)
+        fits = [m for m in stack.members if isinstance(m, learners.LogisticFit)]
+        assert stack.iterations == sum(f.iterations for f in fits)
+        assert stack.converged == all(f.converged for f in fits)
+        if max_iter == 3:
+            assert not stack.converged
+
+    def test_one_design_raises_what_its_member_holds(self):
+        with pytest.raises(NumericalError, match="not finite"):
+            fit_ols(np.array([[1.0], [np.inf], [2.0]]), np.ones(3))
+        with pytest.raises(NumericalError, match="not finite"):
+            fit_logistic(np.array([[1.0], [np.nan], [2.0]]), np.array([0.0, 1.0, 1.0]))
+
+    def test_designs_of_other_shapes_are_refused(self):
+        with pytest.raises(SchemaError, match="column count"):
+            fit_ols([np.ones((5, 1)), np.ones((5, 2))], [np.ones(5), np.ones(5)])
+        with pytest.raises(SchemaError, match="one shape"):
+            fit_logistic([np.ones((5, 1)), np.ones((6, 1))], [np.ones(5), np.ones(6)])
+
+
 class TestKernelRegression:
     def test_predicts_smooth_function(self):
         rng = np.random.default_rng(3)
