@@ -11,12 +11,17 @@ closed form, by bisection (quantiles), or by trapezoid quadrature refined
 until the value stabilizes.  The quadrature grid is chosen adaptively once
 per check and then held fixed for every t, so the derivative in t sees a
 smooth function and finite differences are not polluted by grid switching.
+Refinement halves the step from 2^7 + 1 nodes (1-D) or from (2^6 + 1)^2
+nodes (2-D, ``QUADRATURE_FIRST_LEVEL_2D``), and the grid is the first level
+whose integral of the reference agrees with its predecessor's to
+``QUADRATURE_RTOL``.
 
-Grid arithmetic runs in place, or a block of rows at a time
-(``BLOCK_ELEMENTS``), with the operations of the whole-grid numpy
-expressions in the same order, so every value has their bits while a check
-holds only a few grids at once.  A refinement of the 1-D grid evaluates
-its reference only at the nodes it adds.
+The battery's 1-D grids reach 131073 nodes, so their arithmetic runs in
+place, or a block at a time (``BLOCK_ELEMENTS``), with the operations of
+the whole-grid numpy expressions in the same order: every value has their
+bits while a check holds only a few grids at once.  A refinement of the 1-D
+grid evaluates its reference only at the nodes it adds.  The battery's 2-D
+grids settle at 129^2 nodes, where plain whole-grid expressions are small.
 """
 from __future__ import annotations
 
@@ -44,6 +49,9 @@ QUADRATURE_RTOL = 1e-9
 # threshold where the density does not vanish, leaving O(h^2) convergence,
 # so they need far deeper halving (still cheap: vectorized over one axis).
 QUADRATURE_MAX_LEVEL_1D = 24
+# The 2-D refinement compares 65^2 with 129^2 nodes first: on the battery's
+# Gaussian-decaying integrands 129^2 already agrees to QUADRATURE_RTOL.
+QUADRATURE_FIRST_LEVEL_2D = 6
 QUADRATURE_MAX_LEVEL_2D = 11
 RANGE_SDS = 10.0
 BLOCK_ELEMENTS = 1 << 14  # elements per temporary of the blocked grid arithmetic
@@ -69,7 +77,9 @@ class NormalMixture:
     def pdf(self, y):
         total = np.zeros_like(np.asarray(y, dtype=float))
         for w, m, s in zip(self.weights, self.means, self.sds):
-            total += w * normal_pdf(y, loc=m, scale=s)  # in place
+            component = normal_pdf(y, loc=m, scale=s)
+            component *= w
+            total += component
         return total[()]
 
     def cdf(self, y):
@@ -223,7 +233,8 @@ class FixedGrid1D:
     there are kept as ``values`` and ``integral``.  Each level's nodes are
     the previous level's (``np.linspace`` gives them bit for bit, as the
     step halves exactly) with a node between each pair, so a level
-    evaluates the reference only at its new nodes.
+    evaluates the reference only at its new nodes, ``BLOCK_ELEMENTS`` of
+    them at a time.
     """
 
     def __init__(self, lo: float, hi: float, reference: Callable, rtol=QUADRATURE_RTOL):
@@ -238,8 +249,10 @@ class FixedGrid1D:
             else:
                 coarse, values = values, np.empty(nodes.size)
                 values[::2] = coarse
-                values[1::2] = reference(nodes[1::2].copy())
                 del coarse
+                new_nodes, new_values = nodes[1::2], values[1::2]
+                for i in range(0, new_nodes.size, BLOCK_ELEMENTS):
+                    new_values[i:i + BLOCK_ELEMENTS] = reference(new_nodes[i:i + BLOCK_ELEMENTS])
             value = float(_trapezoid(values, nodes))
             if previous is not None and abs(value - previous) <= rtol * max(1.0, abs(value)):
                 self.nodes, self.values, self.integral = nodes, values, value
@@ -260,7 +273,7 @@ class FixedGrid2D:
 
     def __init__(self, box, reference: Callable, rtol=QUADRATURE_RTOL):
         x_lo, x_hi, z_lo, z_hi = box
-        level = 7
+        level = QUADRATURE_FIRST_LEVEL_2D
         previous = None
         while level <= QUADRATURE_MAX_LEVEL_2D:
             xs = np.linspace(x_lo, x_hi, 2**level + 1)
@@ -331,61 +344,33 @@ def derivative_path_functions(
 
     def path_parts(X, Z):
         """At the nodes (X, Z): the t-free factors of the path integrand, and
-        the integral of the integrand that, less psi(P_0), is the analytic
-        derivative.  Products are built in place, a few grids at a time; the
-        weights depend on x only and are one (k, 1) column."""
+        the integrand whose integral, less psi(P_0), is the analytic
+        derivative.  The weights depend on x only and are one (k, 1) column."""
         w, wprime = spec.weight_at(X[:, :1])
         fa, fb = base.xz_density(X, Z), cont.xz_density(X, Z)
         fa_dx, fb_dx = base.xz_density_grad_x(X, Z, fa), cont.xz_density_grad_x(X, Z, fb)
-        ma, ma_dx, mb = base.regression(X, Z), base.regression_grad(X, Z), cont.regression(X, Z)
-        # ((-w' - w * fa_dx / fa) * (mb - ma) + w * ma_dx) * fb
-        term = np.maximum(fa, 1e-300)
-        np.divide(fa_dx, term, out=term)
-        term *= w
-        np.subtract(-wprime, term, out=term)
-        term *= mb - ma
-        term += w * ma_dx
-        term *= fb
-        analytic = float(_trapezoid(_trapezoid(term, Z[0]), X[:, 0]))
-        del term
-        ga, ga_dx = fa * ma, fa_dx * ma
-        ga_dx += fa * ma_dx
-        del ma, ma_dx
-        gb, gb_dx = fb * mb, fb_dx * mb
-        del mb
-        mb_dx = cont.regression_grad(X, Z)
-        mb_dx *= fb
-        gb_dx += mb_dx
+        ma, mb = base.regression(X, Z), cont.regression(X, Z)
+        ma_dx, mb_dx = base.regression_grad(X, Z), cont.regression_grad(X, Z)
+        analytic = ((-wprime - w * (fa_dx / np.maximum(fa, 1e-300))) * (mb - ma) + w * ma_dx) * fb
         return SimpleNamespace(
-            analytic=analytic, fa=fa, fb=fb, ga=ga, gb=gb, fa_dx=fa_dx, fb_dx=fb_dx,
-            ga_dx=ga_dx, gb_dx=gb_dx, w=w,
+            analytic=analytic, fa=fa, fb=fb, ga=fa * ma, gb=fb * mb, fa_dx=fa_dx, fb_dx=fb_dx,
+            ga_dx=fa_dx * ma + fa * ma_dx, gb_dx=fb_dx * mb + fb * mb_dx, w=w,
         )
 
     def path_integrand(p: SimpleNamespace, t: float) -> np.ndarray:
         """w * (g_t' - (g_t / f_t) * f_t'), with f_t = (1 - t) f_a + t f_b and
-        so on: d/dx of m_t = g_t / f_t, times f_t.  Three grids, in place."""
-        scratch = np.empty_like(p.fa)
-
-        def mixed(a, b, out=None):
-            out = np.multiply(a, 1.0 - t, out=out)
-            out += np.multiply(b, t, out=scratch)
-            return out
-
-        ft = mixed(p.fa, p.fb)
-        gt = mixed(p.ga, p.gb)
-        gt /= np.maximum(ft, 1e-300, out=ft)
-        gt *= mixed(p.fa_dx, p.fb_dx, out=ft)
-        gt_dx = mixed(p.ga_dx, p.gb_dx, out=ft)
-        gt_dx -= gt
-        gt_dx *= p.w
-        return gt_dx
+        so on: d/dx of m_t = g_t / f_t, times f_t."""
+        ft = (1.0 - t) * p.fa + t * p.fb
+        gt = (1.0 - t) * p.ga + t * p.gb
+        ft_dx = (1.0 - t) * p.fa_dx + t * p.fb_dx
+        gt_dx = (1.0 - t) * p.ga_dx + t * p.gb_dx
+        return p.w * (gt_dx - (gt / np.maximum(ft, 1e-300)) * ft_dx)
 
     parts = None
 
     def reference(X, Z):
         # the grid's last reference call is at its final nodes: keep those parts
         nonlocal parts
-        parts = None  # free the coarser level's parts before the finer level's
         parts = path_parts(X, Z)
         return path_integrand(parts, 0.5)
 
@@ -394,6 +379,5 @@ def derivative_path_functions(
     def psi_at(t: float) -> float:
         return grid.integrate(path_integrand(parts, t))
 
-    psi0 = psi_at(0.0)
-    analytic = parts.analytic - psi0
+    analytic = grid.integrate(parts.analytic) - psi_at(0.0)
     return psi_at, analytic

@@ -1,9 +1,12 @@
 """The smooth-family arithmetic against the whole-grid numpy expressions.
 
 The quadrature and path functions of ``_smooth`` run in place, a block of
-rows at a time, and reuse a coarser level's values; each test here compares
-them, bit for bit, with the plain expressions they stand for.
+rows at a time, reuse a coarser level's values or keep the weights as one
+column; each test here compares them, bit for bit, with the plain
+expressions they stand for.  The last tests bound the battery's grids and
+memory.
 """
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -167,3 +170,27 @@ def test_smooth_sweep_equals_the_whole_grid_reference(monkeypatch):
                         whole_grid_derivative_path_functions)
     assert len(got) == 7
     assert got == sweep_bits()
+
+
+def test_derivative_checks_settle_on_129_nodes_per_axis(monkeypatch):
+    sizes = []
+
+    class RecordedGrid2D(_smooth.FixedGrid2D):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sizes.append((self.xs.size, self.zs.size))
+
+    monkeypatch.setattr(_smooth, "FixedGrid2D", RecordedGrid2D)
+    gateaux.smooth_sweep()
+    assert sizes == [(129, 129), (129, 129)]
+
+
+def test_smooth_sweep_peak_memory_stays_below_3_5_mb():
+    gateaux.smooth_sweep()  # a first call may import or cache what is not the battery's
+    tracemalloc.start()
+    try:
+        gateaux.smooth_sweep()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 2**20

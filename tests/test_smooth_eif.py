@@ -101,3 +101,23 @@ def test_unit_weight_path_ends_at_the_closed_form_functional():
     psi_at, _ = _smooth.derivative_path_functions(spec, base, cont)
     assert psi_at(0.0) == pytest.approx(base.unit_weight_functional(), rel=REL, abs=0.0)
     assert psi_at(1.0) == pytest.approx(cont.unit_weight_functional(), rel=REL, abs=0.0)
+
+
+def polynomial_weight_functional(family, b0, b1):
+    """E[(b0 + b1 X) (c1 + 2 c3 X + c4 Z)] from the family's Gaussian moments."""
+    _, c1, _, c3, c4 = family.coef
+    mean_x, mean_z = family.mean_x(), family.mu_z
+    second_x = family.sd_x**2 + (family.a1 * family.sd_z) ** 2 + mean_x**2
+    cross_xz = family.a1 * family.sd_z**2 + mean_x * mean_z
+    return (b0 * (c1 + 2.0 * c3 * mean_x + c4 * mean_z)
+            + b1 * (c1 * mean_x + 2.0 * c3 * second_x + c4 * cross_xz))
+
+
+def test_polynomial_weight_path_ends_at_the_closed_form_functional():
+    spec, base, cont = next(case for case in SMOOTH_CASES if case[0] == AverageDerivativeEffect(
+        weight_kind="polynomial", weight_coefficients=(1.0, 0.5)))
+    psi_at, _ = _smooth.derivative_path_functions(spec, base, cont)
+    assert psi_at(0.0) == pytest.approx(polynomial_weight_functional(base, 1.0, 0.5),
+                                        rel=REL, abs=0.0)
+    assert psi_at(1.0) == pytest.approx(polynomial_weight_functional(cont, 1.0, 0.5),
+                                        rel=REL, abs=0.0)
