@@ -5,6 +5,9 @@ involving densities, so their verification runs on closed-form Gaussian
 families rather than finite-support laws.  Mixture paths stay inside the
 families: a t-mixture of Gaussian mixtures is again a Gaussian mixture,
 and the joint regression family mixes pointwise in the (x, z) density.
+A check's analytic value is the estimand's own ``eif_values`` at the base
+family's exact nuisances, integrated against the contaminant on the
+check's grid; only the plug-in paths ``psi_at`` are written out here.
 
 Numerical policy: functional values along the path are computed either in
 closed form, by bisection (quantiles), or by trapezoid quadrature refined
@@ -36,6 +39,8 @@ from ._normal import _elementwise, _ndtr, normal_cdf, normal_pdf
 from .errors import IntegrationError, SolverError, ValidationError
 from .estimands import (
     AverageDerivativeEffect,
+    ColumnSet,
+    NuisanceSet,
     Quantile,
     TailConditionalExpectation,
 )
@@ -237,11 +242,11 @@ class FixedGrid1D:
     them at a time.
     """
 
-    def __init__(self, lo: float, hi: float, reference: Callable, rtol=QUADRATURE_RTOL):
+    def __init__(self, lo: float, hi: float, reference: Callable):
         if hi <= lo:
             raise ValidationError("integration range is empty")
         level = 7
-        previous = values = None
+        previous, values = math.inf, None
         while level <= QUADRATURE_MAX_LEVEL_1D:
             nodes = np.linspace(lo, hi, 2**level + 1)
             if values is None:
@@ -254,13 +259,13 @@ class FixedGrid1D:
                 for i in range(0, new_nodes.size, BLOCK_ELEMENTS):
                     new_values[i:i + BLOCK_ELEMENTS] = reference(new_nodes[i:i + BLOCK_ELEMENTS])
             value = float(_trapezoid(values, nodes))
-            if previous is not None and abs(value - previous) <= rtol * max(1.0, abs(value)):
+            if abs(value - previous) <= QUADRATURE_RTOL * max(1.0, abs(value)):
                 self.nodes, self.values, self.integral = nodes, values, value
                 return
             previous = value
             level += 1
         raise IntegrationError(
-            f"trapezoid refinement did not stabilize to {rtol} on [{lo}, {hi}]"
+            f"trapezoid refinement did not stabilize to {QUADRATURE_RTOL} on [{lo}, {hi}]"
         )
 
     def integrate(self, values: np.ndarray) -> float:
@@ -271,23 +276,23 @@ class FixedGrid1D:
 class FixedGrid2D:
     """Tensor trapezoid grid refined once on a reference integrand."""
 
-    def __init__(self, box, reference: Callable, rtol=QUADRATURE_RTOL):
+    def __init__(self, box, reference: Callable):
         x_lo, x_hi, z_lo, z_hi = box
         level = QUADRATURE_FIRST_LEVEL_2D
-        previous = None
+        previous = math.inf
         while level <= QUADRATURE_MAX_LEVEL_2D:
             xs = np.linspace(x_lo, x_hi, 2**level + 1)
             zs = np.linspace(z_lo, z_hi, 2**level + 1)
             # broadcast views, not copies: each integrand makes its own full arrays
             X, Z = np.meshgrid(xs, zs, indexing="ij", copy=False)
             value = float(_trapezoid(_trapezoid(reference(X, Z), zs), xs))
-            if previous is not None and abs(value - previous) <= rtol * max(1.0, abs(value)):
+            if abs(value - previous) <= QUADRATURE_RTOL * max(1.0, abs(value)):
                 self.xs, self.zs, self.X, self.Z = xs, zs, X, Z
                 return
             previous = value
             level += 1
         raise IntegrationError(
-            f"tensor trapezoid refinement did not stabilize to {rtol} on {box}"
+            f"tensor trapezoid refinement did not stabilize to {QUADRATURE_RTOL} on {box}"
         )
 
     def integrate(self, values: np.ndarray) -> float:
@@ -296,7 +301,7 @@ class FixedGrid2D:
 
 
 # ---------------------------------------------------------------------------
-# path functionals and analytic means, per estimand
+# per estimand: the plug-in path, and E_cont of its own influence function
 # ---------------------------------------------------------------------------
 
 
@@ -305,14 +310,14 @@ def quantile_path_functions(spec: Quantile, base: NormalMixture, cont: NormalMix
         return mix_outcome_families(base, cont, t).quantile(spec.tau)
 
     psi0 = base.quantile(spec.tau)
-    f0 = float(base.pdf(np.asarray([psi0]))[0])
     lo = min(base.support_range()[0], cont.support_range()[0])
     hi = max(base.support_range()[1], cont.support_range()[1])
-    # integrand is piecewise constant times the contaminant density; split at psi0
-    left = FixedGrid1D(lo, psi0, cont.pdf).integral
-    right = FixedGrid1D(psi0, hi, cont.pdf).integral
-    analytic = ((spec.tau - 1.0) * left + spec.tau * right) / f0
-    return psi_at, analytic
+    # phi takes one value on each side of psi0: weigh each by the contaminant's mass there
+    masses = np.array([FixedGrid1D(lo, psi0, cont.pdf).integral,
+                       FixedGrid1D(psi0, hi, cont.pdf).integral])
+    phi = spec.eif_values(ColumnSet(n=2, y=np.array([lo, hi])),
+                          NuisanceSet(density_at_quantile=base.pdf), psi0)
+    return psi_at, float(np.dot(phi, masses))
 
 
 def tail_path_functions(
@@ -327,12 +332,11 @@ def tail_path_functions(
             raise SolverError("tail event has no probability along the path")
         return mixed.partial_mean(c) / mass
 
-    psi0 = psi_at(0.0)
-    F0 = float(base.cdf(c))
     lo = min(base.support_range()[0], cont.support_range()[0])
     grid = FixedGrid1D(lo, c, cont.pdf)
-    analytic = grid.integrate((grid.nodes - psi0) * grid.values) / F0
-    return psi_at, analytic
+    phi = spec.eif_values(ColumnSet(n=grid.nodes.size, y=grid.nodes),
+                          NuisanceSet(outcome_cdf=base.cdf), psi_at(0.0))
+    return psi_at, grid.integrate(phi * grid.values)
 
 
 def derivative_path_functions(
@@ -343,17 +347,15 @@ def derivative_path_functions(
     box = _merge_boxes(base.box(), cont.box())
 
     def path_parts(X, Z):
-        """At the nodes (X, Z): the t-free factors of the path integrand, and
-        the integrand whose integral, less psi(P_0), is the analytic
-        derivative.  The weights depend on x only and are one (k, 1) column."""
-        w, wprime = spec.weight_at(X[:, :1])
+        """The t-free factors of the path integrand at the nodes (X, Z).  The
+        weights depend on x only and are one (k, 1) column."""
+        w = spec.weight_at(X[:, :1])[0]
         fa, fb = base.xz_density(X, Z), cont.xz_density(X, Z)
         fa_dx, fb_dx = base.xz_density_grad_x(X, Z, fa), cont.xz_density_grad_x(X, Z, fb)
         ma, mb = base.regression(X, Z), cont.regression(X, Z)
         ma_dx, mb_dx = base.regression_grad(X, Z), cont.regression_grad(X, Z)
-        analytic = ((-wprime - w * (fa_dx / np.maximum(fa, 1e-300))) * (mb - ma) + w * ma_dx) * fb
         return SimpleNamespace(
-            analytic=analytic, fa=fa, fb=fb, ga=fa * ma, gb=fb * mb, fa_dx=fa_dx, fb_dx=fb_dx,
+            fa=fa, fb=fb, ga=fa * ma, gb=fb * mb, fa_dx=fa_dx, fb_dx=fb_dx,
             ga_dx=fa_dx * ma + fa * ma_dx, gb_dx=fb_dx * mb + fb * mb_dx, w=w,
         )
 
@@ -379,5 +381,14 @@ def derivative_path_functions(
     def psi_at(t: float) -> float:
         return grid.integrate(path_integrand(parts, t))
 
-    analytic = grid.integrate(parts.analytic) - psi_at(0.0)
-    return psi_at, analytic
+    # phi at the nodes, whose base density is in parts; affine in y, so y is cont's regression
+    x, z = grid.X.ravel(), grid.Z.ravel()
+    nuis = NuisanceSet(
+        outcome_mean=lambda xq, Zq: base.regression(xq, Zq[:, 0]),
+        outcome_mean_grad=lambda xq, Zq: base.regression_grad(xq, Zq[:, 0]),
+        joint_density=lambda xq, Zq: parts.fa.ravel(),
+        joint_density_grad=lambda xq, Zq: parts.fa_dx.ravel(),
+    )
+    phi = spec.eif_values(ColumnSet(n=x.size, y=cont.regression(x, z), x=x, Z=z[:, None]),
+                          nuis, psi_at(0.0))
+    return psi_at, grid.integrate(phi.reshape(grid.X.shape) * parts.fb)

@@ -358,9 +358,13 @@ class AverageDensity(Estimand):
         )
 
 
-def integrated_squared_density(density, sample_y: np.ndarray, points: int = 4096) -> float:
+SQUARED_DENSITY_POINTS = 4096
+
+
+def integrated_squared_density(density, sample_y: np.ndarray) -> float:
     """Trapezoid integral of a fitted density squared over the sample range
-    extended by five bandwidths on each side."""
+    extended by five bandwidths on each side, on ``SQUARED_DENSITY_POINTS``
+    nodes."""
     h = getattr(density, "bandwidth", None)
     if h is None:
         raise NuisanceError(
@@ -368,7 +372,7 @@ def integrated_squared_density(density, sample_y: np.ndarray, points: int = 4096
         )
     lo = float(np.min(sample_y)) - 5.0 * h
     hi = float(np.max(sample_y)) + 5.0 * h
-    grid = np.linspace(lo, hi, points)
+    grid = np.linspace(lo, hi, SQUARED_DENSITY_POINTS)
     vals = np.asarray(density(grid), dtype=float)
     return float(np.trapezoid(vals * vals, grid))
 

@@ -35,7 +35,9 @@ The module also computes von Mises remainders
 R(P, Q) = Psi(Q) - Psi(P) + E_P[ phi(O, Q) ] (second order in Q - P) and
 runs the same derivative check on smooth location families for the
 estimands that have no finite-support analogue (quantiles and average
-derivatives need densities).
+derivatives need densities).  There too the analytic side is the
+estimand's own ``eif_values``, so one influence-function implementation
+per estimand serves the estimators and both oracles.
 """
 from __future__ import annotations
 
@@ -710,9 +712,10 @@ def smooth_path_check(spec: Estimand, base, contaminant) -> GateauxReport:
     Quantiles, tail means, and average derivatives have influence functions
     involving densities, so the finite-support oracle does not apply.  This
     check differentiates t -> psi(P_t) along the mixture of two closed-form
-    families and compares with the mean of the influence function at the base
-    family under the contaminant, computed by quadrature from the exact
-    nuisances of the base family, of the kind ``SMOOTH_PATH_FUNCTIONS`` names.
+    families and compares with E_Q[phi]: the estimand's own ``eif_values`` at
+    the base family's exact nuisances, integrated by quadrature against the
+    contaminant Q.  The builder that ``SMOOTH_PATH_FUNCTIONS`` names for the
+    estimand and its family computes both sides.
     """
     for (cls, expected), builder in SMOOTH_PATH_FUNCTIONS.items():
         if isinstance(spec, cls):

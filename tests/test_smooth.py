@@ -12,7 +12,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from influence_lab import AverageDerivativeEffect, GaussianRegressionFamily, NormalMixture
+from influence_lab import (
+    AverageDerivativeEffect,
+    ColumnSet,
+    GaussianRegressionFamily,
+    NormalMixture,
+    NuisanceSet,
+)
 from influence_lab import _smooth, gateaux
 from influence_lab._normal import _SQRT_2PI, normal_cdf
 from influence_lab._smooth import BLOCK_ELEMENTS, QUADRATURE_MAX_LEVEL_1D, FixedGrid1D
@@ -44,13 +50,14 @@ class EveryNodeGrid1D:
     """``FixedGrid1D`` as a plain loop: every level evaluates the reference
     at all of its nodes and integrates with ``np.trapezoid``."""
 
-    def __init__(self, lo, hi, reference, rtol=_smooth.QUADRATURE_RTOL):
+    def __init__(self, lo, hi, reference):
         previous = None
         for level in range(7, QUADRATURE_MAX_LEVEL_1D + 1):
             nodes = np.linspace(lo, hi, 2**level + 1)
             values = reference(nodes)
             value = float(np.trapezoid(values, nodes))
-            if previous is not None and abs(value - previous) <= rtol * max(1.0, abs(value)):
+            if previous is not None and abs(value - previous) <= (
+                    _smooth.QUADRATURE_RTOL * max(1.0, abs(value))):
                 self.nodes, self.values, self.integral = nodes, values, value
                 return
             previous = value
@@ -116,18 +123,20 @@ def old_mixture_pdf(self, y):
 
 
 def whole_grid_derivative_path_functions(spec, base, cont):
-    """The average-derivative path functions as whole-grid expressions."""
+    """The average-derivative path functions as whole-grid expressions; the
+    analytic value takes the same route as ``_smooth``, the estimand's own
+    ``eif_values`` integrated against f_b, with every base-family nuisance
+    evaluated afresh at the nodes rather than read from the path parts."""
 
     def path_parts(X, Z):
         fa, fb = base.xz_density(X, Z), cont.xz_density(X, Z)
         fa_dx, fb_dx = base.xz_density_grad_x(X, Z, fa), cont.xz_density_grad_x(X, Z, fb)
         ma, mb = base.regression(X, Z), cont.regression(X, Z)
         ma_dx, mb_dx = base.regression_grad(X, Z), cont.regression_grad(X, Z)
-        w, wprime = spec.weight_at(np.asarray(X, dtype=float))
-        analytic = ((-wprime - w * (fa_dx / np.maximum(fa, 1e-300))) * (mb - ma) + w * ma_dx) * fb
         return SimpleNamespace(
-            analytic=analytic, fa=fa, fb=fb, ga=fa * ma, gb=fb * mb, fa_dx=fa_dx, fb_dx=fb_dx,
-            ga_dx=fa_dx * ma + fa * ma_dx, gb_dx=fb_dx * mb + fb * mb_dx, w=w,
+            fa=fa, fb=fb, ga=fa * ma, gb=fb * mb, fa_dx=fa_dx, fb_dx=fb_dx,
+            ga_dx=fa_dx * ma + fa * ma_dx, gb_dx=fb_dx * mb + fb * mb_dx,
+            w=spec.weight_at(np.asarray(X, dtype=float))[0],
         )
 
     def path_integrand(p, t):
@@ -149,7 +158,17 @@ def whole_grid_derivative_path_functions(spec, base, cont):
     def psi_at(t):
         return grid.integrate(path_integrand(parts, t))
 
-    return psi_at, grid.integrate(parts.analytic) - psi_at(0.0)
+    x, z = grid.X.ravel(), grid.Z.ravel()
+    nuis = NuisanceSet(
+        outcome_mean=lambda xq, Zq: base.regression(xq, Zq[:, 0]),
+        outcome_mean_grad=lambda xq, Zq: base.regression_grad(xq, Zq[:, 0]),
+        joint_density=lambda xq, Zq: base.xz_density(xq, Zq[:, 0]),
+        joint_density_grad=lambda xq, Zq: base.xz_density_grad_x(
+            xq, Zq[:, 0], base.xz_density(xq, Zq[:, 0])),
+    )
+    cols = ColumnSet(n=x.size, y=cont.regression(x, z), x=x, Z=z[:, None])
+    phi = spec.eif_values(cols, nuis, psi_at(0.0)).reshape(grid.X.shape)
+    return psi_at, grid.integrate(phi * parts.fb)
 
 
 def sweep_bits():

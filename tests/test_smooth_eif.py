@@ -1,49 +1,52 @@
-"""The package's influence functions against the smooth battery's analytic values.
+"""The smooth battery's analytic values against references that share no
+code with the estimands' influence functions.
 
-``smooth_path_check`` compares each numerical derivative with an analytic
-mean written out in ``_smooth``, not with the estimands' own influence code.
-Here ``Quantile.eif_values``, ``TailConditionalExpectation.eif_terms`` and
-``AverageDerivativeEffect.eif_terms`` are evaluated with the base family's
-exact nuisances, integrated against the contaminant on the quadrature grids
-the battery uses, and matched with every analytic value of ``SMOOTH_CASES``.
+``smooth_path_check`` takes each analytic value from the estimands' own
+influence code: ``Quantile.eif_values``, ``TailConditionalExpectation.eif_terms``
+and ``AverageDerivativeEffect.eif_terms`` at the base family's exact
+nuisances, integrated against the contaminant on the battery's grids.  Here
+every value of ``SMOOTH_CASES`` is matched with the mean of the influence
+function written out by hand on the same grids, the quantile and tail
+values with their closed forms, and a fault planted in each estimand's
+influence code must fail every check of that estimand.
 """
 import numpy as np
 import pytest
 
 from influence_lab import (
     AverageDerivativeEffect,
-    ColumnSet,
-    NuisanceSet,
     Quantile,
     TailConditionalExpectation,
 )
 from influence_lab import _smooth
-from influence_lab.gateaux import SMOOTH_CASES, smooth_path_check
+from influence_lab.gateaux import SMOOTH_CASES, SMOOTH_TOLERANCE, smooth_path_check, smooth_sweep
 
 REL = 1e-12
+# the quadrature's stop rule is QUADRATURE_RTOL = 1e-9 between levels; the
+# worst gap to a closed form reads 2.07e-9 (the tau = 0.9 quantile)
+CLOSED_FORM_REL = 5e-9
 
 
 def quantile_mean(spec, base, cont):
-    """E_cont[phi(Y; psi0)]: phi takes one value on each side of psi0, so it
-    is weighted by the contaminant's mass on each side."""
+    """E_cont[phi(Y; psi0)]: the integrand is piecewise constant times the
+    contaminant density, split at psi0."""
     psi0 = base.quantile(spec.tau)
+    f0 = float(base.pdf(np.asarray([psi0]))[0])
     lo = min(base.support_range()[0], cont.support_range()[0])
     hi = max(base.support_range()[1], cont.support_range()[1])
-    masses = np.array([_smooth.FixedGrid1D(lo, psi0, cont.pdf).integral,
-                       _smooth.FixedGrid1D(psi0, hi, cont.pdf).integral])
-    cols = ColumnSet(n=2, y=np.array([lo, hi]))
-    phi = spec.eif_values(cols, NuisanceSet(density_at_quantile=base.pdf), psi0)
-    return float(np.dot(phi, masses))
+    left = _smooth.FixedGrid1D(lo, psi0, cont.pdf).integral
+    right = _smooth.FixedGrid1D(psi0, hi, cont.pdf).integral
+    return ((spec.tau - 1.0) * left + spec.tau * right) / f0
 
 
 def tail_mean(spec, base, cont):
     """E_cont[phi(Y; psi0)] on the grid of the contaminant's lower tail."""
     psi_at, _ = _smooth.tail_path_functions(spec, base, cont)
+    psi0 = psi_at(0.0)
+    F0 = float(base.cdf(spec.threshold))
     lo = min(base.support_range()[0], cont.support_range()[0])
     grid = _smooth.FixedGrid1D(lo, spec.threshold, cont.pdf)
-    cols = ColumnSet(n=grid.nodes.size, y=grid.nodes)
-    phi = spec.eif_values(cols, NuisanceSet(outcome_cdf=base.cdf), psi_at(0.0))
-    return grid.integrate(phi * grid.values)
+    return grid.integrate((grid.nodes - psi0) * grid.values) / F0
 
 
 def regression_grid(spec, base, cont):
@@ -64,21 +67,17 @@ def regression_grid(spec, base, cont):
 
 
 def derivative_mean(spec, base, cont):
-    """E_cont[phi(O; psi0)] at the grid nodes: phi is affine in y, so the
-    outcome enters as the contaminant's regression."""
+    """E_cont[phi(O; psi0)] at the grid nodes, the outcome entering as the
+    contaminant's regression: l (m_b - m_a) + w m_a', times f_b, less psi0."""
     psi_at, _ = _smooth.derivative_path_functions(spec, base, cont)
     grid = regression_grid(spec, base, cont)
-    x, z = grid.X.ravel(), grid.Z.ravel()
-    cols = ColumnSet(n=x.size, y=cont.regression(x, z), x=x, Z=z[:, None])
-    nuis = NuisanceSet(
-        outcome_mean=lambda xq, Zq: base.regression(xq, Zq[:, 0]),
-        outcome_mean_grad=lambda xq, Zq: base.regression_grad(xq, Zq[:, 0]),
-        joint_density=lambda xq, Zq: base.xz_density(xq, Zq[:, 0]),
-        joint_density_grad=lambda xq, Zq: base.xz_density_grad_x(
-            xq, Zq[:, 0], base.xz_density(xq, Zq[:, 0])),
-    )
-    phi = spec.eif_values(cols, nuis, psi_at(0.0)).reshape(grid.X.shape)
-    return grid.integrate(phi * cont.xz_density(grid.X, grid.Z))
+    X, Z = grid.X, grid.Z
+    fa, fb = base.xz_density(X, Z), cont.xz_density(X, Z)
+    fa_dx = base.xz_density_grad_x(X, Z, fa)
+    ma, mb, ma_dx = base.regression(X, Z), cont.regression(X, Z), base.regression_grad(X, Z)
+    w, wprime = spec.weight_at(X)
+    analytic = ((-wprime - w * (fa_dx / np.maximum(fa, 1e-300))) * (mb - ma) + w * ma_dx) * fb
+    return grid.integrate(analytic) - psi_at(0.0)
 
 
 EIF_MEANS = {
@@ -92,7 +91,45 @@ EIF_MEANS = {
 def test_package_eif_matches_the_smooth_analytic_value(case):
     spec, base, cont = case
     analytic = smooth_path_check(spec, base, cont).analytic_value
-    assert EIF_MEANS[type(spec)](spec, base, cont) == pytest.approx(analytic, rel=REL, abs=0.0)
+    assert analytic == pytest.approx(EIF_MEANS[type(spec)](spec, base, cont), rel=REL, abs=0.0)
+
+
+def closed_form_mean(spec, base, cont):
+    """E_cont[phi(Y; psi0)] from the mixtures' closed-form cdf and partial mean."""
+    if isinstance(spec, Quantile):
+        psi0 = base.quantile(spec.tau)
+        return (spec.tau - cont.cdf(psi0)) / float(base.pdf(np.asarray([psi0]))[0])
+    c = spec.threshold
+    psi0 = base.partial_mean(c) / base.cdf(c)
+    return (cont.partial_mean(c) - psi0 * cont.cdf(c)) / base.cdf(c)
+
+
+@pytest.mark.parametrize("case", [case for case in SMOOTH_CASES
+                                  if not isinstance(case[0], AverageDerivativeEffect)],
+                         ids=lambda case: repr(case[0]))
+def test_outcome_analytic_value_matches_its_closed_form(case):
+    spec, base, cont = case
+    analytic = smooth_path_check(spec, base, cont).analytic_value
+    want = closed_form_mean(spec, base, cont)
+    assert abs(analytic - want) <= CLOSED_FORM_REL * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("cls, method", [
+    (Quantile, "eif_values"),
+    (TailConditionalExpectation, "eif_terms"),
+    (AverageDerivativeEffect, "eif_terms"),
+])
+def test_a_fault_in_the_influence_code_fails_every_check(cls, method, monkeypatch):
+    exact = getattr(cls, method)
+
+    def scaled(self, *args):
+        out = exact(self, *args)
+        return tuple(1.001 * a for a in out) if isinstance(out, tuple) else 1.001 * out
+
+    monkeypatch.setattr(cls, method, scaled)
+    sweep = smooth_sweep(only=cls.name)
+    assert sweep.checked == sum(isinstance(case[0], cls) for case in SMOOTH_CASES)
+    assert len(sweep.failures(SMOOTH_TOLERANCE)) == sweep.checked
 
 
 def test_unit_weight_path_ends_at_the_closed_form_functional():
