@@ -7,10 +7,9 @@ derivative versus influence function over the catalog), and ``report``
 
 Every JSON payload embeds the tool version, the fully resolved
 configuration, the seed, and the wall clock; the ``result`` block is a
-deterministic function of the embedded configuration, except for the
-wall-clock ``mean_runtime`` of ``simulate``.  Exit codes: 0 success, 1
-validation problem, 2 numerical failure (a logistic fit that did not
-converge, running out of memory and numpy's LinAlgError and
+deterministic function of the embedded configuration.  Exit codes: 0
+success, 1 validation problem, 2 numerical failure (a logistic fit that did
+not converge, running out of memory and numpy's LinAlgError and
 FloatingPointError included), 3 verification failure.
 """
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import METHOD_ALIASES, RunConfig, parse_config_file
+from .config import RunConfig, parse_config_file, resolve_method
 from .distributions import load_csv
 from .errors import (
     ConfigError,
@@ -37,7 +36,7 @@ from .errors import (
     exit_code_for,
 )
 from .estimands import from_config
-from .estimation import DEFAULT_FOLDS, estimate
+from .estimation import DEFAULT_ALPHA, DEFAULT_FOLDS, LearnerSettings, estimate
 from .gateaux import (
     DEFAULT_TOLERANCE,
     SMOOTH_CASES,
@@ -48,6 +47,7 @@ from .gateaux import (
     smooth_sweep,
 )
 from .simulation import (
+    ARM_SETTINGS,
     dgp_by_name,
     double_robustness_experiment,
     run_replications,
@@ -128,12 +128,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     started = time.perf_counter()
-    if args.method not in METHOD_ALIASES:
-        raise ConfigError(
-            f"unknown method {args.method!r}; expected one of "
-            + ", ".join(sorted(set(METHOD_ALIASES)))
-        )
-    method = METHOD_ALIASES[args.method]
+    method = resolve_method(args.method)
     dgp = dgp_by_name(args.dgp)
     spec = from_config(args.estimand)
     config = {
@@ -145,6 +140,7 @@ def _cmd_simulate(args) -> int:
         "reps": args.reps,
         "seed": args.seed,
         "folds": args.folds,
+        "alpha": DEFAULT_ALPHA,
     }
     if args.arms:
         arms = tuple(a.strip() for a in args.arms.split(","))
@@ -153,17 +149,25 @@ def _cmd_simulate(args) -> int:
                 "--arms runs the misspecification experiment, which is defined "
                 "on the ate-nonlinear process"
             )
-        config["arms"] = list(arms)
+        if spec.name != "ate":
+            raise ConfigError(
+                f"--arms runs the misspecification experiment, which estimates "
+                f"the ate, not {spec.name}"
+            )
         reports = double_robustness_experiment(
             n=args.n, R=args.reps, seed=args.seed, arms=arms,
             method=method, folds=args.folds,
         )
+        config["arms"] = list(arms)
+        config["learners"] = {arm: ARM_SETTINGS[arm].to_json() for arm in reports}
         result = {arm: rep.to_json(include_draws=True) for arm, rep in reports.items()}
     else:
+        settings = LearnerSettings()
         rep = run_replications(
-            dgp, spec, method=method, n=args.n, R=args.reps,
+            dgp, spec, method=method, settings=settings, n=args.n, R=args.reps,
             seed=args.seed, folds=args.folds,
         )
+        config["learners"] = settings.to_json()
         result = rep.to_json(include_draws=True)
     _emit(_envelope("simulate", config, args.seed, result, started), args.out)
     return 0
@@ -187,8 +191,7 @@ def _sweep_json(result: SweepResult, tolerance: float) -> dict:
 
 def _cmd_verify_eif(args) -> int:
     started = time.perf_counter()
-    for flag, value, low in (("--trials", args.trials, 1), ("--max-support", args.max_support, 3),
-                             ("--seed", args.seed, 0)):
+    for flag, value, low in (("--trials", args.trials, 1), ("--seed", args.seed, 0)):
         if value < low:
             raise ConfigError(f"{flag} must be at least {low}, got {value}")
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0.0):
@@ -203,8 +206,7 @@ def _cmd_verify_eif(args) -> int:
         )
     t0_result = t1_result = smooth_result = SweepResult()
     if only is None or only in discrete_names:
-        sweep = dict(trials=args.trials, seed=args.seed, max_support=args.max_support,
-                     keep="worst", only=only)
+        sweep = dict(trials=args.trials, seed=args.seed, keep="worst", only=only)
         t0_result = oracle_sweep(**sweep)
         t1_result = oracle_sweep(at_t=1.0, **sweep)
     if only is None or only in smooth_names:
@@ -213,7 +215,6 @@ def _cmd_verify_eif(args) -> int:
     config = {
         "spec": args.spec,
         "trials": args.trials,
-        "max_support": args.max_support,
         "seed": args.seed,
         "tolerance": args.tolerance,
         "smooth_tolerance": SMOOTH_TOLERANCE,
@@ -444,11 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify-eif", help="derivative-vs-EIF verification sweep")
     p_ver.add_argument("--spec", default="all", help="estimand name or 'all'")
     p_ver.add_argument("--trials", type=int, default=50, help="random laws per estimand")
-    p_ver.add_argument(
-        "--max-support", type=int, default=20, dest="max_support",
-        help="atoms of the outcome-only laws (capped at 12) and outcome values per "
-        "exposure level; the covariate and mediation laws have a fixed cell structure",
-    )
     p_ver.add_argument("--seed", type=int, default=7, help="sweep seed")
     p_ver.add_argument(
         "--tolerance", type=float, default=DEFAULT_TOLERANCE,

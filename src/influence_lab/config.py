@@ -8,18 +8,13 @@ line number, so a typo never silently falls back to a default.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .distributions import KINDS, ROLES
 from .errors import ConfigError
-from .estimands import CATALOG, Estimand, from_config
-from .estimation import (
-    DEFAULT_ALPHA,
-    DEFAULT_FOLDS,
-    ESTIMATORS,
-    LearnerSettings,
-)
+from .estimands import _AS_GIVEN, _COERCE, CATALOG, Estimand, from_config
+from .estimation import DEFAULT_ALPHA, DEFAULT_FOLDS, LearnerSettings
 
 SECTIONS = ("data", "estimand", "learners", "run")
 
@@ -33,31 +28,7 @@ METHOD_ALIASES = {
     "tmle": "tmle",
 }
 
-_LEARNER_KEYS = {
-    "outcome_model": str,
-    "outcome_degree": int,
-    "outcome_interactions": bool,
-    "propensity_model": str,
-    "propensity_degree": int,
-    "propensity_interactions": bool,
-    "ridge_lambda": float,
-    "bandwidth": "bandwidth",
-    "trim": float,
-}
-
-_RUN_KEYS = {
-    "method": str,
-    "folds": int,
-    "seed": int,
-    "alpha": float,
-    "out": str,
-}
-
-_DATA_KEYS = {
-    "path": str,
-    "dgp": str,
-    "n": int,
-}
+_DATA_TYPES = {"path": "str", "dgp": "str", "n": "int"}
 
 
 @dataclass(frozen=True)
@@ -95,46 +66,38 @@ class RunConfig:
             "data": data,
             "estimand": self.spec.describe(),
             "learners": self.settings.to_json(),
-            "run": {
-                "method": self.method,
-                "folds": self.folds,
-                "seed": self.seed,
-                "alpha": self.alpha,
-                "out": self.out,
-            },
+            "run": {key: getattr(self, key) for key in _RUN_TYPES},
         }
 
 
-def _coerce(kind, raw: str, key: str, lineno: int):
-    if kind is str:
-        return raw
-    if kind is int:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"line {lineno}: {key} must be an integer, got {raw!r}") from None
-    if kind is float:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"line {lineno}: {key} must be a number, got {raw!r}") from None
-    if kind is bool:
-        lowered = raw.lower()
-        if lowered in ("true", "yes", "1"):
-            return True
-        if lowered in ("false", "no", "0"):
-            return False
-        raise ConfigError(f"line {lineno}: {key} must be true or false, got {raw!r}")
-    if kind == "bandwidth":
-        if raw == "auto":
-            return "auto"
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(
-                f"line {lineno}: bandwidth must be 'auto' or a number, got {raw!r}"
-            ) from None
-    raise AssertionError(f"unhandled coercion kind {kind!r}")
+# Each [learners] and [run] key is the RunConfig or LearnerSettings field
+# that holds it, read as that field's annotation declares.
+_LEARNER_TYPES = {f.name: f.type for f in fields(LearnerSettings)}
+_RUN_TYPES = {
+    f.name: f.type for f in fields(RunConfig)
+    if f.name in ("method", "folds", "seed", "alpha", "out")
+}
+
+
+def resolve_method(name: str) -> str:
+    """The estimator a method name or one of its aliases selects."""
+    if name not in METHOD_ALIASES:
+        raise ConfigError(
+            f"unknown method {name!r}; expected one of {sorted(METHOD_ALIASES)}"
+        )
+    return METHOD_ALIASES[name]
+
+
+def _read(types: dict, section: str, key: str, raw: str, lineno: int):
+    """The value of line ``lineno``, ``key = raw`` in ``[section]``, read as
+    the type ``types`` declares for its key."""
+    if key not in types:
+        raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
+    coerce, expected = _COERCE.get(types[key], _AS_GIVEN)
+    try:
+        return coerce(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"line {lineno}: {key} must be {expected}, got {raw!r}") from None
 
 
 def _scan(text: str) -> dict:
@@ -173,53 +136,41 @@ def _scan(text: str) -> dict:
 
 
 def _parse_data(entries: dict) -> tuple:
-    path = dgp = None
-    n = None
+    data: dict = {}
     roles: dict = {}
     for key, (value, lineno) in entries.items():
-        if key.startswith("role."):
-            column = key[len("role."):]
-            if not column:
-                raise ConfigError(f"line {lineno}: role key needs a column name")
-            parts = [p.strip() for p in value.split(",")]
-            if len(parts) != 2:
-                raise ConfigError(
-                    f"line {lineno}: role.{column} must be '<role>,<kind>', got {value!r}"
-                )
-            role, kind = parts
-            if role not in ROLES:
-                raise ConfigError(
-                    f"line {lineno}: unknown role {role!r}; expected one of {ROLES}"
-                )
-            if kind not in KINDS:
-                raise ConfigError(
-                    f"line {lineno}: unknown kind {kind!r}; expected one of {KINDS}"
-                )
-            roles[column] = (role, kind)
-        elif key in _DATA_KEYS:
-            value = _coerce(_DATA_KEYS[key], value, key, lineno)
-            if key == "path":
-                path = value
-            elif key == "dgp":
-                dgp = value
-            elif value < 1:
-                raise ConfigError(f"line {lineno}: n must be at least 1, got {value}")
-            else:
-                n = value
-        else:
-            raise ConfigError(f"line {_lineno(entries, key)}: unknown key {key!r} in [data]")
-    return path, dgp, n, roles
-
-
-def _lineno(entries: dict, key: str) -> int:
-    return entries[key][1]
+        if not key.startswith("role."):
+            data[key] = _read(_DATA_TYPES, "data", key, value, lineno)
+            if key == "n" and data[key] < 1:
+                raise ConfigError(f"line {lineno}: n must be at least 1, got {data[key]}")
+            continue
+        column = key[len("role."):]
+        if not column:
+            raise ConfigError(f"line {lineno}: role key needs a column name")
+        parts = [p.strip() for p in value.split(",")]
+        if len(parts) != 2:
+            raise ConfigError(
+                f"line {lineno}: role.{column} must be '<role>,<kind>', got {value!r}"
+            )
+        role, kind = parts
+        if role not in ROLES:
+            raise ConfigError(
+                f"line {lineno}: unknown role {role!r}; expected one of {ROLES}"
+            )
+        if kind not in KINDS:
+            raise ConfigError(
+                f"line {lineno}: unknown kind {kind!r}; expected one of {KINDS}"
+            )
+        roles[column] = (role, kind)
+    return data.get("path"), data.get("dgp"), data.get("n"), roles
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a configuration document.
 
     Every error names the offending line; validation that spans lines (a
-    missing required key, say) names the section instead.
+    missing required key, say) names the section instead.  A [learners] or
+    [run] key left out keeps the default its field declares.
     """
     sections = _scan(text)
 
@@ -240,10 +191,10 @@ def parse_config(text: str) -> RunConfig:
     est_entries = sections["estimand"]
     if "name" not in est_entries:
         raise ConfigError("[estimand] is missing the required key 'name'")
-    est_name = est_entries["name"][0]
+    est_name, est_line = est_entries.pop("name")
     if est_name not in CATALOG:
         raise ConfigError(
-            f"line {_lineno(est_entries, 'name')}: unknown estimand {est_name!r}; "
+            f"line {est_line}: unknown estimand {est_name!r}; "
             f"available: {', '.join(sorted(CATALOG))}"
         )
     for required in CATALOG[est_name].required_params:
@@ -251,62 +202,31 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(
                 f"[estimand] {est_name} requires the key {required!r}"
             )
-    params = {}
-    for key, (value, _) in est_entries.items():
-        if key == "name":
-            continue
-        if key == "weight_coefficients":
-            params[key] = [part.strip() for part in value.split(",")]
-        else:
-            params[key] = value
-    spec = from_config(est_name, params)
+    spec = from_config(est_name, {key: value for key, (value, _) in est_entries.items()})
     # Estimands outside the tractable class reject at lookup time; surface
     # that here so a bad target never reaches data loading.
     spec.nuisance_requirements()
 
-    learner_kwargs = {}
-    for key, (value, lineno) in sections["learners"].items():
-        if key not in _LEARNER_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r} in [learners]")
-        learner_kwargs[key] = _coerce(_LEARNER_KEYS[key], value, key, lineno)
-    settings = LearnerSettings(**learner_kwargs)
+    settings = LearnerSettings(**{
+        key: _read(_LEARNER_TYPES, "learners", key, value, lineno)
+        for key, (value, lineno) in sections["learners"].items()
+    })
 
-    run_values = {}
+    run = {}
     for key, (value, lineno) in sections["run"].items():
-        if key not in _RUN_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r} in [run]")
-        run_values[key] = _coerce(_RUN_KEYS[key], value, key, lineno)
-    method = run_values.get("method", "one_step")
-    if method not in METHOD_ALIASES:
-        raise ConfigError(
-            f"line {_lineno(sections['run'], 'method')}: unknown method {method!r}; "
-            f"expected one of {sorted(set(METHOD_ALIASES))}"
-        )
-    method = METHOD_ALIASES[method]
-    assert method in ESTIMATORS
-    folds = run_values.get("folds", DEFAULT_FOLDS)
-    if folds < 1:
-        raise ConfigError(
-            f"line {_lineno(sections['run'], 'folds')}: folds must be at least 1"
-        )
-    alpha = run_values.get("alpha", DEFAULT_ALPHA)
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(
-            f"line {_lineno(sections['run'], 'alpha')}: alpha must be inside (0, 1)"
-        )
+        run[key] = _read(_RUN_TYPES, "run", key, value, lineno)
+        if key == "method":
+            try:
+                run[key] = resolve_method(run[key])
+            except ConfigError as exc:
+                raise ConfigError(f"line {lineno}: {exc}") from None
+        elif key == "folds" and run[key] < 1:
+            raise ConfigError(f"line {lineno}: folds must be at least 1")
+        elif key == "alpha" and not 0.0 < run[key] < 1.0:
+            raise ConfigError(f"line {lineno}: alpha must be inside (0, 1)")
 
     return RunConfig(
-        spec=spec,
-        settings=settings,
-        roles=roles,
-        data_path=path,
-        dgp_name=dgp,
-        n=n,
-        method=method,
-        folds=folds,
-        seed=run_values.get("seed", 0),
-        alpha=alpha,
-        out=run_values.get("out"),
+        spec=spec, settings=settings, roles=roles, data_path=path, dgp_name=dgp, n=n, **run
     )
 
 

@@ -49,6 +49,7 @@ derivative check of the influence function is not circular.
 """
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, fields
 from typing import Callable, ClassVar, Optional
 
@@ -1112,21 +1113,44 @@ CATALOG = {
 }
 
 def _integer(value) -> int:
-    """An integral value given as an int, a float or a string ("1", "1.0")."""
+    """An integral value: an int or integer text, read exactly at any size,
+    or an integral number such as 5.0 or "5.0"."""
+    if isinstance(value, (int, str)):
+        with contextlib.suppress(ValueError):
+            return int(value)
     number = float(value)
     if not number.is_integer():
         raise ValueError(f"{value!r} is not an integer")
     return int(number)
 
 
-# How ``from_config`` reads a value for a field of each declared type, keyed
-# by the annotation as written (this module's annotations are strings); a
-# ``str`` field takes the value as given.
+def _boolean(value) -> bool:
+    lowered = str(value).lower()
+    if lowered in ("true", "yes", "1"):
+        return True
+    if lowered in ("false", "no", "0"):
+        return False
+    raise ValueError(f"{value!r} is not true or false")
+
+
+def _numbers(value) -> tuple:
+    """Numbers given as a sequence or as comma-separated text."""
+    return tuple(float(v) for v in (value.split(",") if isinstance(value, str) else value))
+
+
+# How a configured value is read for a field of each declared type, keyed by
+# the annotation as written (this package's annotations are strings), with
+# what the value must be; a field of any other type (``str``) takes the value
+# as given.  Run configurations and estimand parameters both read through it.
 _COERCE = {
-    "int": _integer,
-    "float": float,
-    "tuple": lambda value: tuple(float(v) for v in value),
+    "int": (_integer, "an integer"),
+    "float": (float, "a number"),
+    "bool": (_boolean, "true or false"),
+    "Union[str, float]": (lambda value: value if value == "auto" else float(value),
+                          "'auto' or a number"),
+    "tuple": (_numbers, "numbers separated by commas"),
 }
+_AS_GIVEN = (lambda value: value, "text")
 
 
 def from_config(name: str, params: Optional[dict] = None) -> Estimand:
@@ -1147,7 +1171,7 @@ def from_config(name: str, params: Optional[dict] = None) -> Estimand:
     coerced = {}
     for key, value in params.items():
         try:
-            coerced[key] = _COERCE.get(types[key], lambda v: v)(value)
+            coerced[key] = _COERCE.get(types[key], _AS_GIVEN)[0](value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(
                 f"estimand parameter {key}={value!r} is invalid: expected {types[key]}"

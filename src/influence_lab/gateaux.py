@@ -509,27 +509,23 @@ def _distinct_values(rng: np.random.Generator, count: int) -> list[float]:
     return sorted(values)
 
 
-def random_law(
-    rng: np.random.Generator, schema: Schema, max_support: int = 20
-) -> DiscreteDistribution:
+def random_law(rng: np.random.Generator, schema: Schema) -> DiscreteDistribution:
     """Random finite-support law with every conditioning cell positive.
 
     Cell structures follow the schema: covariate and exposure levels form a
     full product so conditional means exist everywhere, and outcome values
     within each cell are drawn fresh.  Dirichlet(1) weights over atoms.
-    ``max_support`` (at least 3) bounds only the outcome-only laws, at
-    min(max_support, 12) atoms, and the outcome values per exposure level;
-    the covariate and mediation schemas have a fixed cell structure.
+    An outcome-only law has 3 to 12 atoms; an exposure-outcome law has 3
+    outcome values per exposure level.
     """
     if schema is OUTCOME_ONLY or [c.role for c in schema.columns] == ["outcome"]:
-        k = int(rng.integers(3, min(max_support, 12) + 1))
+        k = int(rng.integers(3, 13))
         support = [(v,) for v in _distinct_values(rng, k)]
     elif schema is EXPOSURE_OUTCOME:
         levels = [0.0, 1.0, 2.0][: int(rng.integers(2, 4))]
-        per_cell = max(2, min(3, max_support // len(levels)))
         support = []
         for lev in levels:
-            for v in _distinct_values(rng, per_cell):
+            for v in _distinct_values(rng, 3):
                 support.append((lev, v))
     elif schema is FULL_SCHEMA:
         z_levels = [0.0, 1.0] if rng.random() < 0.7 else [0.0, 1.0, 2.0]
@@ -643,7 +639,6 @@ def _only(cases: tuple, only: Optional[str], name: Callable) -> tuple:
 def oracle_sweep(
     trials: int = 50,
     seed: int = 20250815,
-    max_support: int = 20,
     at_t: float = 0.0,
     keep: str = "all",
     only: Optional[str] = None,
@@ -659,24 +654,21 @@ def oracle_sweep(
 
     ``keep="worst"`` records only the largest-error report of each
     (estimand, trial) pair; the checks run either way.  ``only`` restricts
-    the plan to one estimand name.  An endpoint other than 0 or 1, fewer
-    than one trial, or fewer than three atoms (the smallest outcome-only
-    law) is refused.
+    the plan to one estimand name.  An endpoint other than 0 or 1, or fewer
+    than one trial, is refused.
     """
     if at_t not in (0.0, 1.0):
         raise ValidationError(f"sweep endpoint must be 0 or 1, got {at_t!r}")
     if keep not in ("all", "worst"):
         raise ValidationError(f"keep must be 'all' or 'worst', got {keep!r}")
-    if trials < 1 or max_support < 3:
-        raise ValidationError(
-            f"a sweep needs trials >= 1 and max_support >= 3, got {trials} and {max_support}"
-        )
+    if trials < 1:
+        raise ValidationError(f"a sweep needs trials >= 1, got {trials}")
     plan = _only(SWEEP_PLAN, only, lambda case: case[0].split(":")[0])
     rng = seeded_rng(seed)
     reports: list[GateauxReport] = []
     for entry, schema in plan:
         for _ in range(trials):
-            law = random_law(rng, schema, max_support=max_support)
+            law = random_law(rng, schema)
             params = _SWEEP_PARAMS.get(entry, lambda rng, law: {})(rng, law)
             spec = CATALOG[entry.split(":")[0]](**params)
             if at_t == 0.0:

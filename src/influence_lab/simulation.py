@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import time
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -421,7 +420,6 @@ class MetricsReport:
     coverage: float
     coverage_mc_se: float
     rmse: float
-    mean_runtime: float
     psi_hats: tuple
     ses: tuple
     excluded: tuple
@@ -444,7 +442,6 @@ class MetricsReport:
             "coverage": self.coverage,
             "coverage_mc_se": self.coverage_mc_se,
             "rmse": self.rmse,
-            "mean_runtime": self.mean_runtime,
             "excluded": [list(item) for item in self.excluded],
             "extras": self.extras,
         }
@@ -458,7 +455,6 @@ def _replicate_once(dgp, spec, method, settings, n, folds, alpha, master_seed, r
     """Run replication r of master seed ``master_seed``; returns its payload."""
     dataset = dgp.generate(n, hash64(master_seed, r))
     plan = make_folds(n, folds, hash64(master_seed, r, "folds"))
-    start = time.perf_counter()
     nuis = fit_cross_fitted_nuisances(dataset, spec, settings, plan)
     report = ESTIMATORS[method](spec, dataset, nuis, alpha)
     payload = {
@@ -466,7 +462,6 @@ def _replicate_once(dgp, spec, method, settings, n, folds, alpha, master_seed, r
         "se": report.se,
         "lo": report.ci[0],
         "hi": report.ci[1],
-        "runtime": time.perf_counter() - start,
     }
     if method == "tmle":
         companion = one_step(spec, dataset, nuis, alpha)
@@ -545,7 +540,6 @@ def run_replications(
         coverage=coverage,
         coverage_mc_se=float(math.sqrt(max(coverage * (1.0 - coverage), 0.0) / completed)),
         rmse=float(np.sqrt(np.mean((psi - truth_value) ** 2))),
-        mean_runtime=float(np.mean([item["runtime"] for item in results])),
         psi_hats=tuple(float(v) for v in psi),
         ses=tuple(float(v) for v in ses),
         excluded=tuple(excluded),

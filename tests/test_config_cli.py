@@ -4,9 +4,11 @@ import contextlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,10 +25,15 @@ from influence_lab import (
     parse_config_file,
 )
 from influence_lab.cli import main as cli_main
-from influence_lab.config import METHOD_ALIASES
+from influence_lab.config import METHOD_ALIASES, RunConfig
 from influence_lab.distributions import KINDS, ROLES
-from influence_lab.estimation import _OUTCOME_MODELS, _PROPENSITY_MODELS
-from influence_lab.simulation import DGPS
+from influence_lab.estimation import (
+    DEFAULT_ALPHA,
+    _OUTCOME_MODELS,
+    _PROPENSITY_MODELS,
+    LearnerSettings,
+)
+from influence_lab.simulation import ARM_SETTINGS, DGPS
 
 MINIMAL = """\
 [data]
@@ -174,11 +181,24 @@ class TestParseConfig:
             ("run", "folds = five", "folds must be an integer"),
             ("run", "alpha = wide", "alpha must be a number"),
             ("learners", "bandwidth = wide", "bandwidth must be 'auto' or a number"),
+            ("learners", "outcome_interactions = maybe",
+             "outcome_interactions must be true or false"),
+            ("learners", "outcome_degree = 1.5", "outcome_degree must be an integer"),
+            ("run", "seed = 1e400", "seed must be an integer"),
         ],
     )
     def test_coercion_errors(self, section, entry, message):
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError, match=f"line 9: {message}, got "):
             parse_config(MINIMAL + f"\n[{section}]\n{entry}\n")
+
+    def test_integer_text_is_read_exactly(self):
+        seed = 12345678901234567891
+        cfg = parse_config(MINIMAL + f"\n[run]\nseed = {seed}\nfolds = 3.0\n")
+        assert cfg.seed == seed
+        assert cfg.folds == 3 and type(cfg.folds) is int
+        echo = json.loads(json.dumps(cfg.resolved()))
+        assert echo["run"]["seed"] == seed
+        assert parse_config(render_ini(echo)).seed == seed
 
     @pytest.mark.parametrize(
         "data_lines,message",
@@ -255,7 +275,7 @@ class TestParseConfig:
             parse_config(MINIMAL + f"\n[{section}]\n{key} = 1\n")
 
     def test_unknown_method(self):
-        with pytest.raises(ConfigError, match="unknown method 'bayes'"):
+        with pytest.raises(ConfigError, match="line 9: unknown method 'bayes'"):
             parse_config(MINIMAL + "\n[run]\nmethod = bayes\n")
 
     def test_folds_and_alpha_ranges(self):
@@ -365,6 +385,17 @@ def render_ini(resolved: dict) -> str:
         f"[{section}]\n" + "".join(f"{key} = {text(value)}\n" for key, value in entries.items())
         for section, entries in sections.items()
     )
+
+
+def test_schema_doc_lists_the_declared_keys():
+    doc = (Path(__file__).parents[1] / "docs" / "schema.md").read_text()
+    echoed = {
+        section: re.findall(r"`(\w+)`", names)
+        for section, names in re.findall(r"^- `(\w+)` echoes ([^.]*)\.", doc, re.M)
+    }
+    assert echoed["learners"] == [f.name for f in fields(LearnerSettings)]
+    assert echoed["run"] == list(parse_config(MINIMAL).resolved()["run"])
+    assert set(echoed["run"]) <= {f.name for f in fields(RunConfig)}
 
 
 @pytest.mark.parametrize("name", CONFIGURABLE)
@@ -557,7 +588,7 @@ class TestSimulateAndReport:
         assert len(result["ses"]) == 12
         assert result["excluded"] == []
 
-    def test_simulate_result_is_deterministic_except_mean_runtime(self, tmp_path, capsys):
+    def test_simulate_result_is_deterministic(self, tmp_path, capsys):
         outs = [tmp_path / "a.json", tmp_path / "b.json"]
         for out in outs:
             code = cli_main([
@@ -566,8 +597,6 @@ class TestSimulateAndReport:
             ])
             assert code == 0, capsys.readouterr().err
         a, b = (json.loads(out.read_text())["result"] for out in outs)
-        assert a.pop("mean_runtime") >= 0.0
-        assert b.pop("mean_runtime") >= 0.0
         assert a == b
         assert set(a["extras"]) == {"max_tmle_score", "max_tmle_aipw_gap"}
 
@@ -648,6 +677,29 @@ class TestSimulateAndReport:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
+    def test_simulate_echo_states_learners_and_alpha(self, tmp_path):
+        config = json.loads(self._simulate(tmp_path).read_text())["config"]
+        assert config["learners"] == LearnerSettings().to_json()
+        assert config["alpha"] == DEFAULT_ALPHA
+
+    def test_arms_echo_the_learners_of_each_arm(self, capsys):
+        arms = ("both_correct", "outcome_wrong")
+        code = cli_main(["simulate", "--dgp", "ate-nonlinear", "--arms", ",".join(arms),
+                         "--n", "200", "--reps", "2", "--folds", "2"])
+        assert code == 0, capsys.readouterr().err
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["config"]["learners"] == {arm: ARM_SETTINGS[arm].to_json() for arm in arms}
+        assert list(payload["result"]) == list(arms)
+
+    def test_arms_refuse_an_estimand_other_than_the_ate(self):
+        proc = run_cli(
+            "simulate", "--dgp", "ate-nonlinear", "--estimand", "potential_outcome_mean",
+            "--arms", "both_correct", "--reps", "1", "--n", "50",
+        )
+        assert proc.returncode == 1
+        assert "estimates the ate, not potential_outcome_mean" in proc.stderr
+        assert proc.stdout == ""
+
     def test_arms_require_the_nonlinear_process(self):
         proc = run_cli(
             "simulate", "--dgp", "normal-mean", "--arms", "both_correct",
@@ -702,20 +754,18 @@ class TestVerifyCommand:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        trials=st.integers(-2, 2), max_support=st.integers(-1, 25), seed=st.integers(-2, 5),
+        trials=st.integers(-2, 2), seed=st.integers(-2, 5),
         tolerance=st.sampled_from((1e-6, 0.5, 1e300, -1e-6, math.nan, math.inf, -math.inf)),
     )
-    def test_argument_edges_keep_the_exit_code_contract(self, trials, max_support, seed,
-                                                         tolerance):
+    def test_argument_edges_keep_the_exit_code_contract(self, trials, seed, tolerance):
         argv = ["verify-eif", "--spec", "population_mean", "--trials", str(trials),
-                "--max-support", str(max_support), "--seed", str(seed),
-                f"--tolerance={tolerance!r}"]
+                "--seed", str(seed), f"--tolerance={tolerance!r}"]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli_main(argv)
         assert code in (0, 1)
         valid_tolerance = math.isfinite(tolerance) and tolerance >= 0.0
-        assert (code == 0) == (trials >= 1 and max_support >= 3 and seed >= 0 and valid_tolerance)
+        assert (code == 0) == (trials >= 1 and seed >= 0 and valid_tolerance)
         if code == 0:
             result = json.loads(out.getvalue())["result"]
             assert result["point_mass_t0"]["checked"] >= 1
@@ -730,15 +780,6 @@ class TestVerifyCommand:
         assert proc.returncode == 1
         assert "--tolerance must be a finite number >= 0" in proc.stderr
         assert proc.stdout == ""
-
-    def test_max_support_is_wired_through(self):
-        proc = run_cli(
-            "verify-eif", "--spec", "ate", "--trials", "1", "--max-support", "6"
-        )
-        assert proc.returncode == 0, proc.stderr
-        payload = json.loads(proc.stdout)
-        assert payload["config"]["max_support"] == 6
-        assert payload["result"]["point_mass_t0"]["checked"] > 0
 
 
 class TestArgumentErrors:

@@ -352,10 +352,10 @@ class TestOracleSweep:
         empty = SweepResult()
         assert (empty.checked, empty.skipped, empty.worst_rel_error) == (0, 0, 0.0)
 
-    @pytest.mark.parametrize("trials, max_support", [(0, 20), (-1, 20), (1, 2)])
-    def test_empty_or_impossible_sweep_is_refused(self, trials, max_support):
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_empty_or_impossible_sweep_is_refused(self, trials):
         with pytest.raises(ValidationError, match="a sweep needs"):
-            oracle_sweep(trials=trials, max_support=max_support)
+            oracle_sweep(trials=trials)
 
     def test_absurd_tolerance_reports_failures(self):
         assert oracle_sweep(trials=1, seed=5).failures(1e-18)
