@@ -12,8 +12,8 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 from .distributions import KINDS, ROLES
-from .errors import ConfigError
-from .estimands import _AS_GIVEN, _COERCE, CATALOG, Estimand, from_config
+from .errors import ConfigError, ValidationError
+from .estimands import _AS_GIVEN, _COERCE, CATALOG, Estimand, _parameter
 from .estimation import DEFAULT_ALPHA, DEFAULT_FOLDS, LearnerSettings
 
 SECTIONS = ("data", "estimand", "learners", "run")
@@ -202,7 +202,13 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(
                 f"[estimand] {est_name} requires the key {required!r}"
             )
-    spec = from_config(est_name, {key: value for key, (value, _) in est_entries.items()})
+    params = {}
+    for key, (value, lineno) in est_entries.items():
+        try:
+            params[key] = _parameter(CATALOG[est_name], key, value)
+        except ValidationError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
+    spec = CATALOG[est_name](**params)
     # Estimands outside the tractable class reject at lookup time; surface
     # that here so a bad target never reaches data loading.
     spec.nuisance_requirements()

@@ -12,8 +12,10 @@ builder of path probabilities, for many t and many contaminants at once;
 ``mixture_at`` is its one-law case.  Atoms are grouped into cells by
 one primitive, ``_group_rows`` (a stable lexicographic sort of the rows),
 so a cell total is a weighted ``np.bincount`` (``cell_sums``, for one row
-of weights or many).  A grouping belongs to the support and is computed
-once for it.
+of weights or many); ``find_rows``, the lookup of rows among distinct keys,
+is its case of keys followed by queries.  What derives from the support
+alone, its groupings and its role columns, belongs to the support: it is
+computed once, in a memo that every law on that support shares.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -74,6 +76,9 @@ class Schema:
         for role in ("outcome", "exposure"):
             if sum(c.role == role for c in self.columns) > 1:
                 raise SchemaError(f"schema declares more than one {role} column")
+        roles = {role: tuple(i for i, c in enumerate(self.columns) if c.role == role)
+                 for role in ROLES}
+        object.__setattr__(self, "_roles", roles)
 
     @property
     def arity(self) -> int:
@@ -90,7 +95,7 @@ class Schema:
         raise SchemaError(f"no column named {name!r} in schema {self.names}")
 
     def indices_with_role(self, role: str) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.columns) if c.role == role)
+        return self._roles.get(role, ())
 
     def sole_index(self, role: str) -> int:
         idx = self.indices_with_role(role)
@@ -174,15 +179,6 @@ class Dataset:
         return self._values[:, self._schema.index_of(name)]
 
 
-def _records(rows: np.ndarray) -> np.ndarray:
-    """Each row as one record, so that rows compare field by field (in
-    lexicographic order); rows without columns are all the same record."""
-    rows = np.ascontiguousarray(rows, dtype=float)
-    if rows.shape[1] == 0:
-        return np.zeros(rows.shape[0], dtype=[("c", float)])
-    return rows.view([(f"c{j}", float) for j in range(rows.shape[1])])[:, 0]
-
-
 def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The grouping primitive: the distinct rows of ``rows`` in order of first
     occurrence, and for each row the index of its distinct row.  A stable
@@ -193,6 +189,8 @@ def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ranked = rows[order]
     starts = np.ones(len(rows), dtype=bool)
     starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    if starts.all():  # distinct rows: each is its own cell
+        return rows.copy(), np.arange(len(rows))
     run = np.cumsum(starts) - 1  # run of each sorted row
     first = order[starts]  # first occurrence of each run
     by_first = np.argsort(first)
@@ -205,11 +203,12 @@ def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def find_rows(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Index of each of ``rows`` among the distinct rows ``keys``; -1 where a
-    row is not among them."""
-    k, r = _records(keys), _records(rows)
-    order = np.argsort(k)
-    at = order[np.searchsorted(k, r, sorter=order).clip(max=len(k) - 1)]
-    return np.where(k[at] == r, at, -1)
+    row is not among them.  The grouping of the keys followed by the rows:
+    the keys are distinct, so key i is cell i, and a row in a later cell
+    matches no key.  Rows compare by ``==``, so -0.0 matches 0.0, NaN
+    matches nothing, and rows without columns all match the one key."""
+    cell = _group_rows(np.concatenate([keys, rows]))[1][len(keys):]
+    return np.where(cell < len(keys), cell, -1)
 
 
 def cell_sums(cell: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -235,8 +234,11 @@ class DiscreteDistribution:
     merged by summing their probabilities; atoms keep the order of their
     first occurrence.  Probabilities must be nonnegative and sum to one
     within ``PROB_SUM_TOL``; they are stored as given, never renormalized.
-    The groupings made by ``cells`` are cached with the support and shared
-    by every law on it along a ``MixturePath``.
+    The support memo holds what ``derived`` computes from the support alone:
+    the groupings made by ``cells`` and the atoms' role columns
+    (``estimands.support_columns``).  A law made by ``_reweighted`` (a law
+    on a ``MixturePath``, a contaminant drawn on its base's atoms) shares
+    its support, and with it the memo.
     """
 
     def __init__(
@@ -269,12 +271,12 @@ class DiscreteDistribution:
         self._schema = schema
         self._values = values
         self._probs = p
-        self._cells: dict = {}
+        self._memo: dict = {}
 
     def _reweighted(self, probs: np.ndarray) -> "DiscreteDistribution":
-        """The law with ``probs`` on this law's support and groupings."""
+        """The law with ``probs`` on this law's support and its memo."""
         law = object.__new__(DiscreteDistribution)
-        law._schema, law._values, law._cells = self._schema, self._values, self._cells
+        law._schema, law._values, law._memo = self._schema, self._values, self._memo
         probs.setflags(write=False)
         law._probs = probs
         return law
@@ -300,15 +302,23 @@ class DiscreteDistribution:
     def n_atoms(self) -> int:
         return self._values.shape[0]
 
+    def derived(self, key, build: Callable[[], object]):
+        """The value ``build()`` computes from the support alone, made once
+        per support under ``key`` and shared by every law on it."""
+        found = self._memo.get(key)
+        if found is None:
+            found = self._memo[key] = build()
+        return found
+
     def cells(self, *roles: str) -> tuple[np.ndarray, np.ndarray]:
         """Group the atoms by their values in the columns of ``roles``: the
         distinct value rows (columns by ``roles``, then schema order; rows in
         order of first occurrence) and each atom's row index, its cell."""
-        found = self._cells.get(roles)
-        if found is None:
+        def group():
             columns = [i for role in roles for i in self._schema.indices_with_role(role)]
-            found = self._cells[roles] = _group_rows(self._values[:, columns])
-        return found
+            return _group_rows(self._values[:, columns])
+
+        return self.derived(roles, group)
 
     def prob_of(self, point: Sequence[float]) -> float:
         i = find_rows(self._values, np.asarray([point], dtype=float))[0]
@@ -328,7 +338,9 @@ class MixturePath:
     the contaminant atoms the base lacks.  ``union`` is the base law on it
     and ``contaminant_probs`` the contaminant's probabilities there.  When
     the contaminant adds no atom (a point mass at a base atom, say) the union
-    is the base itself, groupings included.
+    is the base itself, support memo included; when it has the base's atoms
+    in the base's order (``contaminant_law``), nothing is grouped and its
+    probabilities are ``contaminant_probs`` as they stand.
     """
 
     base: DiscreteDistribution
@@ -340,6 +352,10 @@ class MixturePath:
         base, cont = self.base, self.contaminant
         if base.schema != cont.schema:
             raise SchemaError("mixture path requires base and contaminant to share a schema")
+        if np.array_equal(base.values, cont.values):
+            object.__setattr__(self, "union", base)
+            object.__setattr__(self, "contaminant_probs", cont.probs)
+            return
         # grouping both supports' atoms, base first, puts the base atoms at 0 .. k-1
         values, cell = _group_rows(np.concatenate([base.values, cont.values]))
         k, size = base.n_atoms, len(values)

@@ -40,8 +40,9 @@ no finite-variance influence function, so no root-n estimator exists.
 
 On a finite-support law (a support array plus a probability vector) the
 plug-ins and the exact nuisances are cell sums: ``law.cells(*roles)``
-groups the atoms once per support, and each cell mass or conditional mean
-is a weighted ``np.bincount`` over that grouping (``cell_sums``).  A
+groups the atoms once per support (``support_columns`` likewise reads
+their role columns once), and each cell mass or conditional mean is a
+weighted ``np.bincount`` over that grouping (``cell_sums``).  A
 plug-in takes a matrix whose rows are laws on one support and returns one
 value per row, each with the bits of that row alone; ``plugin_value(law)``
 is the one-row case.  The plug-ins never call ``eif_terms``, so the
@@ -220,9 +221,22 @@ class Estimand:
 # ---------------------------------------------------------------------------
 
 
+def support_columns(law: DiscreteDistribution) -> ColumnSet:
+    """Role columns of a law's atoms, read-only, made once per support."""
+
+    def build() -> ColumnSet:
+        cols = ColumnSet.from_matrix(law.schema, law.values)
+        for column in (cols.y, cols.x, cols.Z, cols.M):
+            if column is not None:
+                column.setflags(write=False)
+        return cols
+
+    return law.derived("role columns", build)
+
+
 def _columns_of(law: DiscreteDistribution, **roles: bool) -> ColumnSet:
     """Role columns of a law's atoms; the outcome is always required."""
-    cols = ColumnSet.from_matrix(law.schema, law.values)
+    cols = support_columns(law)
     cols.require(outcome=True, **roles)
     return cols
 
@@ -260,14 +274,21 @@ def _defined(values: np.ndarray, need: np.ndarray, keys: np.ndarray, what: str) 
     return np.where(need, values, 0.0)
 
 
-def _reader(keys: np.ndarray, table: np.ndarray, what: str, default: Optional[float] = None):
+def _reader(cells: tuple, table: np.ndarray, what: str, default: Optional[float] = None):
     """Nuisance function reading ``table`` at the cell of each query row,
-    given as column blocks in the order of the keys' columns.  A row outside
-    the cells or at a NaN reads ``default``, or raises without one."""
+    given as column blocks in the order of the keys' columns; ``cells`` is a
+    law's grouping, its keys and each atom's cell.  Rows that are the atoms'
+    own values read the atoms' cells, and other rows are looked up among the
+    keys.  A row outside the cells or at a NaN reads ``default``, or raises
+    without one."""
+    keys, cell = cells
 
     def read(*blocks):
         rows = np.column_stack([np.asarray(b, dtype=float) for b in blocks])
-        at = find_rows(keys, rows)
+        if rows.shape == (len(cell), keys.shape[1]) and (rows == keys[cell]).all():
+            at = cell
+        else:
+            at = find_rows(keys, rows)
         out = np.where(at >= 0, table[at], np.nan)
         if default is not None:
             return np.where(np.isnan(out), default, out)
@@ -1032,13 +1053,13 @@ def exact_nuisances(spec: Estimand, law: DiscreteDistribution) -> NuisanceSet:
     """
     needs = spec.nuisance_requirements()
     require_oracle(spec)
-    c = ColumnSet.from_matrix(law.schema, law.values)
+    c = support_columns(law)
     p = law.probs
     fills: dict = {}
 
     if "outcome_mean" in needs:
         keys, cell = law.cells("exposure", "covariate")
-        fills["outcome_mean"] = _reader(keys, _cell_mean(cell, p, c.y), "outcome mean")
+        fills["outcome_mean"] = _reader((keys, cell), _cell_mean(cell, p, c.y), "outcome mean")
     if needs & {"propensity", "conditional_mean_y", "conditional_mean_x"}:
         zkeys, z = law.cells("covariate")
         for slot, values, what in (
@@ -1047,14 +1068,14 @@ def exact_nuisances(spec: Estimand, law: DiscreteDistribution) -> NuisanceSet:
             ("conditional_mean_x", c.x, "conditional exposure mean"),
         ):
             if slot in needs:
-                fills[slot] = _reader(zkeys, _cell_mean(z, p, values), what)
+                fills[slot] = _reader((zkeys, z), _cell_mean(z, p, values), what)
     if "exposure_residual_var" in needs:
         _, rx = _residuals(law, p)
         fills["exposure_residual_var"] = float(_total(p * rx**2))
     if "marginal_density" in needs:
         keys, cell = law.cells("outcome")
         fills["marginal_density"] = _reader(
-            keys, np.bincount(cell, weights=p), "outcome mass", default=0.0
+            (keys, cell), np.bincount(cell, weights=p), "outcome mass", default=0.0
         )
     if "outcome_cdf" in needs:
         points, cum = _outcome_cdf(law, p)
@@ -1067,7 +1088,7 @@ def exact_nuisances(spec: Estimand, law: DiscreteDistribution) -> NuisanceSet:
     if "exposure_prob" in needs:
         keys, cell = law.cells("exposure")
         fills["exposure_prob"] = _reader(
-            keys, np.bincount(cell, weights=p), "exposure probability", default=0.0
+            (keys, cell), np.bincount(cell, weights=p), "exposure probability", default=0.0
         )
     if "mean_y" in needs:
         fills["mean_y"] = float(np.dot(p, c.y))
@@ -1076,12 +1097,13 @@ def exact_nuisances(spec: Estimand, law: DiscreteDistribution) -> NuisanceSet:
     if needs & {"mediated_outcome", "mediator_law", "mediator_support"}:
         keys, cell = law.cells("mediator", "exposure", "covariate")
         _, given = law.cells("exposure", "covariate")
-        fills["mediated_outcome"] = _reader(keys, _cell_mean(cell, p, c.y), "mediated outcome mean")
+        fills["mediated_outcome"] = _reader(
+            (keys, cell), _cell_mean(cell, p, c.y), "mediated outcome mean")
         # f(m | x, z) = P(M=m, X=x, Z=z) / P(X=x, Z=z); each cell's first atom gives its (x, z)
         first = np.unique(cell, return_index=True)[1]
         mass, given_mass = np.bincount(cell, weights=p), np.bincount(given, weights=p)[given[first]]
         f_m = np.divide(mass, given_mass, out=np.zeros_like(mass), where=given_mass > 0.0)
-        fills["mediator_law"] = _reader(keys, f_m, "mediator law", default=0.0)
+        fills["mediator_law"] = _reader((keys, cell), f_m, "mediator law", default=0.0)
         fills["mediator_support"] = tuple(sorted(map(tuple, law.cells("mediator")[0].tolist())))
     return NuisanceSet(**fills)
 
@@ -1162,18 +1184,23 @@ def from_config(name: str, params: Optional[dict] = None) -> Estimand:
         )
     cls = CATALOG[name]
     params = dict(params or {})
-    types = {f.name: f.type for f in fields(cls)}
-    unknown = set(params) - set(types)
+    unknown = set(params) - {f.name for f in fields(cls)}
     if unknown:
         raise ValidationError(
             f"estimand {name!r} does not accept parameters {sorted(unknown)}"
         )
-    coerced = {}
-    for key, value in params.items():
-        try:
-            coerced[key] = _COERCE.get(types[key], _AS_GIVEN)[0](value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(
-                f"estimand parameter {key}={value!r} is invalid: expected {types[key]}"
-            ) from exc
-    return cls(**coerced)
+    return cls(**{key: _parameter(cls, key, value) for key, value in params.items()})
+
+
+def _parameter(cls: type, key: str, value):
+    """``value`` read for the parameter ``key`` of the estimand class ``cls``,
+    as the type its field declares."""
+    types = {f.name: f.type for f in fields(cls)}
+    if key not in types:
+        raise ValidationError(f"estimand {cls.name!r} does not accept parameters {[key]}")
+    try:
+        return _COERCE.get(types[key], _AS_GIVEN)[0](value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(
+            f"estimand parameter {key}={value!r} is invalid: expected {types[key]}"
+        ) from exc

@@ -61,13 +61,13 @@ from .estimands import (
     AverageDensity,
     AverageDerivativeEffect,
     CATALOG,
-    ColumnSet,
     Estimand,
     NuisanceSet,
     Quantile,
     TailConditionalExpectation,
     exact_nuisances,
     require_oracle,
+    support_columns,
 )
 from ._smooth import (
     GaussianRegressionFamily,
@@ -253,8 +253,7 @@ def eif_mean_under(
 
 
 def _eif_mean(spec: Estimand, law: DiscreteDistribution, nuis: NuisanceSet, psi: float) -> float:
-    cols = ColumnSet.from_matrix(law.schema, law.values)
-    return float(np.dot(law.probs, spec.eif_values(cols, nuis, psi)))
+    return float(np.dot(law.probs, spec.eif_values(support_columns(law), nuis, psi)))
 
 
 def _path_derivatives(spec: Estimand, law: DiscreteDistribution, q: np.ndarray,
@@ -350,8 +349,7 @@ def verify_eif(
         return skipped
     nuis = exact_nuisances(spec, base)
     if contaminants is None:
-        cols = ColumnSet.from_matrix(base.schema, base.values)
-        analytic = spec.eif_values(cols, nuis, psi0).tolist()
+        analytic = spec.eif_values(support_columns(base), nuis, psi0).tolist()
         n = base.n_atoms
         steps, size = [], max(1, LOCKSTEP_ELEMENTS // (n * (LADDER_WINDOW + 1)))
         for start in range(0, n, size):
@@ -424,7 +422,7 @@ def von_mises_remainder(
         nuis_q = exact_nuisances(spec, contaminant)
     else:
         nuis_q = nuisance_override
-    cols = ColumnSet.from_matrix(base.schema, base.values)
+    cols = support_columns(base)
     phi_q = spec.eif_values(cols, nuis_q, psi_q)
     drift = -float(np.dot(base.probs, phi_q))
     remainder = drift - (psi_q - psi_p)
@@ -503,7 +501,11 @@ MEDIATION_SCHEMA = Schema(
 
 
 def _distinct_values(rng: np.random.Generator, count: int) -> list[float]:
-    values: set = set()
+    """``count`` distinct normal draws rounded to 3 decimals, in increasing
+    order: ``count`` draws in one call, then one at a time until no rounded
+    value repeats (one batched draw gives the values, and leaves the
+    generator in the state, of as many single draws)."""
+    values = {round(v, 3) for v in rng.normal(size=count).tolist()}
     while len(values) < count:
         values.add(round(float(rng.normal()), 3))
     return sorted(values)
@@ -554,11 +556,12 @@ def random_law(rng: np.random.Generator, schema: Schema) -> DiscreteDistribution
 def contaminant_law(
     rng: np.random.Generator, base: DiscreteDistribution
 ) -> DiscreteDistribution:
-    """Random full-support law on the same atoms as the base."""
+    """Random full-support law on the base's support: the base's atoms in
+    the base's order, sharing its support memo (groupings and role columns),
+    so a ``MixturePath`` between the two groups nothing."""
     probs = rng.dirichlet(np.ones(base.n_atoms))
     probs = 0.9 * probs + 0.1 / base.n_atoms
-    probs = probs / probs.sum()
-    return DiscreteDistribution(base.schema, base.values, probs)
+    return base._reweighted(probs / probs.sum())
 
 
 SWEEP_PLAN: tuple[tuple[str, Schema], ...] = (
@@ -578,7 +581,9 @@ SWEEP_PLAN: tuple[tuple[str, Schema], ...] = (
 
 
 def _middle_outcome(law: DiscreteDistribution) -> float:
-    ys = np.unique(law.values[:, law.schema.sole_index("outcome")])
+    """The median of the law's distinct outcome values (the upper one of an
+    even count), read from its outcome grouping."""
+    ys = np.sort(law.cells("outcome")[0][:, 0])
     return float(ys[len(ys) // 2])
 
 

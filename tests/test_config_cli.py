@@ -191,6 +191,25 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=f"line 9: {message}, got "):
             parse_config(MINIMAL + f"\n[{section}]\n{entry}\n")
 
+    @pytest.mark.parametrize(
+        "name,key,value,message",
+        [
+            ("quantile", "tau", "half", "estimand parameter tau='half' is invalid: expected float"),
+            ("potential_outcome_mean", "x", "1.5",
+             "estimand parameter x='1.5' is invalid: expected int"),
+            ("population_mean", "foo", "1",
+             "estimand 'population_mean' does not accept parameters ['foo']"),
+        ],
+    )
+    def test_estimand_value_errors_name_their_line(self, name, key, value, message):
+        text = MINIMAL.replace("population_mean", f"{name}\n{key} = {value}")
+        with pytest.raises(ConfigError) as caught:
+            parse_config(text)
+        assert str(caught.value) == f"line 7: {message}"
+        with pytest.raises(ValidationError) as direct:  # API callers keep the bare wording
+            from_config(name, {key: value})
+        assert str(direct.value) == message
+
     def test_integer_text_is_read_exactly(self):
         seed = 12345678901234567891
         cfg = parse_config(MINIMAL + f"\n[run]\nseed = {seed}\nfolds = 3.0\n")

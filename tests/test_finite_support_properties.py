@@ -5,7 +5,10 @@ Random laws range over the four sweep schemas and include duplicate atoms
 and atoms of zero probability.  Every plug-in value and every exact
 nuisance slot is compared with a direct per-atom sum written here, and an
 undefined conditional mean must raise ``PositivityError`` on both sides.
+The reuse of a support's groupings, role columns and row lookups is
+compared bit for bit with building them afresh.
 """
+import itertools
 from collections import namedtuple
 
 import numpy as np
@@ -32,8 +35,22 @@ from influence_lab import (
     exact_nuisances,
     mixture_at,
 )
-from influence_lab.distributions import _group_rows
-from influence_lab.gateaux import EXPOSURE_OUTCOME, FULL_SCHEMA, MEDIATION_SCHEMA, OUTCOME_ONLY
+from influence_lab import distributions
+from influence_lab.distributions import _group_rows, find_rows
+from influence_lab.estimands import ColumnSet, support_columns
+from influence_lab.gateaux import (
+    EXPOSURE_OUTCOME,
+    FULL_SCHEMA,
+    MEDIATION_SCHEMA,
+    OUTCOME_ONLY,
+    SWEEP_PLAN,
+    _SWEEP_PARAMS,
+    CATALOG,
+    check_t1_identity,
+    contaminant_law,
+    random_law,
+    verify_eif,
+)
 
 SPECS = {
     OUTCOME_ONLY: (
@@ -392,3 +409,129 @@ def test_grouping_equals_the_unique_reference(rows):
     assert [v.hex() for v in distinct.ravel().tolist()] == [
         v.hex() for v in want_distinct.ravel().tolist()]
     assert cell.tolist() == want_cell.tolist()
+
+
+# ---------------------------------------------------------------------------
+# reuse of what a support holds, against building it afresh
+# ---------------------------------------------------------------------------
+
+CELL_VALUES = (-0.0, 0.0, 1.0, -2.5)
+
+
+@BOUNDED
+@given(st.integers(0, 3).flatmap(lambda width: st.tuples(
+    st.lists(st.tuples(*[st.sampled_from(CELL_VALUES)] * width), max_size=8),
+    st.lists(st.tuples(*[st.sampled_from(CELL_VALUES + (7.0, float("nan")))] * width),
+             min_size=1, max_size=12),
+).map(lambda pair: (width,) + pair)))
+def test_find_rows_equals_a_brute_force_lookup(case):
+    """Keys are distinct by ``==`` (a grouping's rows); queries repeat, miss,
+    hold NaN or -0.0 against a key's 0.0, and may have no columns at all."""
+    width, key_rows, query_rows = case
+    keys = _group_rows(np.array(key_rows, dtype=float).reshape(len(key_rows), width))[0]
+    rows = np.array(query_rows, dtype=float).reshape(len(query_rows), width)
+    want = [next((i for i, key in enumerate(keys) if (key == row).all()), -1) for row in rows]
+    assert find_rows(keys, rows).tolist() == want
+
+
+def hexes(array):
+    return [float(v).hex() for v in np.ravel(array)]
+
+
+def groupings(law):
+    """Every ``cells`` grouping of the law's roles, each role order included."""
+    roles = sorted({c.role for c in law.schema.columns})
+    return [combo for k in range(1, len(roles) + 1) for combo in itertools.permutations(roles, k)]
+
+
+SWEEP_SCHEMAS = tuple(dict.fromkeys(schema for _, schema in SWEEP_PLAN))
+
+
+@BOUNDED
+@given(st.integers(0, 2**32 - 1), st.sampled_from(SWEEP_SCHEMAS))
+def test_a_contaminant_equals_the_law_built_on_its_base_atoms(seed, schema):
+    rng = np.random.default_rng(seed)
+    base = random_law(rng, schema)
+    twin = np.random.default_rng()
+    twin.bit_generator.state = rng.bit_generator.state
+    drawn = contaminant_law(rng, base)
+    probs = twin.dirichlet(np.ones(base.n_atoms))
+    probs = 0.9 * probs + 0.1 / base.n_atoms
+    built = DiscreteDistribution(base.schema, base.values, probs / probs.sum())
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert hexes(drawn.values) == hexes(built.values)
+    assert hexes(drawn.probs) == hexes(built.probs)
+    for roles in groupings(base):
+        (got_keys, got_cell), (want_keys, want_cell) = drawn.cells(*roles), built.cells(*roles)
+        assert hexes(got_keys) == hexes(want_keys) and got_keys.shape == want_keys.shape
+        assert got_cell.tolist() == want_cell.tolist()
+
+
+def grouped_path(base, cont):
+    """A path's union law and contaminant probabilities by grouping both
+    supports' atoms, base first, as for contaminants with other atoms."""
+    values, cell = _group_rows(np.concatenate([base.values, cont.values]))
+    k, size = base.n_atoms, len(values)
+    union = DiscreteDistribution(
+        base.schema, values, np.bincount(cell[:k], weights=base.probs, minlength=size))
+    return union, np.bincount(cell[k:], weights=cont.probs, minlength=size)
+
+
+@BOUNDED
+@given(raw_laws(), st.lists(st.integers(1, 3), min_size=10, max_size=10))
+def test_a_same_support_path_equals_the_grouped_path(raw, weights):
+    """Contaminants on the base's atoms in the base's order: one that shares
+    the support, one built afresh from them, and one whose zeros are -0.0."""
+    schema, rows, probs = raw
+    base = DiscreteDistribution(schema, rows, probs)
+    q = np.array(weights[:base.n_atoms], dtype=float)
+    q /= q.sum()
+    signed = np.where(base.values == 0.0, -0.0, base.values)
+    for cont in (base._reweighted(q.copy()), DiscreteDistribution(schema, base.values, q),
+                 DiscreteDistribution(schema, signed, q)):
+        path = MixturePath(base, cont)
+        union, cont_probs = grouped_path(base, cont)
+        assert path.union is base
+        assert hexes(path.union.values) == hexes(union.values)
+        assert hexes(path.union.probs) == hexes(union.probs)
+        assert hexes(path.contaminant_probs) == hexes(cont_probs)
+
+
+def test_a_t1_contaminant_and_its_path_group_nothing(monkeypatch):
+    calls = []
+
+    def counting(rows):
+        calls.append(len(rows))
+        return _group_rows(rows)
+
+    rng = np.random.default_rng(7)
+    base = random_law(rng, FULL_SCHEMA)
+    monkeypatch.setattr(distributions, "_group_rows", counting)
+    path = MixturePath(base, contaminant_law(rng, base))
+    assert calls == []
+    assert path.union is base
+    MixturePath(base, random_law(rng, FULL_SCHEMA))
+    assert calls  # a contaminant with other atoms is grouped with the base's
+
+
+@pytest.mark.parametrize("entry", [name for name, _ in SWEEP_PLAN])
+def test_role_columns_are_built_once_per_support(monkeypatch, entry):
+    built = []
+    from_matrix = ColumnSet.from_matrix
+
+    def counting(schema, values):
+        built.append(values.shape)
+        return from_matrix(schema, values)
+
+    monkeypatch.setattr(ColumnSet, "from_matrix", staticmethod(counting))
+    rng = np.random.default_rng(11)
+    schema = dict(SWEEP_PLAN)[entry]
+    law = random_law(rng, schema)
+    spec = CATALOG[entry.split(":")[0]](**_SWEEP_PARAMS.get(entry, lambda rng, law: {})(rng, law))
+    verify_eif(spec, law)
+    check_t1_identity(spec, law, contaminant_law(rng, law))
+    assert built == [law.values.shape]
+    cols = support_columns(law)
+    for column in (cols.y, cols.x, cols.Z, cols.M):
+        assert column is None or not column.flags.writeable
+    assert support_columns(contaminant_law(rng, law)) is cols
