@@ -202,13 +202,18 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(
                 f"[estimand] {est_name} requires the key {required!r}"
             )
-    params = {}
+    cls, params = CATALOG[est_name], {}
     for key, (value, lineno) in est_entries.items():
         try:
-            params[key] = _parameter(CATALOG[est_name], key, value)
+            params[key] = _parameter(cls, key, value)
         except ValidationError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
-    spec = CATALOG[est_name](**params)
+    try:
+        spec = cls(**params)
+    except ValidationError as exc:
+        # a range check on one given value names its line; on several, the section
+        where = f"line {lineno}" if len(params) == 1 else "[estimand]"
+        raise ConfigError(f"{where}: {exc}") from None
     # Estimands outside the tractable class reject at lookup time; surface
     # that here so a bad target never reaches data loading.
     spec.nuisance_requirements()

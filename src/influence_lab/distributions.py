@@ -189,8 +189,6 @@ def _group_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ranked = rows[order]
     starts = np.ones(len(rows), dtype=bool)
     starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    if starts.all():  # distinct rows: each is its own cell
-        return rows.copy(), np.arange(len(rows))
     run = np.cumsum(starts) - 1  # run of each sorted row
     first = order[starts]  # first occurrence of each run
     by_first = np.argsort(first)

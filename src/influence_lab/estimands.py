@@ -274,21 +274,14 @@ def _defined(values: np.ndarray, need: np.ndarray, keys: np.ndarray, what: str) 
     return np.where(need, values, 0.0)
 
 
-def _reader(cells: tuple, table: np.ndarray, what: str, default: Optional[float] = None):
+def _reader(keys: np.ndarray, table: np.ndarray, what: str, default: Optional[float] = None):
     """Nuisance function reading ``table`` at the cell of each query row,
-    given as column blocks in the order of the keys' columns; ``cells`` is a
-    law's grouping, its keys and each atom's cell.  Rows that are the atoms'
-    own values read the atoms' cells, and other rows are looked up among the
-    keys.  A row outside the cells or at a NaN reads ``default``, or raises
-    without one."""
-    keys, cell = cells
+    given as column blocks in the order of the keys' columns.  A row outside
+    the cells or at a NaN reads ``default``, or raises without one."""
 
     def read(*blocks):
         rows = np.column_stack([np.asarray(b, dtype=float) for b in blocks])
-        if rows.shape == (len(cell), keys.shape[1]) and (rows == keys[cell]).all():
-            at = cell
-        else:
-            at = find_rows(keys, rows)
+        at = find_rows(keys, rows)
         out = np.where(at >= 0, table[at], np.nan)
         if default is not None:
             return np.where(np.isnan(out), default, out)
@@ -1059,7 +1052,7 @@ def exact_nuisances(spec: Estimand, law: DiscreteDistribution) -> NuisanceSet:
 
     if "outcome_mean" in needs:
         keys, cell = law.cells("exposure", "covariate")
-        fills["outcome_mean"] = _reader((keys, cell), _cell_mean(cell, p, c.y), "outcome mean")
+        fills["outcome_mean"] = _reader(keys, _cell_mean(cell, p, c.y), "outcome mean")
     if needs & {"propensity", "conditional_mean_y", "conditional_mean_x"}:
         zkeys, z = law.cells("covariate")
         for slot, values, what in (
@@ -1068,14 +1061,14 @@ def exact_nuisances(spec: Estimand, law: DiscreteDistribution) -> NuisanceSet:
             ("conditional_mean_x", c.x, "conditional exposure mean"),
         ):
             if slot in needs:
-                fills[slot] = _reader((zkeys, z), _cell_mean(z, p, values), what)
+                fills[slot] = _reader(zkeys, _cell_mean(z, p, values), what)
     if "exposure_residual_var" in needs:
         _, rx = _residuals(law, p)
         fills["exposure_residual_var"] = float(_total(p * rx**2))
     if "marginal_density" in needs:
         keys, cell = law.cells("outcome")
         fills["marginal_density"] = _reader(
-            (keys, cell), np.bincount(cell, weights=p), "outcome mass", default=0.0
+            keys, np.bincount(cell, weights=p), "outcome mass", default=0.0
         )
     if "outcome_cdf" in needs:
         points, cum = _outcome_cdf(law, p)
@@ -1088,7 +1081,7 @@ def exact_nuisances(spec: Estimand, law: DiscreteDistribution) -> NuisanceSet:
     if "exposure_prob" in needs:
         keys, cell = law.cells("exposure")
         fills["exposure_prob"] = _reader(
-            (keys, cell), np.bincount(cell, weights=p), "exposure probability", default=0.0
+            keys, np.bincount(cell, weights=p), "exposure probability", default=0.0
         )
     if "mean_y" in needs:
         fills["mean_y"] = float(np.dot(p, c.y))
@@ -1097,13 +1090,12 @@ def exact_nuisances(spec: Estimand, law: DiscreteDistribution) -> NuisanceSet:
     if needs & {"mediated_outcome", "mediator_law", "mediator_support"}:
         keys, cell = law.cells("mediator", "exposure", "covariate")
         _, given = law.cells("exposure", "covariate")
-        fills["mediated_outcome"] = _reader(
-            (keys, cell), _cell_mean(cell, p, c.y), "mediated outcome mean")
+        fills["mediated_outcome"] = _reader(keys, _cell_mean(cell, p, c.y), "mediated outcome mean")
         # f(m | x, z) = P(M=m, X=x, Z=z) / P(X=x, Z=z); each cell's first atom gives its (x, z)
         first = np.unique(cell, return_index=True)[1]
         mass, given_mass = np.bincount(cell, weights=p), np.bincount(given, weights=p)[given[first]]
         f_m = np.divide(mass, given_mass, out=np.zeros_like(mass), where=given_mass > 0.0)
-        fills["mediator_law"] = _reader((keys, cell), f_m, "mediator law", default=0.0)
+        fills["mediator_law"] = _reader(keys, f_m, "mediator law", default=0.0)
         fills["mediator_support"] = tuple(sorted(map(tuple, law.cells("mediator")[0].tolist())))
     return NuisanceSet(**fills)
 
@@ -1183,13 +1175,7 @@ def from_config(name: str, params: Optional[dict] = None) -> Estimand:
             f"unknown estimand {name!r}; available: {', '.join(sorted(CATALOG))}"
         )
     cls = CATALOG[name]
-    params = dict(params or {})
-    unknown = set(params) - {f.name for f in fields(cls)}
-    if unknown:
-        raise ValidationError(
-            f"estimand {name!r} does not accept parameters {sorted(unknown)}"
-        )
-    return cls(**{key: _parameter(cls, key, value) for key, value in params.items()})
+    return cls(**{key: _parameter(cls, key, value) for key, value in (params or {}).items()})
 
 
 def _parameter(cls: type, key: str, value):

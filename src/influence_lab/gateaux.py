@@ -501,11 +501,7 @@ MEDIATION_SCHEMA = Schema(
 
 
 def _distinct_values(rng: np.random.Generator, count: int) -> list[float]:
-    """``count`` distinct normal draws rounded to 3 decimals, in increasing
-    order: ``count`` draws in one call, then one at a time until no rounded
-    value repeats (one batched draw gives the values, and leaves the
-    generator in the state, of as many single draws)."""
-    values = {round(v, 3) for v in rng.normal(size=count).tolist()}
+    values: set = set()
     while len(values) < count:
         values.add(round(float(rng.normal()), 3))
     return sorted(values)

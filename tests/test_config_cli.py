@@ -199,6 +199,12 @@ class TestParseConfig:
              "estimand parameter x='1.5' is invalid: expected int"),
             ("population_mean", "foo", "1",
              "estimand 'population_mean' does not accept parameters ['foo']"),
+            ("quantile", "tau", "1.5", "quantile level must be in (0, 1), got 1.5"),
+            ("potential_outcome_mean", "x", "2", "potential outcome arm must be 0 or 1, got 2"),
+            ("incremental_propensity", "epsilon", "-1",
+             "epsilon must be positive, got -1.0"),
+            ("tail_conditional_expectation", "threshold", "inf",
+             "threshold must be finite, got inf"),
         ],
     )
     def test_estimand_value_errors_name_their_line(self, name, key, value, message):
@@ -209,6 +215,12 @@ class TestParseConfig:
         with pytest.raises(ValidationError) as direct:  # API callers keep the bare wording
             from_config(name, {key: value})
         assert str(direct.value) == message
+
+    def test_a_range_error_over_several_values_names_the_section(self):
+        text = MINIMAL.replace("population_mean", "conditional_cdf\ny = inf\nx = 0")
+        with pytest.raises(ConfigError) as caught:
+            parse_config(text)
+        assert str(caught.value) == "[estimand]: conditional cdf needs finite y and x"
 
     def test_integer_text_is_read_exactly(self):
         seed = 12345678901234567891
