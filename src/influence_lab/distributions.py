@@ -271,13 +271,21 @@ class DiscreteDistribution:
         self._probs = p
         self._memo: dict = {}
 
+    @classmethod
+    def _on_atoms(cls, schema: Schema, atoms: np.ndarray, probs: np.ndarray,
+                  memo: dict) -> "DiscreteDistribution":
+        """The law with ``probs`` on ``atoms``, distinct rows already checked
+        against ``schema``, and the support memo ``memo``: nothing is
+        validated or grouped again."""
+        law = object.__new__(cls)
+        atoms.setflags(write=False)
+        probs.setflags(write=False)
+        law._schema, law._values, law._probs, law._memo = schema, atoms, probs, memo
+        return law
+
     def _reweighted(self, probs: np.ndarray) -> "DiscreteDistribution":
         """The law with ``probs`` on this law's support and its memo."""
-        law = object.__new__(DiscreteDistribution)
-        law._schema, law._values, law._memo = self._schema, self._values, self._memo
-        probs.setflags(write=False)
-        law._probs = probs
-        return law
+        return self._on_atoms(self._schema, self._values, probs, self._memo)
 
     @property
     def schema(self) -> Schema:
@@ -338,7 +346,9 @@ class MixturePath:
     the contaminant adds no atom (a point mass at a base atom, say) the union
     is the base itself, support memo included; when it has the base's atoms
     in the base's order (``contaminant_law``), nothing is grouped and its
-    probabilities are ``contaminant_probs`` as they stand.
+    probabilities are ``contaminant_probs`` as they stand.  Otherwise the
+    atoms of both laws are grouped once, and the union is built on the
+    distinct rows of that grouping as they stand.
     """
 
     base: DiscreteDistribution
@@ -359,7 +369,7 @@ class MixturePath:
         k, size = base.n_atoms, len(values)
         if size > k:
             base_probs = np.bincount(cell[:k], weights=base.probs, minlength=size)
-            base = DiscreteDistribution(base.schema, values, base_probs)
+            base = DiscreteDistribution._on_atoms(base.schema, values, base_probs, {})
         object.__setattr__(self, "union", base)
         q = np.bincount(cell[k:], weights=cont.probs, minlength=size)
         object.__setattr__(self, "contaminant_probs", q)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -568,15 +568,14 @@ def fit_cross_fitted_nuisances(
     dataset: Dataset,
     spec: Estimand,
     settings: LearnerSettings = LearnerSettings(),
-    plan: Optional[FoldPlan] = None,
-    seed: int = 0,
+    *,
+    plan: FoldPlan,
 ) -> CrossFittedNuisances:
-    """Fit every slot the estimand needs on each fold's complement, then
-    evaluate the estimand's nuisance table once per fold, on its rows."""
+    """Fit every slot the estimand needs on each fold's complement of the
+    fold ``plan``, then evaluate the estimand's nuisance table once per
+    fold, on its rows."""
     spec.validate_schema(dataset.schema)
     cols = ColumnSet.from_dataset(dataset)
-    if plan is None:
-        plan = make_folds(cols.n, min(DEFAULT_FOLDS, cols.n), seed)
     if plan.n != cols.n:
         raise ValidationError("fold plan was built for a different number of rows")
     reqs = spec.nuisance_requirements()
@@ -854,5 +853,5 @@ def estimate(
             f"unknown method {method!r}; choose from {sorted(ESTIMATORS)}"
         )
     plan = make_folds(dataset.values.shape[0], folds, seed)
-    nuis = fit_cross_fitted_nuisances(dataset, spec, settings, plan)
+    nuis = fit_cross_fitted_nuisances(dataset, spec, settings, plan=plan)
     return ESTIMATORS[method](spec, dataset, nuis, alpha)

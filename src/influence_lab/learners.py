@@ -28,25 +28,25 @@ The least-squares and IRLS fits take a stack of designs, so that cross-fitting
 fits every fold of a slot in one call: ``fit_ols`` builds each member's normal
 equations on their own, then runs one stacked svd rank guard and one stacked
 solve; ``fit_logistic`` runs members of one shape as one (B, n, p) IRLS loop
-whose members leave the stack as they converge or fail.  A member that fails
-keeps its own exception and does not stop the others.  Stacked LAPACK calls
-and matmuls run each member through the kernels a one-design call uses, on
+whose members leave the stack as they converge.  Stacked LAPACK calls and
+matmuls run each member through the kernels a one-design call uses, on
 operands of the same layout, so every member's coefficients equal those of
 its own call, which equal those of the masked two-branch, full-penalty form
-that tests/test_learners.py keeps as the reference, bit for bit.  Normal
-equations, designs and IRLS Hessians that are not finite are refused with
-``NumericalError`` before LAPACK sees them.
+that tests/test_learners.py keeps as the reference, bit for bit.  A stack
+raises where a one-design call would; only then is it fit again member by
+member, and each member keeps the fit or the exception of its own call.
+Normal equations, designs and IRLS Hessians that are not finite are refused
+with ``NumericalError`` before LAPACK sees them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .errors import (ExtrapolationError, NumericalError, SchemaError, SeparationError,
-                     SingularityError, SolverError)
+from .errors import (ExtrapolationError, InfluenceLabError, NumericalError, SchemaError,
+                     SeparationError, SingularityError, SolverError)
 
 IRLS_SCORE_TOL = 1e-8
 IRLS_MAX_ITER = 100
@@ -227,15 +227,9 @@ def _ridge_penalty(size: int, ridge_lambda: float) -> np.ndarray:
 class StackedFits:
     """The fits of one stacked ``fit_ols`` or ``fit_logistic`` call, in the
     order of its designs.  A member whose own call would raise holds that
-    exception instead of a fit; ``fit(i)`` returns member i or raises it."""
+    exception instead of a fit."""
 
     members: tuple
-
-    def fit(self, i: int):
-        member = self.members[i]
-        if isinstance(member, Exception):
-            raise member
-        return member
 
     @property
     def iterations(self) -> int:
@@ -253,47 +247,33 @@ def _not_finite(what: str) -> NumericalError:
                           "rescale the data or lower the polynomial degree")
 
 
-def _non_finite_members(*stacks: np.ndarray) -> Optional[np.ndarray]:
-    """Mask of the members with an entry that is not finite in one of the
-    stacks, or None if there is none.  Such an entry makes its stack's sum
-    non-finite, so the entries are looked at one by one only then."""
+def _finite(*arrays: np.ndarray) -> bool:
+    """Whether every entry of the arrays is finite.  An entry that is not
+    makes the sum non-finite, so the entries are looked at one by one only
+    then (finite entries can overflow a sum too)."""
     total = 0.0
-    for a in stacks:
+    for a in arrays:
         total += a.sum()
-    if math.isfinite(total):
-        return None
-    finite = [np.isfinite(a).reshape(len(a), -1).all(axis=1) for a in stacks]
-    bad = ~np.logical_and.reduce(finite)
-    return bad if bad.any() else None
+    return math.isfinite(total) or all(np.isfinite(a).all() for a in arrays)
 
 
-def _solve_each(lhs: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """np.linalg.solve of each system of a stack, with each member's bits
-    equal to its own call's, and the mask of the singular members (None if
-    there are none).  One singular member fails the stacked call as a whole,
-    so only then are the members solved one at a time; a singular one's row
-    is left nan."""
+def _stacked(kernel, designs: list, targets: list, ridge_lambda: float) -> StackedFits:
+    """The fits of ``kernel`` on a stack, from one call.  Only if that call
+    raises is each member fit alone, and it keeps the fit or the exception
+    of its own call."""
+    if not designs:
+        return StackedFits(())
     try:
-        return np.linalg.solve(lhs, rhs[..., None])[..., 0], None
-    except np.linalg.LinAlgError:
-        out = np.full(rhs.shape, np.nan)
-        singular = np.zeros(len(lhs), dtype=bool)
-        for i, (a, b) in enumerate(zip(lhs, rhs)):
-            try:
-                out[i] = np.linalg.solve(a, b)
-            except np.linalg.LinAlgError:
-                singular[i] = True
-        return out, singular
-
-
-def _leave(members: list, live: np.ndarray, gone: np.ndarray, outcome, *arrays) -> tuple:
-    """Freeze each member j of a stack, ``members[live[j]]``, that ``gone``
-    flags at ``outcome(j)``, called while j still indexes ``arrays``;
-    returns ``live`` and the ``arrays`` without those members."""
-    for j in np.flatnonzero(gone):
-        members[live[j]] = outcome(j)
-    keep = ~gone
-    return (live[keep], *(a[keep] for a in arrays))
+        return StackedFits(tuple(kernel(designs, targets, ridge_lambda)))
+    except InfluenceLabError:
+        pass
+    members = []
+    for X, t in zip(designs, targets):
+        try:
+            members.append(kernel([X], [t], ridge_lambda)[0])
+        except InfluenceLabError as exc:
+            members.append(exc)
+    return StackedFits(tuple(members))
 
 
 def fit_ols(features, targets, ridge_lambda: float = 0.0):
@@ -313,48 +293,43 @@ def fit_ols(features, targets, ridge_lambda: float = 0.0):
     if ridge_lambda < 0.0:
         raise SchemaError(f"ridge_lambda must be nonnegative, got {ridge_lambda}")
     if not isinstance(features, list):
-        return fit_ols([features], [targets], ridge_lambda).fit(0)
-    members: list = [None] * len(features)
+        return _ols_stack([_with_intercept(features)], [targets], ridge_lambda)[0]
+    designs = [_with_intercept(F) for F in features]
+    if len({X.shape[1] for X in designs}) > 1:
+        raise SchemaError("the designs of a stack must share their column count")
+    return _stacked(_ols_stack, designs, targets, ridge_lambda)
+
+
+def _ols_stack(designs: list, targets: list, ridge_lambda: float) -> list:
+    """The ``LinearFit`` of each design (intercept included) and target
+    vector of a stack; raises where a one-design call would."""
     lhs, rhs = [], []
     with np.errstate(over="ignore", invalid="ignore"):  # refused below if not finite
-        for i, (F, t) in enumerate(zip(features, targets)):
-            X = _with_intercept(F)
+        for X, t in zip(designs, targets):
             y = np.asarray(t, dtype=float).ravel()
             if X.shape[0] != y.size:
-                members[i] = SchemaError(f"{X.shape[0]} rows of features but {y.size} targets")
-                continue
+                raise SchemaError(f"{X.shape[0]} rows of features but {y.size} targets")
             lhs.append(X.T @ X)
             rhs.append(X.T @ y)
-        if not lhs:
-            return StackedFits(tuple(members))
-        if len({a.shape for a in lhs}) > 1:
-            raise SchemaError("the designs of a stack must share their column count")
         lhs, rhs = np.stack(lhs), np.stack(rhs)
-        bad = _non_finite_members(lhs, rhs)
-    live = np.array([i for i, m in enumerate(members) if m is None])
-    if bad is not None:
-        live, lhs, rhs = _leave(members, live, bad,
-                                lambda j: _not_finite("normal equations are"), lhs, rhs)
+        if not _finite(lhs, rhs):
+            raise _not_finite("normal equations are")
     if ridge_lambda == 0.0:
         # Guard against numerically singular systems before trusting solve():
         # the rank test of np.linalg.matrix_rank at its default tolerance.
         S = np.linalg.svd(lhs, compute_uv=False)
         tol = S.max(axis=1, keepdims=True) * (lhs.shape[1] * np.finfo(float).eps)
-        full_rank = (S > tol).all(axis=1)
-        if not full_rank.all():
-            live, lhs, rhs = _leave(members, live, ~full_rank, lambda j: SingularityError(
-                "normal equations are singular (collinear features); "
-                "set ridge_lambda > 0 to regularize"
-            ), lhs, rhs)
+        if not (S > tol).all():
+            raise SingularityError("normal equations are singular (collinear features); "
+                                   "set ridge_lambda > 0 to regularize")
     else:
         lhs = lhs + _ridge_penalty(lhs.shape[1], ridge_lambda)
-    coefs, singular = _solve_each(lhs, rhs)
-    for j, i in enumerate(live):
-        members[i] = SingularityError(
-            "normal equations are singular; set ridge_lambda > 0 to regularize"
-        ) if singular is not None and singular[j] else LinearFit(
-            coef=coefs[j], ridge_lambda=float(ridge_lambda))
-    return StackedFits(tuple(members))
+    try:
+        coefs = np.linalg.solve(lhs, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        raise SingularityError(
+            "normal equations are singular; set ridge_lambda > 0 to regularize") from None
+    return [LinearFit(coef=c, ridge_lambda=float(ridge_lambda)) for c in coefs]
 
 
 def fit_logistic(features, targets, ridge_lambda: float = 0.0):
@@ -375,102 +350,87 @@ def fit_logistic(features, targets, ridge_lambda: float = 0.0):
     if ridge_lambda < 0.0:
         raise SchemaError(f"ridge_lambda must be nonnegative, got {ridge_lambda}")
     if not isinstance(features, list):
-        return fit_logistic([features], [targets], ridge_lambda).fit(0)
-    if not features:
-        return StackedFits(())
+        return _logistic_stack([np.atleast_2d(np.asarray(features, dtype=float))],
+                               [targets], ridge_lambda)[0]
     designs = [np.atleast_2d(np.asarray(F, dtype=float)) for F in features]
     if len({F.shape for F in designs}) > 1:
         raise SchemaError("the designs of a stack must share one shape")
+    return _stacked(_logistic_stack, designs, targets, ridge_lambda)
+
+
+def _logistic_stack(designs: list, targets: list, ridge_lambda: float) -> list:
+    """The ``LogisticFit`` of each design (no intercept) and target vector of
+    a stack of one shape; raises where a one-design call would."""
     B, (n, d) = len(designs), designs[0].shape
     X = np.empty((B, n, d + 1))
     X[:, :, 0] = 1.0
     Y = np.empty((B, n))
-    members: list = [None] * B
     with np.errstate(over="ignore", invalid="ignore"):  # refused below if not finite
         for i, (F, t) in enumerate(zip(designs, targets)):
             X[i, :, 1:] = F
             y = np.asarray(t, dtype=float).ravel()
             if y.size != n:
-                members[i] = SchemaError(f"{n} rows of features but {y.size} targets")
-            elif not np.all((y == 0.0) | (y == 1.0)):
-                members[i] = SchemaError("logistic targets must be 0/1")
-            else:
-                Y[i] = y
+                raise SchemaError(f"{n} rows of features but {y.size} targets")
+            if not np.all((y == 0.0) | (y == 1.0)):
+                raise SchemaError("logistic targets must be 0/1")
+            Y[i] = y
         if d:
             # per column, over rows made contiguous: an axis-1 max of X is 5x slower
             columns = X[:, :, 1:].transpose(0, 2, 1).copy()
             spreads = columns.max(axis=2) - columns.min(axis=2)  # nan at inf - inf
-            bad = _non_finite_members(spreads)
-            for i in range(B):
-                if members[i] is None and bad is not None and bad[i]:
-                    members[i] = _not_finite("design is")
-                elif members[i] is None and np.any(spreads[i] == 0.0):
-                    members[i] = SchemaError(
-                        f"feature column {int(np.argmin(spreads[i]))} is constant and "
-                        "duplicates the intercept; drop it"
-                    )
-        _irls(X, Y, ridge_lambda, members)
-    return StackedFits(tuple(members))
+            if not _finite(spreads):
+                raise _not_finite("design is")
+            if np.any(spreads == 0.0):
+                raise SchemaError(
+                    f"feature column {int(np.argmin(spreads.min(axis=0)))} is constant "
+                    "and duplicates the intercept; drop it"
+                )
+        return _irls(X, Y, ridge_lambda)
 
 
-def _irls(X: np.ndarray, Y: np.ndarray, ridge_lambda: float, members: list) -> None:
-    """The IRLS loop of ``fit_logistic`` over the members of the (B, n, p)
-    stack of designs ``X`` and targets ``Y`` that ``members`` leaves None;
-    fills in each one's ``LogisticFit`` or the exception its own call raises.
+def _irls(X: np.ndarray, Y: np.ndarray, ridge_lambda: float) -> list:
+    """The IRLS loop of ``fit_logistic`` over the (B, n, p) stack of designs
+    ``X`` and targets ``Y``: each member's ``LogisticFit``.  It raises where
+    a one-design loop would.
 
-    A member that converges or fails is frozen and leaves the stack, which
-    is indexed anew only then.  Every element of a member meets the
+    A member that converges is frozen and leaves the stack, which is
+    indexed anew only then.  Every element of a member meets the
     floating-point operations of a one-design loop, in the same order, so
     its bits are those of its own call.
     """
-    live = np.array([i for i, m in enumerate(members) if m is None], dtype=int)
-    if live.size < len(members):
-        X, Y = X[live], Y[live]
     # With no penalty its terms are exact zeros and are left out.
     penalty = None if ridge_lambda == 0.0 else _ridge_penalty(X.shape[2], ridge_lambda)
-    beta = np.zeros((live.size, X.shape[2]))
+    fits: list = [None] * len(X)
+    live = np.arange(len(X))
+    beta = np.zeros((len(X), X.shape[2]))
     for iterations in range(1, IRLS_MAX_ITER + 1):
-        if not live.size:
-            return
         p = _expit((X @ beta[:, :, None])[:, :, 0])
         score = (X.transpose(0, 2, 1) @ (Y - p)[:, :, None])[:, :, 0]
         if penalty is not None:
             score -= (penalty @ beta[:, :, None])[:, :, 0]
         converged = np.abs(score).max(axis=1) < IRLS_SCORE_TOL
         if np.count_nonzero(converged):
-            live, X, Y, beta, p, score = _leave(
-                members, live, converged,
-                lambda j: LogisticFit(coef=beta[j], iterations=iterations, converged=True),
-                X, Y, beta, p, score,
-            )
-            if not live.size:
-                return
+            for j in np.flatnonzero(converged):
+                fits[live[j]] = LogisticFit(coef=beta[j], iterations=iterations, converged=True)
+            if converged.all():
+                return fits
+            live, X, Y, beta, p, score = (a[~converged] for a in (live, X, Y, beta, p, score))
         w = np.maximum(p * (1.0 - p), 1e-10)
         hess = (X.transpose(0, 2, 1) * w[:, None, :]) @ X
         if penalty is not None:
             hess += penalty
-        bad = _non_finite_members(hess, score)
-        if bad is not None:
-            live, X, Y, beta, hess, score = _leave(
-                members, live, bad, lambda j: _not_finite("IRLS Hessian or score is"),
-                X, Y, beta, hess, score,
-            )
-        step, singular = _solve_each(hess, score)
-        if singular is not None:
-            live, X, Y, beta, step = _leave(
-                members, live, singular, lambda j: SolverError("IRLS update is singular"),
-                X, Y, beta, step,
-            )
-        beta = beta + step
-        if penalty is None:
-            diverged = np.abs(beta).max(axis=1) > SEPARATION_COEF_BOUND
-            if np.count_nonzero(diverged):
-                live, X, Y, beta = _leave(members, live, diverged, lambda j: SeparationError(
-                    "logistic coefficients diverged (classes appear separated); "
-                    "set ridge_lambda > 0 or simplify the model"
-                ), X, Y, beta)
+        if not _finite(hess, score):
+            raise _not_finite("IRLS Hessian or score is")
+        try:
+            beta = beta + np.linalg.solve(hess, score[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            raise SolverError("IRLS update is singular") from None
+        if penalty is None and np.abs(beta).max() > SEPARATION_COEF_BOUND:
+            raise SeparationError("logistic coefficients diverged (classes appear separated); "
+                                  "set ridge_lambda > 0 or simplify the model")
     for j, i in enumerate(live):
-        members[i] = LogisticFit(coef=beta[j], iterations=IRLS_MAX_ITER, converged=False)
+        fits[i] = LogisticFit(coef=beta[j], iterations=IRLS_MAX_ITER, converged=False)
+    return fits
 
 
 # ---------------------------------------------------------------------------

@@ -455,7 +455,7 @@ def _replicate_once(dgp, spec, method, settings, n, folds, alpha, master_seed, r
     """Run replication r of master seed ``master_seed``; returns its payload."""
     dataset = dgp.generate(n, hash64(master_seed, r))
     plan = make_folds(n, folds, hash64(master_seed, r, "folds"))
-    nuis = fit_cross_fitted_nuisances(dataset, spec, settings, plan)
+    nuis = fit_cross_fitted_nuisances(dataset, spec, settings, plan=plan)
     report = ESTIMATORS[method](spec, dataset, nuis, alpha)
     payload = {
         "psi": report.psi_hat,

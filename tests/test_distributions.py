@@ -1,4 +1,5 @@
 """Schemas, datasets, finite-support laws, mixture paths, and CSV loading."""
+import itertools
 import os
 import tempfile
 from unittest import mock
@@ -24,6 +25,8 @@ from influence_lab import (
 )
 from influence_lab import distributions
 from influence_lab.distributions import mixture_probs
+from influence_lab.gateaux import (EXPOSURE_OUTCOME, FULL_SCHEMA, MEDIATION_SCHEMA, OUTCOME_ONLY,
+                                   random_law)
 
 YX = Schema(
     (Column("x", "exposure", "binary"), Column("y", "outcome", "continuous"))
@@ -154,6 +157,31 @@ class TestMixturePath:
         other = DiscreteDistribution(YX, [[0.0, 0.0]], [1.0])
         with pytest.raises(SchemaError, match="schema"):
             MixturePath(base, other)
+
+    @pytest.mark.parametrize("schema", [OUTCOME_ONLY, EXPOSURE_OUTCOME, FULL_SCHEMA,
+                                        MEDIATION_SCHEMA])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_new_atoms_are_grouped_once(self, schema, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        base, cont = random_law(rng, schema), random_law(rng, schema)
+        rows = np.concatenate([base.values, cont.values])
+        values, cell = distributions._group_rows(rows)
+        assert len(values) > base.n_atoms
+        # the union as the public constructor builds it on the grouped rows
+        probs = np.bincount(cell[: base.n_atoms], weights=base.probs, minlength=len(values))
+        built = DiscreteDistribution(schema, values, probs)
+        group, sizes = distributions._group_rows, []
+        monkeypatch.setattr(distributions, "_group_rows",
+                            lambda rows: sizes.append(len(rows)) or group(rows))
+        union = MixturePath(base, cont).union
+        assert sizes == [len(rows)]
+        assert union.values.tobytes() == built.values.tobytes()
+        assert union.probs.tobytes() == built.probs.tobytes()
+        roles = sorted({c.role for c in schema.columns})
+        for r in range(1, len(roles) + 1):
+            for chosen in itertools.permutations(roles, r):
+                for a, b in zip(union.cells(*chosen), built.cells(*chosen)):
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
     def test_point_mass(self):
         obs = Observation((1.0, 2.0), YX)

@@ -315,6 +315,9 @@ STACK_CASES = [
 ]
 
 
+PLANTED_FAULTS = ("none", "none", "collinear", "constant", "inf", "short targets")
+
+
 class TestStackedFits:
     """A stack of designs fits each member to the bits of its own call."""
 
@@ -403,6 +406,57 @@ class TestStackedFits:
         assert stack.converged == all(f.converged for f in fits)
         if max_iter == 3:
             assert not stack.converged
+
+    @pytest.mark.parametrize("fit, kernel", [(fit_ols, "_ols_stack"),
+                                             (fit_logistic, "_logistic_stack")])
+    def test_only_a_stack_that_raises_is_fit_again_member_by_member(self, fit, kernel,
+                                                                    monkeypatch):
+        sizes, stacked = [], getattr(learners, kernel)
+        monkeypatch.setattr(learners, kernel,
+                            lambda designs, *rest: sizes.append(len(designs))
+                            or stacked(designs, *rest))
+        rng = np.random.default_rng(9)
+        designs = [rng.normal(size=(50, 2)) for _ in range(4)]
+        targets = [(rng.uniform(size=50) < 0.5).astype(float) for _ in designs]
+        assert not any(isinstance(m, Exception) for m in fit(designs, targets).members)
+        assert sizes == [4]
+        designs[2] = np.column_stack([designs[2][:, 0], designs[2][:, 0]])  # singular
+        sizes.clear()
+        kinds = [type(m) for m in fit(designs, targets).members]
+        assert sizes == [4, 1, 1, 1, 1]
+        assert issubclass(kinds[2], NumericalError)
+        assert not any(issubclass(k, Exception) for k in kinds[:2] + kinds[3:])
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(case=st.data(), ridge=st.sampled_from([0.0, 0.3]))
+    def test_planted_failures_leave_every_member_its_own_call(self, case, ridge):
+        model = case.draw(st.sampled_from(["ols", "logistic"]))
+        faults = case.draw(st.lists(st.sampled_from(PLANTED_FAULTS), min_size=1, max_size=6))
+        rng = np.random.default_rng(case.draw(st.integers(0, 2**32 - 1)))
+        fit = fit_ols if model == "ols" else fit_logistic
+        designs, targets = [], []
+        for fault in faults:
+            n = 40 if model == "logistic" else int(rng.integers(20, 60))
+            F = rng.normal(size=(n, 2))
+            y = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-F @ [0.8, -0.5]))).astype(float)
+            if fault == "collinear":
+                F[:, 1] = 2.0 * F[:, 0]
+            elif fault == "constant":
+                F[:, 1] = 1.5
+            elif fault == "inf":
+                F[rng.integers(n), rng.integers(2)] = np.inf
+            elif fault == "short targets":
+                y = y[:-1]
+            designs.append(F)
+            targets.append(y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stack = fit(designs, targets, ridge)
+            alone = [_outcome(lambda F=F, y=y: fit(F, y, ridge))
+                     for F, y in zip(designs, targets)]
+        assert len(stack.members) == len(designs)
+        for member, single in zip(stack.members, alone):
+            _assert_same_fit(member, single)
 
     def test_one_design_raises_what_its_member_holds(self):
         with pytest.raises(NumericalError, match="not finite"):

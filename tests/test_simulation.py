@@ -189,7 +189,7 @@ class TestRunReplications:
                                   seed=11, folds=3)
         data = dgp.generate(200, hash64(11, 0))
         plan = make_folds(200, 3, hash64(11, 0, "folds"))
-        nuis = fit_cross_fitted_nuisances(data, Ate(), LearnerSettings(), plan)
+        nuis = fit_cross_fitted_nuisances(data, Ate(), LearnerSettings(), plan=plan)
         single = one_step(Ate(), data, nuis)
         assert report.psi_hats == (single.psi_hat,)
         assert report.ses == (single.se,)
