@@ -9,7 +9,7 @@ line number, so a typo never silently falls back to a default.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Callable, Optional
 
 from .distributions import KINDS, ROLES
 from .errors import ConfigError, ValidationError
@@ -98,6 +98,15 @@ def _read(types: dict, section: str, key: str, raw: str, lineno: int):
         return coerce(raw)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"line {lineno}: {key} must be {expected}, got {raw!r}") from None
+
+
+def _at_line(lineno: int, check: Callable, *args, **kwargs):
+    """``check(*args, **kwargs)``, with a ``ValidationError`` it raises
+    about the value of line ``lineno`` named by that line."""
+    try:
+        return check(*args, **kwargs)
+    except ValidationError as exc:
+        raise ConfigError(f"line {lineno}: {exc}") from None
 
 
 def _scan(text: str) -> dict:
@@ -204,10 +213,7 @@ def parse_config(text: str) -> RunConfig:
             )
     cls, params = CATALOG[est_name], {}
     for key, (value, lineno) in est_entries.items():
-        try:
-            params[key] = _parameter(cls, key, value)
-        except ValidationError as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from None
+        params[key] = _at_line(lineno, _parameter, cls, key, value)
     try:
         spec = cls(**params)
     except ValidationError as exc:
@@ -218,19 +224,20 @@ def parse_config(text: str) -> RunConfig:
     # that here so a bad target never reaches data loading.
     spec.nuisance_requirements()
 
-    settings = LearnerSettings(**{
-        key: _read(_LEARNER_TYPES, "learners", key, value, lineno)
-        for key, (value, lineno) in sections["learners"].items()
-    })
+    # every [learners] check is of one key, so each key is checked alone, at its line
+    learners = {}
+    for key, (value, lineno) in sections["learners"].items():
+        learners[key] = _read(_LEARNER_TYPES, "learners", key, value, lineno)
+        _at_line(lineno, LearnerSettings, **{key: learners[key]})
+    settings = LearnerSettings(**learners)
 
     run = {}
     for key, (value, lineno) in sections["run"].items():
         run[key] = _read(_RUN_TYPES, "run", key, value, lineno)
         if key == "method":
-            try:
-                run[key] = resolve_method(run[key])
-            except ConfigError as exc:
-                raise ConfigError(f"line {lineno}: {exc}") from None
+            run[key] = _at_line(lineno, resolve_method, run[key])
+        elif key == "seed":
+            _at_line(lineno, RunConfig, spec, settings, roles, seed=run[key])
         elif key == "folds" and run[key] < 1:
             raise ConfigError(f"line {lineno}: folds must be at least 1")
         elif key == "alpha" and not 0.0 < run[key] < 1.0:

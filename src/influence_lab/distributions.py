@@ -420,7 +420,8 @@ def load_csv(path: str, roles: Mapping[str, tuple[str, str]]) -> Dataset:
 
     ``roles`` maps column names to (role, kind) pairs and fixes the schema
     column order.  Columns present in the file but absent from ``roles``
-    are ignored, and so are blank rows.  Distinct failure modes raise
+    are ignored, and so are blank rows; a ``roles`` column the header names
+    more than once is refused.  Distinct failure modes raise
     ``CsvParseError`` naming the first offending row and column: missing
     header column, short row, non-numeric or non-finite cell, and binary or
     discrete violations.
@@ -453,6 +454,11 @@ def load_csv(path: str, roles: Mapping[str, tuple[str, str]]) -> Dataset:
             if col.name not in header:
                 raise CsvParseError(
                     f"{path}: required column {col.name!r} not found in header {header}"
+                )
+            if header.count(col.name) > 1:
+                raise CsvParseError(
+                    f"{path}: column {col.name!r} appears {header.count(col.name)} times "
+                    "in the header"
                 )
             positions.append(header.index(col.name))
         values = _loadtxt_values(path, schema, positions, len(header))

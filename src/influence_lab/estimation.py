@@ -7,12 +7,12 @@ errors come from the sample variance of the influence function values.  The
 targeted influence values are the estimand's AIPW terms (``_pom_terms``),
 taken over the arms and weights of its declared ``contrast``.
 
-Nuisances are fit on each fold's complement.  ``_fit_fold_slots`` states a
-fold's fits once, and ``_cross_fit`` runs it for every fold in step, so each
-slot's OLS fits of all folds (and of all exposure arms) go to one stacked
-``fit_ols`` call and its logistic fits to one ``fit_logistic`` call per
-training size; kernel fits stay per fold.  A failure is the one a loop over
-the folds, one after another, raises first.
+Nuisances are fit on each fold's complement.  ``_cross_fit`` runs
+``_fit_fold_slots`` for one fold after another, so a failure is the first
+failing fold's.  The first fold to ask for a slot has its OLS fits for all
+folds (and all exposure arms) made in one stacked ``fit_ols`` call and its
+logistic fits in one ``fit_logistic`` call per training size; each later
+fold takes its own members.  Kernel fits stay per fold.
 
 Each nuisance is evaluated once per row: after the fits, the estimand's
 ``nuisance_values`` runs once per fold, on that fold's held-out rows, and
@@ -46,6 +46,7 @@ from .learners import (
     FeatureMap,
     LinearFit,
     LogisticFit,
+    _check_ridge,
     fit_kde,
     fit_kernel_regression,
     fit_logistic,
@@ -155,11 +156,27 @@ class LearnerSettings:
             )
         if not 0.0 <= self.trim < 0.5:
             raise ValidationError(f"trim must be in [0, 0.5), got {self.trim}")
-        if self.ridge_lambda < 0.0:
-            raise ValidationError("ridge_lambda must be nonnegative")
+        _check_ridge(self.ridge_lambda)
+        FeatureMap(self.outcome_degree)  # refuses a degree outside [1, MAX_POLY_DEGREE]
+        FeatureMap(self.propensity_degree)
+        if not _auto_or_positive(self.bandwidth):
+            raise ValidationError(
+                f"bandwidth must be 'auto' or positive and finite, got {self.bandwidth!r}"
+            )
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
+
+
+def _auto_or_positive(bandwidth) -> bool:
+    """Whether a bandwidth setting is "auto" or numbers, all positive and finite."""
+    if isinstance(bandwidth, str):
+        return bandwidth == "auto"
+    try:
+        h = np.asarray(bandwidth, dtype=float)
+    except (TypeError, ValueError):
+        return False
+    return h.size > 0 and bool(np.all((h > 0.0) & np.isfinite(h)))
 
 
 # ---------------------------------------------------------------------------
@@ -184,37 +201,34 @@ def _as_flat(values) -> np.ndarray:
     return arr.ravel() if arr.ndim > 1 else arr
 
 
-def _fit_learners(family: str, problems: list, settings: LearnerSettings):
-    """Fit the learner ``settings`` names for ``family`` ("outcome" or
-    "propensity") on the raw columns V of each ``(V, target)`` of
-    ``problems``.
+def _fit_learners(fits: _FoldFits, k: int, slot: str, family: str, problems: Callable):
+    """Fold k's fits of the learner the settings name for ``family``
+    ("outcome" or "propensity") on the raw columns V of each ``(V, target)``
+    that ``problems(j)`` states for fold j: kernel ones fit here for fold k
+    alone, OLS and logistic ones taken from ``fits``, which fits ``slot``
+    for every fold at once.
 
-    A generator: OLS and logistic problems are yielded as one list of
-    ``(model, features, target)`` and sent back fitted, so that
-    ``_cross_fit`` can fit those of every fold in one stacked call; kernel
-    problems are fit here.  Returns, per problem, its prediction function of
-    raw query columns and, for OLS and kernel fits, its derivative along the
-    first column (None for logistic), or the exception its fit raised.
-    Probabilities come out raw; the callers clip them.  A logistic fit that
-    did not converge gives ``SolverError``.
+    Returns, per problem, its prediction function of raw query columns and,
+    for OLS and kernel fits, its derivative along the first column (None
+    for logistic), or the exception its fit raised.  Probabilities come out
+    raw; the callers clip them.  A logistic fit that did not converge gives
+    ``SolverError``.
     """
+    settings = fits.settings
     model = getattr(settings, f"{family}_model")
     if model == "kernel":  # kernel fits consume raw coordinates
-        fits = []
-        for V, target in problems:
+        out = []
+        for V, target in problems(k):
             try:
-                fits.append(_kernel_pair(fit_kernel_regression(V, target, settings.bandwidth)))
+                out.append(_kernel_pair(fit_kernel_regression(V, target, settings.bandwidth)))
             except Exception as exc:  # raised by the caller, in the caller's order
-                fits.append(exc)
-        return fits
+                out.append(exc)
+        return out
     fmap = FeatureMap(
         degree=getattr(settings, f"{family}_degree"),
         interactions=getattr(settings, f"{family}_interactions"),
     )
-    with np.errstate(over="ignore"):  # the fit refuses features that overflowed
-        asked = [(model, fmap.transform(V), target) for V, target in problems]
-    fits = yield asked
-    return [_parametric_pair(fit, fmap) for fit in fits]
+    return [_parametric_pair(fit, fmap) for fit in fits.members(k, slot, model, fmap, problems)]
 
 
 def _kernel_pair(fit) -> tuple:
@@ -236,9 +250,9 @@ def _parametric_pair(fit, fmap: FeatureMap):
     return fit
 
 
-def _fit_learner(family: str, V, target, settings: LearnerSettings):
-    """``_fit_learners`` of one problem; a failed fit raises."""
-    (fit,) = yield from _fit_learners(family, [(V, target)], settings)
+def _fit_learner(fits: _FoldFits, k: int, slot: str, family: str, problem: Callable):
+    """``_fit_learners`` of one problem per fold; a failed fit raises."""
+    (fit,) = _fit_learners(fits, k, slot, family, lambda j: [problem(j)])
     return _fitted(fit)
 
 
@@ -273,26 +287,28 @@ class _ArmRegression:
         return out
 
 
-def _fit_outcome_mean(y, x, Z, settings: LearnerSettings, binary_exposure: bool):
-    """Regression of y on (x, Z); per-level fits when the exposure is discrete.
+def _fit_outcome_mean(fits: _FoldFits, k: int, binary_exposure: bool):
+    """Fold k's regression of y on (x, Z); per-level fits when the exposure
+    is discrete.
 
     The levels are fit together, then checked and taken level by level, so a
     failure is raised in the order of fitting them one after another."""
+    t = fits.train
     if binary_exposure:
-        masks = {level: x == level for level in np.unique(x)}
-        fits = yield from _fit_learners(
-            "outcome", [(Z[mask], y[mask]) for mask in masks.values()], settings
-        )
-        arms = {}
-        for (level, mask), fit in zip(masks.items(), fits):
+        arms = _fit_learners(fits, k, "outcome_mean", "outcome", lambda j: [
+            (t[j].Z[mask], t[j].y[mask]) for mask in fits.levels(j).values()
+        ])
+        regressions = {}
+        for (level, mask), fit in zip(fits.levels(k).items(), arms):
             if mask.sum() < 2:
                 raise PositivityError(
                     f"fewer than two training rows with exposure level {float(level)!r}"
                 )
-            arms[level] = _fitted(fit)[0]
-        return _ArmRegression(arms), None
+            regressions[level] = _fitted(fit)[0]
+        return _ArmRegression(regressions), None
     # continuous exposure: one fit on the joint (x, Z) coordinates
-    mean, grad = yield from _fit_learner("outcome", _design(x, Z), y, settings)
+    mean, grad = _fit_learner(fits, k, "outcome_mean", "outcome",
+                              lambda j: (_design(t[j].x, t[j].Z), t[j].y))
     return (lambda xq, Zq: mean(_design(xq, Zq))), (lambda xq, Zq: grad(_design(xq, Zq)))
 
 
@@ -322,26 +338,16 @@ def _check_binary(values: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} must be binary (0/1) for the shipped learners")
 
 
-def _fit_fold_slots(
-    cols: ColumnSet,
-    train: np.ndarray,
-    reqs: frozenset,
-    settings: LearnerSettings,
-    binary_exposure: bool,
-) -> dict:
-    """Fit every required slot on the training rows of one fold.
-
-    A generator, run by ``_cross_fit``: each OLS or logistic fit is yielded
-    as a list of problems and sent back fitted (see ``_fit_learners``).
-    Returns the slots."""
+def _fit_fold_slots(fits: _FoldFits, k: int, reqs: frozenset, binary_exposure: bool) -> dict:
+    """Fit every required slot on the training rows of fold k.  Each OLS or
+    logistic fit states its ``(V, target)`` for every fold j from the
+    training columns ``t[j]`` (see ``_fit_learners``)."""
     slots: dict = {}
-    y = cols.y[train] if cols.y is not None else None
-    x = cols.x[train] if cols.x is not None else None
-    Z = cols.Z[train] if cols.Z is not None else None
-    M = cols.M[train] if cols.M is not None else None
+    settings, t = fits.settings, fits.train
+    y, x, Z, M = t[k].y, t[k].x, t[k].Z, t[k].M
 
     if "outcome_mean" in reqs or "outcome_mean_grad" in reqs:
-        mean_fn, grad_fn = yield from _fit_outcome_mean(y, x, Z, settings, binary_exposure)
+        mean_fn, grad_fn = _fit_outcome_mean(fits, k, binary_exposure)
         slots["outcome_mean"] = mean_fn
         if "outcome_mean_grad" in reqs:
             if grad_fn is None:
@@ -351,11 +357,14 @@ def _fit_fold_slots(
             slots["outcome_mean_grad"] = grad_fn
     if "propensity" in reqs:
         _check_binary(x, "the exposure")
-        slots["propensity"] = (yield from _fit_learner("propensity", Z, x, settings))[0]
+        slots["propensity"] = _fit_learner(fits, k, "propensity", "propensity",
+                                           lambda j: (t[j].Z, t[j].x))[0]
     if "conditional_mean_y" in reqs:
-        slots["conditional_mean_y"] = (yield from _fit_learner("outcome", Z, y, settings))[0]
+        slots["conditional_mean_y"] = _fit_learner(fits, k, "conditional_mean_y", "outcome",
+                                                   lambda j: (t[j].Z, t[j].y))[0]
     if "conditional_mean_x" in reqs or "exposure_residual_var" in reqs:
-        cond_x = (yield from _fit_learner("outcome", Z, x, settings))[0]
+        cond_x = _fit_learner(fits, k, "conditional_mean_x", "outcome",
+                              lambda j: (t[j].Z, t[j].x))[0]
         if "conditional_mean_x" in reqs:
             slots["conditional_mean_x"] = cond_x
         if "exposure_residual_var" in reqs:
@@ -395,10 +404,12 @@ def _fit_fold_slots(
         m_flat = _as_flat(M)
         _check_binary(m_flat, "the mediator")
         if "mediator_law" in reqs:
-            p_one = (yield from _fit_learner("propensity", _design(x, Z), m_flat, settings))[0]
+            p_one = _fit_learner(fits, k, "mediator_law", "propensity",
+                                 lambda j: (_design(t[j].x, t[j].Z), _as_flat(t[j].M)))[0]
             slots["mediator_law"] = p_one  # wrapped into f(M | x, Z) later
         if "mediated_outcome" in reqs:
-            b = (yield from _fit_learner("outcome", _design(m_flat, x, Z), y, settings))[0]
+            b = _fit_learner(fits, k, "mediated_outcome", "outcome",
+                             lambda j: (_design(_as_flat(t[j].M), t[j].x, t[j].Z), t[j].y))[0]
             slots["mediated_outcome"] = lambda Mq, xq, Zq: b(_design(_as_flat(Mq), xq, Zq))
         if "mediator_support" in reqs:
             slots["mediator_support"] = tuple(sorted(set(m_flat.tolist())))
@@ -443,62 +454,58 @@ def _in_fold(k: int, step: Callable, *args):
         raise NumericalError(f"fold {k}: {type(exc).__name__}: {exc}") from exc
 
 
+class _FoldFits:
+    """The training columns of each fold of one ``_cross_fit`` call, and
+    the OLS and logistic fits of every fold, stacked once per slot.
+
+    The first fold to ask for a slot has that slot's problems stated for
+    every fold, fit in one ``fit_ols`` call per column count or one
+    ``fit_logistic`` call per shape, and kept; each fold then takes its own
+    members.  A member is the fit or the exception of its own call, so a
+    fold takes what fitting it alone gives."""
+
+    def __init__(self, cols: ColumnSet, plan: FoldPlan, settings: LearnerSettings):
+        self.train = [cols.take(plan.training_rows(k)) for k in range(plan.K)]
+        self.settings = settings
+        self._levels: list = []
+        self._members: dict = {}
+
+    def levels(self, k: int) -> dict:
+        """Fold k's exposure levels, each with the mask of its training rows."""
+        if not self._levels:
+            self._levels = [{level: c.x == level for level in np.unique(c.x)} for c in self.train]
+        return self._levels[k]
+
+    def members(self, k: int, slot: str, model: str, fmap: FeatureMap, problems: Callable):
+        """Fold k's fits of ``slot``, whose problems for fold j are ``problems(j)``."""
+        if slot not in self._members:
+            asked = [problems(j) for j in range(len(self.train))]
+            stacks: dict = {}
+            with np.errstate(over="ignore"):  # the fit refuses features that overflowed
+                for j, fold_problems in enumerate(asked):
+                    for i, (V, target) in enumerate(fold_problems):
+                        F = fmap.transform(V)
+                        shape = F.shape if model == "logistic" else F.shape[1:]
+                        stacks.setdefault(shape, []).append((j, i, F, target))
+            fit = fit_ols if model == "ols" else fit_logistic
+            fits = [[None] * len(fold_problems) for fold_problems in asked]
+            for stack in stacks.values():
+                stacked = fit([m[2] for m in stack], [m[3] for m in stack],
+                              self.settings.ridge_lambda)
+                for (j, i, _, _), member in zip(stack, stacked.members):
+                    fits[j][i] = member
+            self._members[slot] = fits
+        return self._members[slot][k]
+
+
 def _cross_fit(cols: ColumnSet, plan: FoldPlan, reqs: frozenset, settings: LearnerSettings,
                binary_exposure: bool) -> list:
-    """Every fold's slots, from ``_fit_fold_slots`` run for all folds in
-    step.  In each round every running fold goes on to its next OLS or
-    logistic problems; then the OLS problems of all folds are fit in one
-    ``fit_ols`` call and the logistic ones in one ``fit_logistic`` call per
-    training size (see ``_fit_stacked``).
-
-    A failure is raised as a fold-by-fold loop would raise it: the first
-    failing fold's first failure.  A fold that fails stops the folds after
-    it, since such a loop never reaches them; earlier folds run on, as they
-    may still fail first.
-    """
-    runs = {k: _fit_fold_slots(cols, plan.training_rows(k), reqs, settings, binary_exposure)
-            for k in range(plan.K)}
-    slots, fits, failure = [None] * plan.K, dict.fromkeys(runs), None
-    while runs:
-        asked = {}
-        for k, run in list(runs.items()):
-            try:
-                asked[k] = _in_fold(k, run.send, fits[k])
-            except StopIteration as done:
-                slots[k] = done.value
-                del runs[k]
-            except Exception as exc:  # raised below, once no earlier fold can fail first
-                failure = exc
-                runs = {j: r for j, r in runs.items() if j < k}
-                break
-        fits = _fit_stacked({k: asked[k] for k in runs}, settings.ridge_lambda)
-    if failure is not None:
-        raise failure
-    return slots
-
-
-def _fit_stacked(asked: dict, ridge_lambda: float) -> dict:
-    """Fit the ``(model, features, target)`` problems each fold asked for:
-    the OLS ones in one ``fit_ols`` call per column count, the logistic ones
-    in one ``fit_logistic`` call per shape.  The folds ask for the same slot
-    in the same round, so that is one call per model, or two when the
-    training sizes differ.  Returns each fold's fits in the order asked, a
-    failed one as the exception its own call raises."""
-    stacks: dict = {}
-    for k, problems in asked.items():
-        for i, (model, features, target) in enumerate(problems):
-            shape = features.shape if model == "logistic" else features.shape[1:]
-            stacks.setdefault((model, shape), []).append((k, i, features, target))
-    fits = {k: [None] * len(problems) for k, problems in asked.items()}
-    for (model, _), stack in stacks.items():
-        fit = fit_ols if model == "ols" else fit_logistic
-        try:
-            members = fit([m[2] for m in stack], [m[3] for m in stack], ridge_lambda).members
-        except Exception as exc:  # the call fails each of its members with it
-            members = [exc] * len(stack)
-        for (k, i, _, _), member in zip(stack, members):
-            fits[k][i] = member
-    return fits
+    """Every fold's slots, from ``_fit_fold_slots`` run for folds 0, 1, ...,
+    K - 1 in order: a failure is the first failing fold's first failure.
+    The folds share one ``_FoldFits``, which stacks each slot's OLS or
+    logistic fits of all folds when fold 0 asks for the slot."""
+    fits = _FoldFits(cols, plan, settings)
+    return [_in_fold(k, _fit_fold_slots, fits, k, reqs, binary_exposure) for k in range(plan.K)]
 
 
 @dataclass(eq=False)

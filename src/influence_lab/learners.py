@@ -276,6 +276,11 @@ def _stacked(kernel, designs: list, targets: list, ridge_lambda: float) -> Stack
     return StackedFits(tuple(members))
 
 
+def _check_ridge(ridge_lambda: float) -> None:
+    if not 0.0 <= ridge_lambda < math.inf:
+        raise SchemaError(f"ridge_lambda must be finite and nonnegative, got {ridge_lambda}")
+
+
 def fit_ols(features, targets, ridge_lambda: float = 0.0):
     """Solve the (optionally ridge-penalized) normal equations.
 
@@ -290,8 +295,7 @@ def fit_ols(features, targets, ridge_lambda: float = 0.0):
     one stacked solve serve them all, and the result is a ``StackedFits``.
     One design is the stack of one, and returns its ``LinearFit`` or raises.
     """
-    if ridge_lambda < 0.0:
-        raise SchemaError(f"ridge_lambda must be nonnegative, got {ridge_lambda}")
+    _check_ridge(ridge_lambda)
     if not isinstance(features, list):
         return _ols_stack([_with_intercept(features)], [targets], ridge_lambda)[0]
     designs = [_with_intercept(F) for F in features]
@@ -347,8 +351,7 @@ def fit_logistic(features, targets, ridge_lambda: float = 0.0):
     (B, n, p) IRLS loop, and the result is a ``StackedFits``.  One design is
     the stack of one, and returns its ``LogisticFit`` or raises.
     """
-    if ridge_lambda < 0.0:
-        raise SchemaError(f"ridge_lambda must be nonnegative, got {ridge_lambda}")
+    _check_ridge(ridge_lambda)
     if not isinstance(features, list):
         return _logistic_stack([np.atleast_2d(np.asarray(features, dtype=float))],
                                [targets], ridge_lambda)[0]

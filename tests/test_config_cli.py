@@ -216,6 +216,46 @@ class TestParseConfig:
             from_config(name, {key: value})
         assert str(direct.value) == message
 
+    @pytest.mark.parametrize(
+        "key,text,value,message",
+        [
+            ("trim", "0.5", 0.5, "trim must be in [0, 0.5), got 0.5"),
+            ("ridge_lambda", "nan", math.nan,
+             "ridge_lambda must be finite and nonnegative, got nan"),
+            ("ridge_lambda", "inf", math.inf,
+             "ridge_lambda must be finite and nonnegative, got inf"),
+            ("ridge_lambda", "-1", -1.0,
+             "ridge_lambda must be finite and nonnegative, got -1.0"),
+            ("outcome_degree", "5", 5, "polynomial degree must be in [1, 3], got 5"),
+            ("propensity_degree", "0", 0, "polynomial degree must be in [1, 3], got 0"),
+            ("bandwidth", "0", 0.0, "bandwidth must be 'auto' or positive and finite, got 0.0"),
+            ("bandwidth", "-1", -1.0,
+             "bandwidth must be 'auto' or positive and finite, got -1.0"),
+            ("bandwidth", "inf", math.inf,
+             "bandwidth must be 'auto' or positive and finite, got inf"),
+            ("outcome_model", "forest", "forest",
+             "outcome_model must be one of ('ols', 'kernel'), got 'forest'"),
+        ],
+    )
+    def test_learner_value_errors_name_their_line(self, key, text, value, message):
+        # kernel learners leave the polynomial degrees unused: they are checked all the same
+        config = MINIMAL + f"\n[learners]\npropensity_model = kernel\n{key} = {text}\n"
+        with pytest.raises(ConfigError) as caught:
+            parse_config(config)
+        assert str(caught.value) == f"line 10: {message}"
+        with pytest.raises(ValidationError) as direct:  # API callers keep the bare wording
+            LearnerSettings(**{key: value})
+        assert str(direct.value) == message
+
+    def test_a_negative_seed_names_its_line(self):
+        with pytest.raises(ConfigError) as caught:
+            parse_config(MINIMAL + "\n[run]\nfolds = 3\nseed = -1\n")
+        assert str(caught.value) == "line 10: seed must be a non-negative integer, got -1"
+        cfg = parse_config(MINIMAL)
+        with pytest.raises(ConfigError) as direct:
+            RunConfig(cfg.spec, cfg.settings, {}, seed=-1)
+        assert str(direct.value) == "seed must be a non-negative integer, got -1"
+
     def test_a_range_error_over_several_values_names_the_section(self):
         text = MINIMAL.replace("population_mean", "conditional_cdf\ny = inf\nx = 0")
         with pytest.raises(ConfigError) as caught:
@@ -499,8 +539,10 @@ folds = 1
         ini = write_config(tmp_path, MINIMAL + "\n[run]\nseed = -1\n", name="neg.ini")
         assert cli_main(["estimate", "--config", flag, "--seed", "-1"]) == 1
         assert cli_main(["estimate", "--config", ini]) == 1
-        err = capsys.readouterr().err
-        assert err.count("influence-lab: error: seed must be a non-negative integer, got -1") == 2
+        assert capsys.readouterr().err == (
+            "influence-lab: error: seed must be a non-negative integer, got -1\n"
+            "influence-lab: error: line 9: seed must be a non-negative integer, got -1\n"
+        )
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_cell_exits_1_naming_row_and_column(self, tmp_path, capsys, cell):

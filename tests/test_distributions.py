@@ -202,6 +202,18 @@ class TestLoadCsv:
         assert data.schema.names == ("x", "y")
         assert np.array_equal(data.values, [[0.0, 2.5], [1.0, 3.5]])
 
+    def test_a_roles_column_named_twice_is_refused(self, tmp_path):
+        path = self._write(tmp_path, "z,x,y,y\n0.5,0,1.0,2.0\n")
+        roles = {"z": ("covariate", "continuous"), "x": ("exposure", "binary"),
+                 "y": ("outcome", "continuous")}
+        with pytest.raises(CsvParseError, match=r"column 'y' appears 2 times in the header$"):
+            load_csv(path, roles)
+
+    def test_a_repeated_column_outside_the_roles_is_ignored(self, tmp_path):
+        path = self._write(tmp_path, "id,y,id,x\n1,2.5,7,0\n2,3.5,8,1\n")
+        data = load_csv(path, {"x": ("exposure", "binary"), "y": ("outcome", "continuous")})
+        assert np.array_equal(data.values, [[0.0, 2.5], [1.0, 3.5]])
+
     def test_missing_column_names_it(self, tmp_path):
         path = self._write(tmp_path, "y\n1.0\n")
         with pytest.raises(CsvParseError, match="'x' not found"):

@@ -1,4 +1,5 @@
 """Cross-fitting machinery and the four estimators on hand-checkable data."""
+import math
 import warnings
 
 import numpy as np
@@ -34,6 +35,7 @@ from influence_lab import (
     estimate,
     estimating_equation,
     fit_cross_fitted_nuisances,
+    fit_kernel_regression,
     fit_logistic,
     fit_ols,
     make_folds,
@@ -147,6 +149,15 @@ class TestLearnerSettings:
             LearnerSettings(trim=0.5)
         with pytest.raises(ValidationError, match="ridge"):
             LearnerSettings(ridge_lambda=-0.1)
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, math.nan, math.inf, (0.3, -1.0),
+                                           (0.3, math.inf), (), "silverman"])
+    def test_a_bandwidth_that_is_not_positive_and_finite_is_refused(self, bandwidth):
+        with pytest.raises(ValidationError, match="bandwidth must be 'auto' or positive"):
+            LearnerSettings(bandwidth=bandwidth)
+
+    def test_a_bandwidth_sequence_of_positive_numbers_is_kept(self):
+        assert LearnerSettings(bandwidth=(0.3, 0.5)).bandwidth == (0.3, 0.5)
 
     def test_json_round_trip_keys(self):
         blob = LearnerSettings(outcome_degree=2, bandwidth=0.3).to_json()
@@ -401,8 +412,8 @@ class TestCrossFitting:
 def _planting(fit, plants):
     """A stand-in for the stacked learner ``fit`` that puts each exception
     of ``plants``, keyed by (call number, member index), in place of that
-    member's fit.  A stack stops at the first failing fold, so a later call
-    may hold fewer members than planted for."""
+    member's fit.  A slot's stack holds every fold's members, in fold
+    order, even those of folds after a failing one."""
     count = [0]
 
     def stand_in(*args, **kwargs):
@@ -553,6 +564,38 @@ class TestFoldFailures:
             "SolverError: fold 0: logistic fit did not converge in 1 IRLS iterations"
         )
 
+    def test_a_numpy_failure_escaping_the_stacked_call_names_fold_0(self, monkeypatch):
+        def raising(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(estimation, "fit_logistic", raising)
+        with pytest.raises(NumericalError) as info:
+            estimate(Ate(), self._data(), folds=3)
+        assert str(info.value) == "fold 0: LinAlgError: SVD did not converge"
+
+    def test_a_later_folds_kernel_failure_leaves_an_earlier_logistic_failure_first(
+        self, monkeypatch
+    ):
+        # kernel arms are fit fold by fold, two per fold: call 5 is fold 2's first arm
+        calls = [0]
+
+        def kernel(*args, **kwargs):
+            calls[0] += 1
+            if calls[0] == 5:
+                raise NuisanceError("planted kernel failure")
+            return fit_kernel_regression(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "fit_kernel_regression", kernel)
+        settings = LearnerSettings(outcome_model="kernel")
+        with pytest.raises(NuisanceError, match="^fold 2: planted kernel failure$"):
+            estimate(Ate(), self._data(), settings=settings, folds=3)
+        calls[0] = 0
+        monkeypatch.setattr(estimation, "fit_logistic",
+                            _planting(fit_logistic, {(1, 1): PLANTED_SEPARATION}))
+        with pytest.raises(SeparationError) as info:
+            estimate(Ate(), self._data(), settings=settings, folds=3)
+        assert str(info.value) == "fold 1: planted separation"
+
     def test_other_exception_types_propagate_unchanged(self, monkeypatch):
         original = _TwoArgumentError(7, "learner refused")
         monkeypatch.setattr(estimation, "fit_logistic", _raise_for_fold(original))
@@ -600,7 +643,7 @@ class TestStackedFolds:
         self, monkeypatch
     ):
         # replication 1: the fold 1 arm 0 and the fold 0 propensity fail; fold 0
-        # then fits its propensity alone, as member 0 of the second call
+        # reaches its propensity, member 0 of the second call, before fold 1 runs
         monkeypatch.setattr(estimation, "fit_logistic",
                             _planting(fit_logistic, {(2, 0): PLANTED_SEPARATION}))
         monkeypatch.setattr(estimation, "fit_ols",

@@ -470,6 +470,18 @@ class TestStackedFits:
         with pytest.raises(SchemaError, match="one shape"):
             fit_logistic([np.ones((5, 1)), np.ones((6, 1))], [np.ones(5), np.ones(6)])
 
+    @pytest.mark.parametrize("fit", [fit_ols, fit_logistic])
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_a_non_finite_penalty_is_refused(self, fit, ridge, stacked):
+        F, t = np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([0.0, 1.0, 0.0, 1.0])
+        args = ([F, F], [t, t]) if stacked else (F, t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any arithmetic warns
+            with pytest.raises(SchemaError) as info:
+                fit(*args, ridge_lambda=ridge)
+        assert str(info.value) == f"ridge_lambda must be finite and nonnegative, got {ridge}"
+
 
 class TestKernelRegression:
     def test_predicts_smooth_function(self):
