@@ -14,7 +14,7 @@ from typing import Callable, Optional
 from .distributions import KINDS, ROLES
 from .errors import ConfigError, ValidationError
 from .estimands import _AS_GIVEN, _COERCE, CATALOG, Estimand, _parameter
-from .estimation import DEFAULT_ALPHA, DEFAULT_FOLDS, LearnerSettings
+from .estimation import DEFAULT_ALPHA, DEFAULT_FOLDS, ESTIMATORS, LearnerSettings
 
 SECTIONS = ("data", "estimand", "learners", "run")
 
@@ -48,8 +48,16 @@ class RunConfig:
     out: Optional[str] = None
 
     def __post_init__(self) -> None:
+        if self.method not in ESTIMATORS:
+            raise ConfigError(
+                f"unknown method {self.method!r}; expected one of {sorted(ESTIMATORS)}"
+            )
+        if self.folds < 1:
+            raise ConfigError(f"folds must be at least 1, got {self.folds}")
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        if not 0.0 < self.alpha < 1.0:
+            raise ConfigError(f"alpha must be inside (0, 1), got {self.alpha}")
 
     def resolved(self) -> dict:
         """Echo of the full configuration, defaults included, for embedding
@@ -231,17 +239,13 @@ def parse_config(text: str) -> RunConfig:
         _at_line(lineno, LearnerSettings, **{key: learners[key]})
     settings = LearnerSettings(**learners)
 
+    # likewise each [run] key, once a method alias is resolved to its estimator
     run = {}
     for key, (value, lineno) in sections["run"].items():
         run[key] = _read(_RUN_TYPES, "run", key, value, lineno)
         if key == "method":
             run[key] = _at_line(lineno, resolve_method, run[key])
-        elif key == "seed":
-            _at_line(lineno, RunConfig, spec, settings, roles, seed=run[key])
-        elif key == "folds" and run[key] < 1:
-            raise ConfigError(f"line {lineno}: folds must be at least 1")
-        elif key == "alpha" and not 0.0 < run[key] < 1.0:
-            raise ConfigError(f"line {lineno}: alpha must be inside (0, 1)")
+        _at_line(lineno, RunConfig, spec, settings, roles, **{key: run[key]})
 
     return RunConfig(
         spec=spec, settings=settings, roles=roles, data_path=path, dgp_name=dgp, n=n, **run

@@ -5,6 +5,8 @@ Each estimand is a small frozen dataclass.  Its fields are its parameters:
 ``params()`` echoes them and ``from_config`` coerces each value to its
 field's type.  Class-level declarations state the rest once:
 
+* ``roles``: the data roles it reads, the outcome by default; a schema or
+  ``ColumnSet`` without one is refused, naming the estimand and the role.
 * ``slots``: the nuisance slots its influence function consumes, returned
   by ``nuisance_requirements()``.
 * ``conditioning_cells``: the role groupings whose cells it conditions on;
@@ -13,8 +15,9 @@ field's type.  Class-level declarations state the rest once:
   even where the field has a default, so a run never silently targets an
   unintended quantile or threshold.
 * ``contrast``: for a contrast of potential-outcome means, its
-  ``(arm, weight)`` pairs; the targeted estimator and the von Mises bound
-  read the arms from it, and each arm's influence term is ``_pom_terms``.
+  ``(arm, weight)`` pairs; its plug-in, the targeted estimator and the von
+  Mises bound read the arms from it, and each arm's influence term is
+  ``_pom_terms``.
 
 Two pure operations carry the mathematics: ``plugin_value(law)``, the
 functional evaluated exactly on an explicit finite-support law, and
@@ -105,14 +108,17 @@ class ColumnSet:
         return ColumnSet(n=len(rows), y=pick(self.y), x=pick(self.x), Z=pick(self.Z),
                          M=pick(self.M))
 
-    def require(self, outcome: bool = False, exposure: bool = False,
-                mediator: bool = False) -> None:
-        if outcome and self.y is None:
-            raise SchemaError("estimand needs an outcome column")
-        if exposure and self.x is None:
-            raise SchemaError("estimand needs an exposure column")
-        if mediator and (self.M is None or self.M.shape[1] == 0):
-            raise SchemaError("estimand needs at least one mediator column")
+    def require(self, name: str, *roles: str) -> None:
+        """Refuse these columns if they lack a role that estimand ``name`` reads."""
+        for role in roles:
+            column = {"outcome": self.y, "exposure": self.x, "mediator": self.M}[role]
+            if column is None or column.ndim == 2 and column.shape[1] == 0:
+                raise _missing_role(name, role)
+
+
+def _missing_role(name: str, role: str) -> SchemaError:
+    article = "a" if role == "mediator" else "an"
+    return SchemaError(f"estimand {name!r} needs {article} {role} column")
 
 
 @dataclass(frozen=True)
@@ -149,6 +155,7 @@ class NuisanceSet:
 
     def table(self, spec: "Estimand", cols: ColumnSet) -> dict:
         """The per-row nuisance values ``spec`` reads at the rows of ``cols``."""
+        cols.require(spec.name, *spec.roles)
         self.require(*spec.nuisance_requirements())
         return spec.nuisance_values(cols, self)
 
@@ -173,6 +180,7 @@ class Estimand:
     name: ClassVar[str] = ""
     affine: ClassVar[bool] = True
     discrete_oracle: ClassVar[bool] = True
+    roles: ClassVar[tuple] = ("outcome",)
     slots: ClassVar[frozenset] = frozenset()
     conditioning_cells: ClassVar[tuple] = ()
     required_params: ClassVar[tuple] = ()
@@ -185,7 +193,10 @@ class Estimand:
         return {"name": self.name, "params": self.params()}
 
     def validate_schema(self, schema: Schema) -> None:
-        """Check declared roles and kinds against this estimand's needs."""
+        """Refuse a schema without a role this estimand reads."""
+        for role in self.roles:
+            if not schema.indices_with_role(role):
+                raise _missing_role(self.name, role)
 
     def nuisance_requirements(self) -> frozenset:
         return self.slots
@@ -234,10 +245,10 @@ def support_columns(law: DiscreteDistribution) -> ColumnSet:
     return law.derived("role columns", build)
 
 
-def _columns_of(law: DiscreteDistribution, **roles: bool) -> ColumnSet:
-    """Role columns of a law's atoms; the outcome is always required."""
+def _columns_of(spec: Estimand, law: DiscreteDistribution) -> ColumnSet:
+    """Role columns of a law's atoms, refused without a role ``spec`` reads."""
     cols = support_columns(law)
-    cols.require(outcome=True, **roles)
+    cols.require(spec.name, *spec.roles)
     return cols
 
 
@@ -290,19 +301,17 @@ def _reader(keys: np.ndarray, table: np.ndarray, what: str, default: Optional[fl
     return read
 
 
-def _standardized_terms(law: DiscreteDistribution, probs: np.ndarray, arm: float) -> np.ndarray:
+def _standardized_terms(law: DiscreteDistribution, c: ColumnSet, probs, arm: float) -> np.ndarray:
     """P(Z=z) E[Y | X=arm, Z=z] for each covariate cell, 0 in a cell of no mass."""
-    c = _columns_of(law, exposure=True)
     zkeys, z = law.cells("covariate")
     pz = cell_sums(z, probs)
     m = _cell_mean(z, probs * (c.x == arm), c.y)
     return pz * _defined(m, pz > 0.0, zkeys, f"outcome mean at X={arm:g}")
 
 
-def _residuals(law: DiscreteDistribution, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _residuals(law: DiscreteDistribution, c: ColumnSet, probs) -> tuple[np.ndarray, np.ndarray]:
     """Y - E[Y|Z] and X - E[X|Z] at each atom of positive probability, and 0
     at the others (an atom of zero probability may sit in a cell with no mean)."""
-    c = _columns_of(law, exposure=True)
     _, z = law.cells("covariate")
     live = probs > 0.0
     ry = np.where(live, c.y - _cell_mean(z, probs, c.y)[..., z], 0.0)
@@ -329,14 +338,14 @@ class PopulationMean(Estimand):
     name: ClassVar[str] = "population_mean"
 
     def plugin_values(self, law: DiscreteDistribution, probs: np.ndarray) -> np.ndarray:
-        return _dots(probs, _columns_of(law).y)
+        return _dots(probs, _columns_of(self, law).y)
 
     def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
-        cols.require(outcome=True)
+        cols.require(self.name, *self.roles)
         return cols.y.astype(float), np.ones(cols.n)
 
     def plugin_estimate(self, cols: ColumnSet, nuis: NuisanceSet) -> float:
-        cols.require(outcome=True)
+        cols.require(self.name, *self.roles)
         return float(np.mean(cols.y))
 
 
@@ -353,12 +362,11 @@ class AverageDensity(Estimand):
     slots: ClassVar[frozenset] = frozenset({"marginal_density"})
 
     def plugin_values(self, law: DiscreteDistribution, probs: np.ndarray) -> np.ndarray:
-        _columns_of(law)
+        _columns_of(self, law)
         pmf = cell_sums(law.cells("outcome")[1], probs)
         return _total(pmf * pmf)
 
     def nuisance_values(self, cols: ColumnSet, nuis: NuisanceSet) -> dict:
-        cols.require(outcome=True)
         return {"marginal_density": np.asarray(nuis.marginal_density(cols.y), dtype=float)}
 
     def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
@@ -366,7 +374,7 @@ class AverageDensity(Estimand):
         return 2.0 * f, np.full(cols.n, 2.0)
 
     def plugin_estimate(self, cols: ColumnSet, nuis: NuisanceSet) -> float:
-        cols.require(outcome=True)
+        cols.require(self.name, *self.roles)
         nuis.require("marginal_density")
         return nuis.fold_average(
             lambda fold: integrated_squared_density(fold.marginal_density, cols.y)
@@ -397,15 +405,15 @@ class Covariance(Estimand):
     """Covariance between outcome and exposure, E[(Y - EY)(X - EX)]."""
 
     name: ClassVar[str] = "covariance"
+    roles: ClassVar[tuple] = ("outcome", "exposure")
     slots: ClassVar[frozenset] = frozenset({"mean_y", "mean_x"})
 
     def plugin_values(self, law: DiscreteDistribution, probs: np.ndarray) -> np.ndarray:
-        c = _columns_of(law, exposure=True)
+        c = _columns_of(self, law)
         return np.array([np.dot(p, (c.y - np.dot(p, c.y)) * (c.x - np.dot(p, c.x)))
                          for p in probs])
 
     def nuisance_values(self, cols: ColumnSet, nuis: NuisanceSet) -> dict:
-        cols.require(outcome=True, exposure=True)
         return {"mean_y": np.full(cols.n, nuis.mean_y), "mean_x": np.full(cols.n, nuis.mean_x)}
 
     def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
@@ -415,16 +423,6 @@ class Covariance(Estimand):
     def plugin_estimate(self, cols: ColumnSet, nuis: NuisanceSet) -> float:
         u, _ = self.eif_terms(cols, nuis)
         return float(np.mean(u))
-
-
-def _arm_values(cols: ColumnSet, nuis: NuisanceSet, arms: tuple) -> dict:
-    """pi(Z) and, under key ``m<arm>``, m(arm, Z) for each arm."""
-    cols.require(outcome=True, exposure=True)
-    values = {"propensity": np.asarray(nuis.propensity(cols.Z), dtype=float)}
-    for arm in arms:
-        m_arm = nuis.outcome_mean(np.full(cols.n, float(arm)), cols.Z)
-        values[f"m{arm}"] = np.asarray(m_arm, dtype=float)
-    return values
 
 
 def _propensity(values: dict) -> np.ndarray:
@@ -454,13 +452,35 @@ def _pom_terms(cols: ColumnSet, indicator: np.ndarray, arm_prob: np.ndarray,
 
 
 @dataclass(frozen=True)
-class PotentialOutcomeMean(Estimand):
+class _ArmMeans(Estimand):
+    """Base of the estimands read from pi(Z) and m(arm, Z) for each arm of ``arms``."""
+
+    arms: ClassVar[tuple] = (1, 0)
+    roles: ClassVar[tuple] = ("outcome", "exposure")
+    slots: ClassVar[frozenset] = frozenset({"outcome_mean", "propensity"})
+    conditioning_cells: ClassVar[tuple] = (("covariate", "exposure"),)
+
+    def nuisance_values(self, cols: ColumnSet, nuis: NuisanceSet) -> dict:
+        """pi(Z) and, under key ``m<arm>``, m(arm, Z) for each arm."""
+        values = {"propensity": np.asarray(nuis.propensity(cols.Z), dtype=float)}
+        for arm in self.arms:
+            m_arm = nuis.outcome_mean(np.full(cols.n, float(arm)), cols.Z)
+            values[f"m{arm}"] = np.asarray(m_arm, dtype=float)
+        return values
+
+    def plugin_values(self, law: DiscreteDistribution, probs: np.ndarray) -> np.ndarray:
+        """The ``contrast``'s weighted sum of standardized arm means."""
+        c = _columns_of(self, law)
+        terms = [w * _standardized_terms(law, c, probs, float(arm)) for arm, w in self.contrast]
+        return _total(np.stack(terms, axis=-1).reshape(len(probs), -1))
+
+
+@dataclass(frozen=True)
+class PotentialOutcomeMean(_ArmMeans):
     """Mean outcome with the exposure set to a fixed arm, E[E[Y | X=x, Z]]."""
 
     x: int = 1
     name: ClassVar[str] = "potential_outcome_mean"
-    slots: ClassVar[frozenset] = frozenset({"outcome_mean", "propensity"})
-    conditioning_cells: ClassVar[tuple] = (("covariate", "exposure"),)
 
     def __post_init__(self) -> None:
         if self.x not in (0, 1):
@@ -470,11 +490,9 @@ class PotentialOutcomeMean(Estimand):
     def contrast(self) -> tuple:
         return ((self.x, 1.0),)
 
-    def plugin_values(self, law: DiscreteDistribution, probs: np.ndarray) -> np.ndarray:
-        return _total(_standardized_terms(law, probs, float(self.x)))
-
-    def nuisance_values(self, cols: ColumnSet, nuis: NuisanceSet) -> dict:
-        return _arm_values(cols, nuis, (self.x,))
+    @property
+    def arms(self) -> tuple:
+        return (self.x,)
 
     def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
         v = nuis.table(self, cols)
@@ -486,20 +504,11 @@ class PotentialOutcomeMean(Estimand):
 
 
 @dataclass(frozen=True)
-class Ate(Estimand):
+class Ate(_ArmMeans):
     """Average treatment effect, E[E[Y|X=1,Z] - E[Y|X=0,Z]]."""
 
     name: ClassVar[str] = "ate"
-    slots: ClassVar[frozenset] = frozenset({"outcome_mean", "propensity"})
-    conditioning_cells: ClassVar[tuple] = (("covariate", "exposure"),)
     contrast: ClassVar[tuple] = ((1, 1.0), (0, -1.0))
-
-    def plugin_values(self, law: DiscreteDistribution, probs: np.ndarray) -> np.ndarray:
-        terms = (_standardized_terms(law, probs, 1.0), -_standardized_terms(law, probs, 0.0))
-        return _total(np.stack(terms, axis=-1).reshape(len(probs), -1))
-
-    def nuisance_values(self, cols: ColumnSet, nuis: NuisanceSet) -> dict:
-        return _arm_values(cols, nuis, (1, 0))
 
     def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
         v = nuis.table(self, cols)
@@ -512,29 +521,28 @@ class Ate(Estimand):
         return float(np.mean(v["m1"] - v["m0"]))
 
 
-def _residual_values(cols: ColumnSet, nuis: NuisanceSet) -> dict:
-    """E[Y | Z] and E[X | Z] at the rows."""
-    cols.require(outcome=True, exposure=True)
-    return {
-        "conditional_mean_y": np.asarray(nuis.conditional_mean_y(cols.Z), dtype=float),
-        "conditional_mean_x": np.asarray(nuis.conditional_mean_x(cols.Z), dtype=float),
-    }
-
-
 @dataclass(frozen=True)
-class ExpectedConditionalCovariance(Estimand):
-    """E[(Y - E[Y|Z])(X - E[X|Z])], covariance net of measured covariates."""
+class _Residualized(Estimand):
+    """Base of the estimands read from E[Y | Z] and E[X | Z]."""
 
-    name: ClassVar[str] = "expected_conditional_covariance"
+    roles: ClassVar[tuple] = ("outcome", "exposure")
     slots: ClassVar[frozenset] = frozenset({"conditional_mean_y", "conditional_mean_x"})
     conditioning_cells: ClassVar[tuple] = (("covariate",),)
 
-    def plugin_values(self, law: DiscreteDistribution, probs: np.ndarray) -> np.ndarray:
-        ry, rx = _residuals(law, probs)
-        return _total(probs * ry * rx)
-
     def nuisance_values(self, cols: ColumnSet, nuis: NuisanceSet) -> dict:
-        return _residual_values(cols, nuis)
+        return {s: np.asarray(getattr(nuis, s)(cols.Z), dtype=float)
+                for s in ("conditional_mean_y", "conditional_mean_x")}
+
+
+@dataclass(frozen=True)
+class ExpectedConditionalCovariance(_Residualized):
+    """E[(Y - E[Y|Z])(X - E[X|Z])], covariance net of measured covariates."""
+
+    name: ClassVar[str] = "expected_conditional_covariance"
+
+    def plugin_values(self, law: DiscreteDistribution, probs: np.ndarray) -> np.ndarray:
+        ry, rx = _residuals(law, _columns_of(self, law), probs)
+        return _total(probs * ry * rx)
 
     def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
         v = nuis.table(self, cols)
@@ -547,7 +555,7 @@ class ExpectedConditionalCovariance(Estimand):
 
 
 @dataclass(frozen=True)
-class PartiallyLinearCoefficient(Estimand):
+class PartiallyLinearCoefficient(_Residualized):
     """Slope of the exposure in a partially linear outcome model.
 
     Defined as E[(X - E[X|Z])(Y - E[Y|Z])] / E[(X - E[X|Z])^2]; the
@@ -556,13 +564,10 @@ class PartiallyLinearCoefficient(Estimand):
     """
 
     name: ClassVar[str] = "partially_linear_coefficient"
-    slots: ClassVar[frozenset] = frozenset(
-        {"conditional_mean_y", "conditional_mean_x", "exposure_residual_var"}
-    )
-    conditioning_cells: ClassVar[tuple] = (("covariate",),)
+    slots: ClassVar[frozenset] = _Residualized.slots | {"exposure_residual_var"}
 
     def plugin_values(self, law: DiscreteDistribution, probs: np.ndarray) -> np.ndarray:
-        ry, rx = _residuals(law, probs)
+        ry, rx = _residuals(law, _columns_of(self, law), probs)
         num = _total(probs * rx * ry)
         den = _total(probs * rx * rx)
         if np.any(den <= 0.0):
@@ -570,7 +575,7 @@ class PartiallyLinearCoefficient(Estimand):
         return num / den
 
     def nuisance_values(self, cols: ColumnSet, nuis: NuisanceSet) -> dict:
-        values = _residual_values(cols, nuis)
+        values = super().nuisance_values(cols, nuis)
         values["exposure_residual_var"] = np.full(cols.n, float(nuis.exposure_residual_var))
         return values
 
@@ -605,6 +610,7 @@ class AverageDerivativeEffect(Estimand):
     weight_kind: str = "unit"
     weight_coefficients: tuple = ()
     name: ClassVar[str] = "average_derivative_effect"
+    roles: ClassVar[tuple] = ("outcome", "exposure")
     discrete_oracle: ClassVar[bool] = False
     slots: ClassVar[frozenset] = frozenset(
         {"outcome_mean", "outcome_mean_grad", "joint_density", "joint_density_grad"}
@@ -630,6 +636,7 @@ class AverageDerivativeEffect(Estimand):
         return out
 
     def validate_schema(self, schema: Schema) -> None:
+        super().validate_schema(schema)
         idx = schema.sole_index("exposure")
         if schema.columns[idx].kind != "continuous":
             raise ValidationError(
@@ -657,7 +664,6 @@ class AverageDerivativeEffect(Estimand):
         )
 
     def nuisance_values(self, cols: ColumnSet, nuis: NuisanceSet) -> dict:
-        cols.require(outcome=True, exposure=True)
         return {s: np.asarray(getattr(nuis, s)(cols.x, cols.Z), dtype=float)
                 for s in sorted(self.slots)}
 
@@ -699,13 +705,13 @@ class Quantile(Estimand):
             raise ValidationError(f"quantile level must be in (0, 1), got {self.tau!r}")
 
     def plugin_values(self, law: DiscreteDistribution, probs: np.ndarray) -> np.ndarray:
-        _columns_of(law)
+        _columns_of(self, law)
         points, cdf = _outcome_cdf(law, probs)
         reached = cdf >= self.tau - 1e-15
         return points[np.where(reached.any(axis=-1), reached.argmax(axis=-1), -1)]
 
     def eif_values(self, cols: ColumnSet, nuis: NuisanceSet, psi: float) -> np.ndarray:
-        cols.require(outcome=True)
+        cols.require(self.name, *self.roles)
         dens = float(nuis.probe("density_at_quantile", np.asarray([psi]))[0])
         if dens <= 0.0:
             raise PositivityError(f"outcome density at the quantile is {dens!r}; need > 0")
@@ -718,7 +724,7 @@ class Quantile(Estimand):
         return float(np.mean(theta) + self.tau - 1.0)
 
     def plugin_estimate(self, cols: ColumnSet, nuis: NuisanceSet) -> float:
-        cols.require(outcome=True)
+        cols.require(self.name, *self.roles)
         ys = np.sort(cols.y)
         k = int(np.ceil(self.tau * cols.n)) - 1
         return float(ys[min(max(k, 0), cols.n - 1)])
@@ -742,7 +748,7 @@ class TailConditionalExpectation(Estimand):
             raise ValidationError(f"threshold must be finite, got {self.threshold!r}")
 
     def plugin_values(self, law: DiscreteDistribution, probs: np.ndarray) -> np.ndarray:
-        y = _columns_of(law).y
+        y = _columns_of(self, law).y
         inside = y <= self.threshold
         mass = _dots(probs, inside)
         if np.any(mass <= 0.0):
@@ -752,7 +758,7 @@ class TailConditionalExpectation(Estimand):
         return _dots(probs, y * inside) / mass
 
     def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
-        cols.require(outcome=True)
+        cols.require(self.name, *self.roles)
         F = float(nuis.probe("outcome_cdf", np.asarray([self.threshold]))[0])
         if F <= 0.0:
             raise PositivityError(
@@ -762,7 +768,7 @@ class TailConditionalExpectation(Estimand):
         return inside * cols.y / F, inside / F
 
     def plugin_estimate(self, cols: ColumnSet, nuis: NuisanceSet) -> float:
-        cols.require(outcome=True)
+        cols.require(self.name, *self.roles)
         inside = cols.y <= self.threshold
         if not np.any(inside):
             raise PositivityError(
@@ -781,6 +787,7 @@ class ConditionalCdf(Estimand):
     y: float = 0.0
     x: float = 0.0
     name: ClassVar[str] = "conditional_cdf"
+    roles: ClassVar[tuple] = ("outcome", "exposure")
     slots: ClassVar[frozenset] = frozenset({"exposure_prob"})
     required_params: ClassVar[tuple] = ("y", "x")
 
@@ -789,6 +796,7 @@ class ConditionalCdf(Estimand):
             raise ValidationError("conditional cdf needs finite y and x")
 
     def validate_schema(self, schema: Schema) -> None:
+        super().validate_schema(schema)
         idx = schema.sole_index("exposure")
         if schema.columns[idx].kind == "continuous":
             raise ValidationError(
@@ -798,7 +806,7 @@ class ConditionalCdf(Estimand):
 
     def plugin_values(self, law: DiscreteDistribution, probs: np.ndarray) -> np.ndarray:
         self.validate_schema(law.schema)
-        c = _columns_of(law, exposure=True)
+        c = support_columns(law)
         at_level = c.x == self.x
         px = _dots(probs, at_level)
         if np.any(px <= 0.0):
@@ -806,7 +814,7 @@ class ConditionalCdf(Estimand):
         return _dots(probs, at_level * (c.y <= self.y)) / px
 
     def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
-        cols.require(outcome=True, exposure=True)
+        cols.require(self.name, *self.roles)
         px = float(nuis.probe("exposure_prob", np.asarray([self.x]))[0])
         if px <= 0.0:
             raise PositivityError(f"exposure level {self.x!r} has zero probability")
@@ -815,7 +823,7 @@ class ConditionalCdf(Estimand):
         return at_level * below / px, at_level / px
 
     def plugin_estimate(self, cols: ColumnSet, nuis: NuisanceSet) -> float:
-        cols.require(outcome=True, exposure=True)
+        cols.require(self.name, *self.roles)
         at_level = cols.x == self.x
         if not np.any(at_level):
             raise PositivityError(f"no observations with exposure level {self.x!r}")
@@ -833,6 +841,7 @@ class InterventionalDirectEffect(Estimand):
     x1: int = 1
     x0: int = 0
     name: ClassVar[str] = "interventional_direct_effect"
+    roles: ClassVar[tuple] = ("outcome", "exposure", "mediator")
     slots: ClassVar[frozenset] = frozenset(
         {"mediated_outcome", "mediator_law", "propensity", "mediator_support"}
     )
@@ -843,10 +852,8 @@ class InterventionalDirectEffect(Estimand):
             raise ValidationError("interventional direct effect arms must be 0 or 1")
 
     def validate_schema(self, schema: Schema) -> None:
-        med = schema.indices_with_role("mediator")
-        if not med:
-            raise SchemaError("interventional direct effect needs a mediator column")
-        for i in med:
+        super().validate_schema(schema)
+        for i in schema.indices_with_role("mediator"):
             if schema.columns[i].kind == "continuous":
                 raise ValidationError(
                     "interventional direct effect sums over the mediator support; "
@@ -854,7 +861,7 @@ class InterventionalDirectEffect(Estimand):
                 )
 
     def plugin_values(self, law: DiscreteDistribution, probs: np.ndarray) -> np.ndarray:
-        c = _columns_of(law, exposure=True, mediator=True)
+        c = _columns_of(self, law)
         zkeys, z = law.cells("covariate")
         keys, cell = law.cells("covariate", "exposure", "mediator")
         _, zm = law.cells("covariate", "mediator")
@@ -876,7 +883,6 @@ class InterventionalDirectEffect(Estimand):
         return _total(pz * inner)
 
     def nuisance_values(self, cols: ColumnSet, nuis: NuisanceSet) -> dict:
-        cols.require(outcome=True, exposure=True, mediator=True)
         n = cols.n
         x1_vec, x0_vec = np.full(n, float(self.x1)), np.full(n, float(self.x0))
         values = {"propensity": np.asarray(nuis.propensity(cols.Z), dtype=float)}
@@ -899,14 +905,12 @@ class InterventionalDirectEffect(Estimand):
     def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
         v = nuis.table(self, cols)
         pi = _propensity(v)
-        p_x1 = pi if self.x1 == 1 else 1.0 - pi
-        p_x0 = pi if self.x0 == 1 else 1.0 - pi
+        at_x1, p_x1 = _arm(cols, pi, self.x1)
+        at_x0, p_x0 = _arm(cols, pi, self.x0)
         f_m_x1, f_m_x0 = v["mediator_law_x1"], v["mediator_law_x0"]
         if np.any(f_m_x1 <= 0.0):
             raise PositivityError("mediator law vanished under the x1 arm")
         b_obs, a = v["mediated_outcome"], v["mediated_mean"]
-        at_x1 = (cols.x == float(self.x1)).astype(float)
-        at_x0 = (cols.x == float(self.x0)).astype(float)
         u = (
             at_x1 * f_m_x0 / (f_m_x1 * p_x1) * (cols.y - b_obs)
             + at_x0 / p_x0 * (b_obs - a)
@@ -919,7 +923,7 @@ class InterventionalDirectEffect(Estimand):
 
 
 @dataclass(frozen=True)
-class IncrementalPropensity(Estimand):
+class IncrementalPropensity(_ArmMeans):
     """Mean outcome after multiplying the odds of exposure by epsilon.
 
     The shifted propensity is g(z) = eps * pi(z) / (eps * pi(z) + 1 - pi(z))
@@ -929,15 +933,13 @@ class IncrementalPropensity(Estimand):
 
     epsilon: float = 2.0
     name: ClassVar[str] = "incremental_propensity"
-    slots: ClassVar[frozenset] = frozenset({"outcome_mean", "propensity"})
-    conditioning_cells: ClassVar[tuple] = (("covariate", "exposure"),)
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise ValidationError(f"epsilon must be positive, got {self.epsilon!r}")
 
     def plugin_values(self, law: DiscreteDistribution, probs: np.ndarray) -> np.ndarray:
-        c = _columns_of(law, exposure=True)
+        c = _columns_of(self, law)
         zkeys, z = law.cells("covariate")
         pz = cell_sums(z, probs)
         live = pz > 0.0
@@ -950,9 +952,6 @@ class IncrementalPropensity(Estimand):
         m0 = _defined(m0, live & (g1 < 1.0), zkeys, "outcome mean, arm 0")
         term = np.where(g1 > 0.0, g1 * m1, 0.0) + np.where(g1 < 1.0, (1.0 - g1) * m0, 0.0)
         return _total(pz * term)
-
-    def nuisance_values(self, cols: ColumnSet, nuis: NuisanceSet) -> dict:
-        return _arm_values(cols, nuis, (1, 0))
 
     def eif_terms(self, cols: ColumnSet, nuis: NuisanceSet):
         v = nuis.table(self, cols)
@@ -999,8 +998,8 @@ class _PointEvaluation(Estimand):
     def _reject(self, *args):
         raise NotPathwiseDifferentiableError(_POINT_EVAL_MESSAGE.format(what=self.what))
 
-    nuisance_requirements = plugin_value = plugin_values = nuisance_values = _reject
-    eif_terms = eif_values = plugin_estimate = _reject
+    validate_schema = nuisance_requirements = plugin_value = plugin_values = _reject
+    nuisance_values = eif_terms = eif_values = plugin_estimate = _reject
 
 
 @dataclass(frozen=True)
@@ -1046,6 +1045,7 @@ def exact_nuisances(spec: Estimand, law: DiscreteDistribution) -> NuisanceSet:
     """
     needs = spec.nuisance_requirements()
     require_oracle(spec)
+    spec.validate_schema(law.schema)
     c = support_columns(law)
     p = law.probs
     fills: dict = {}
@@ -1063,7 +1063,7 @@ def exact_nuisances(spec: Estimand, law: DiscreteDistribution) -> NuisanceSet:
             if slot in needs:
                 fills[slot] = _reader(zkeys, _cell_mean(z, p, values), what)
     if "exposure_residual_var" in needs:
-        _, rx = _residuals(law, p)
+        _, rx = _residuals(law, c, p)
         fills["exposure_residual_var"] = float(_total(p * rx**2))
     if "marginal_density" in needs:
         keys, cell = law.cells("outcome")

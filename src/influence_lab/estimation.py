@@ -154,6 +154,14 @@ class LearnerSettings:
                 f"propensity_model must be one of {_PROPENSITY_MODELS}, "
                 f"got {self.propensity_model!r}"
             )
+        for key in ("outcome_degree", "propensity_degree"):
+            degree = getattr(self, key)
+            if not isinstance(degree, (int, np.integer)) or isinstance(degree, bool):
+                raise ValidationError(f"{key} must be an integer, got {degree!r}")
+        for key in ("outcome_interactions", "propensity_interactions"):
+            flag = getattr(self, key)
+            if not isinstance(flag, (bool, np.bool_)):
+                raise ValidationError(f"{key} must be true or false, got {flag!r}")
         if not 0.0 <= self.trim < 0.5:
             raise ValidationError(f"trim must be in [0, 0.5), got {self.trim}")
         _check_ridge(self.ridge_lambda)
@@ -567,6 +575,12 @@ class CrossFittedNuisances:
         return averaged
 
 
+def _columns(spec: Estimand, dataset: Dataset) -> ColumnSet:
+    """The role columns of ``dataset``, once ``spec`` has accepted its schema."""
+    spec.validate_schema(dataset.schema)
+    return ColumnSet.from_dataset(dataset)
+
+
 def _outside(raw: np.ndarray, trim: float) -> int:
     return int(((raw < trim) | (raw > 1.0 - trim)).sum())
 
@@ -581,8 +595,7 @@ def fit_cross_fitted_nuisances(
     """Fit every slot the estimand needs on each fold's complement of the
     fold ``plan``, then evaluate the estimand's nuisance table once per
     fold, on its rows."""
-    spec.validate_schema(dataset.schema)
-    cols = ColumnSet.from_dataset(dataset)
+    cols = _columns(spec, dataset)
     if plan.n != cols.n:
         raise ValidationError("fold plan was built for a different number of rows")
     reqs = spec.nuisance_requirements()
@@ -719,7 +732,7 @@ def _check_eif_magnitude(phi: np.ndarray) -> None:
 
 def plugin(spec: Estimand, dataset: Dataset, nuis, alpha: float = DEFAULT_ALPHA):
     """Plug-in estimate; no debiasing, interval from the EIF at the plug-in."""
-    cols = ColumnSet.from_dataset(dataset)
+    cols = _columns(spec, dataset)
     psi = spec.plugin_estimate(cols, nuis)
     phi = _eif(spec, cols, nuis)(psi)
     _check_eif_magnitude(phi)
@@ -729,7 +742,7 @@ def plugin(spec: Estimand, dataset: Dataset, nuis, alpha: float = DEFAULT_ALPHA)
 
 def one_step(spec: Estimand, dataset: Dataset, nuis, alpha: float = DEFAULT_ALPHA):
     """Plug-in plus the average influence function at the plug-in."""
-    cols = ColumnSet.from_dataset(dataset)
+    cols = _columns(spec, dataset)
     plug = spec.plugin_estimate(cols, nuis)
     eif = _eif(spec, cols, nuis)
     phi_plug = eif(plug)
@@ -752,7 +765,7 @@ def estimating_equation(
     finds its sign change, and the density denominator (a positive constant
     in psi) drops out of the root-finding entirely.
     """
-    cols = ColumnSet.from_dataset(dataset)
+    cols = _columns(spec, dataset)
     diag = _base_diagnostics(nuis)
     if not spec.affine:
         lo = float(np.min(cols.y)) - 1.0
@@ -807,7 +820,7 @@ def tmle(spec: Estimand, dataset: Dataset, nuis, alpha: float = DEFAULT_ALPHA):
             "the targeted estimator is implemented for potential-outcome means "
             f"and their contrast, not {spec.name!r}"
         )
-    cols = ColumnSet.from_dataset(dataset)
+    cols = _columns(spec, dataset)
     values = nuis.table(spec, cols)
     pi = _propensity(values)
     diag = _base_diagnostics(nuis, solver_iterations=0)

@@ -256,6 +256,25 @@ class TestParseConfig:
             RunConfig(cfg.spec, cfg.settings, {}, seed=-1)
         assert str(direct.value) == "seed must be a non-negative integer, got -1"
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("folds", 0, "folds must be at least 1, got 0"),
+        ("alpha", 2.0, "alpha must be inside (0, 1), got 2.0"),
+        ("alpha", 0.0, "alpha must be inside (0, 1), got 0.0"),
+        ("method", "bayes", "unknown method 'bayes'; expected one of "
+                            "['estimating_equation', 'one_step', 'plugin', 'tmle']"),
+        ("method", "one-step", "unknown method 'one-step'; expected one of "
+                               "['estimating_equation', 'one_step', 'plugin', 'tmle']"),
+    ])
+    def test_a_run_config_checks_its_own_values(self, key, value, message):
+        cfg = parse_config(MINIMAL)
+        with pytest.raises(ConfigError) as direct:
+            RunConfig(cfg.spec, cfg.settings, {}, **{key: value})
+        assert str(direct.value) == message
+        if key != "method":  # a config file names a method through its aliases
+            with pytest.raises(ConfigError) as caught:
+                parse_config(MINIMAL + f"\n[run]\n{key} = {value}\n")
+            assert str(caught.value) == f"line 9: {message}"
+
     def test_a_range_error_over_several_values_names_the_section(self):
         text = MINIMAL.replace("population_mean", "conditional_cdf\ny = inf\nx = 0")
         with pytest.raises(ConfigError) as caught:
@@ -577,6 +596,33 @@ folds = 1
         )
         assert cli_main(["estimate", "--config", write_config(tmp_path, text)]) == 1
         assert "is too small: 1/h^2 is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("missing", ["outcome", "exposure", "mediator", "dgp"])
+    def test_data_without_a_role_the_estimand_reads_exits_1(self, tmp_path, capsys, missing):
+        if missing == "dgp":  # normal-mean draws an outcome alone
+            text = "[data]\ndgp = normal-mean\nn = 120\n\n[estimand]\nname = ate\n"
+            name, missing = "ate", "exposure"
+        else:
+            rng = np.random.default_rng(2)
+            data = tmp_path / "obs.csv"
+            data.write_text("z,x,m,y\n" + "".join(
+                f"{z},{x},{m},{y!r}\n" for z, x, m, y in zip(
+                    rng.integers(0, 2, 60), rng.integers(0, 2, 60), rng.integers(0, 2, 60),
+                    rng.normal(size=60).tolist())
+            ))
+            roles = {"outcome": "role.y = outcome,continuous",
+                     "exposure": "role.x = exposure,binary",
+                     "mediator": "role.m = mediator,binary"}
+            roles.pop(missing)
+            name = "interventional_direct_effect"
+            text = (f"[data]\npath = {data}\nrole.z = covariate,binary\n"
+                    + "\n".join(roles.values()) + f"\n\n[estimand]\nname = {name}\n")
+        assert cli_main(["estimate", "--config", write_config(tmp_path, text)]) == 1
+        out, err = capsys.readouterr()
+        article = "a" if missing == "mediator" else "an"
+        assert out == ""
+        assert err == (f"influence-lab: error: estimand {name!r} needs {article} "
+                       f"{missing} column\n")
 
     def test_data_override_requires_roles(self, tmp_path):
         cfg = write_config(tmp_path, MINIMAL)

@@ -1,6 +1,8 @@
 """The class-level declarations of each estimand, checked against what reads
 them: the nuisance container, the dataclass fields, the roles, the exact
-nuisances and the derivative oracle's min-cell check."""
+nuisances and the derivative oracle's min-cell check.  Every data role an
+estimand declares in ``roles`` is refused, naming the estimand and the role,
+wherever data without it reaches the estimand."""
 from dataclasses import fields
 
 import numpy as np
@@ -10,12 +12,18 @@ from hypothesis import strategies as st
 
 from influence_lab import (
     CATALOG,
+    ESTIMATORS,
+    Column,
     ColumnSet,
+    Dataset,
     DiscreteDistribution,
     Estimand,
     NotPathwiseDifferentiableError,
     NuisanceError,
     NuisanceSet,
+    Schema,
+    SchemaError,
+    estimate,
     exact_nuisances,
     from_config,
 )
@@ -140,3 +148,83 @@ def sweep_laws(draw):
 def test_min_conditioning_cell_matches_the_slot_sets(law):
     for spec in sweep_specs(law):
         assert _min_conditioning_cell(spec, law) == parent_min_conditioning_cell(spec, law)
+
+
+# Every role an estimand may read, on a z/x/m/y schema; a test drops one column.
+ALL_ROLES = Schema((
+    Column("z", "covariate", "binary"),
+    Column("x", "exposure", "binary"),
+    Column("m", "mediator", "binary"),
+    Column("y", "outcome", "continuous"),
+))
+ROLE_PAIRS = [(name, role) for name, cls in sorted(CATALOG.items()) if not rejected(cls)
+              for role in cls.roles]
+REJECTED = sorted(name for name, cls in CATALOG.items() if rejected(cls))
+
+
+def without(role: str, values: np.ndarray) -> tuple:
+    """The ALL_ROLES schema and ``values`` with the ``role`` column dropped."""
+    keep = [i for i, c in enumerate(ALL_ROLES.columns) if c.role != role]
+    return Schema(tuple(ALL_ROLES.columns[i] for i in keep)), values[:, keep]
+
+
+def dataset_without(role: str) -> Dataset:
+    rng = np.random.default_rng(5)
+    values = np.column_stack([rng.integers(0, 2, (120, 3)), rng.normal(size=120)])
+    return Dataset(*without(role, values.astype(float)))
+
+
+def law_without(role: str) -> DiscreteDistribution:
+    grid = np.array(np.meshgrid([0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [-0.5, 1.5]))
+    schema, support = without(role, grid.reshape(4, -1).T)
+    return DiscreteDistribution(schema, support, np.full(len(support), 1.0 / len(support)))
+
+
+def refused(name: str, role: str, call) -> None:
+    with pytest.raises(SchemaError) as err:
+        call()
+    article = "a" if role == "mediator" else "an"
+    assert str(err.value) == f"estimand {name!r} needs {article} {role} column"
+
+
+def test_declared_roles_are_roles_the_estimands_can_read():
+    for cls in CATALOG.values():
+        assert cls.roles and set(cls.roles) <= set(ROLES) - {"covariate"}
+    assert len(ROLE_PAIRS) == len(set(ROLE_PAIRS))
+
+
+@pytest.mark.parametrize("name,role", ROLE_PAIRS)
+def test_estimate_refuses_data_without_a_declared_role(name, role):
+    spec, data = CATALOG[name](), dataset_without(role)
+    refused(name, role, lambda: spec.validate_schema(data.schema))
+    for method in ESTIMATORS if spec.contrast else set(ESTIMATORS) - {"tmle"}:
+        refused(name, role, lambda: estimate(spec, data, method=method, folds=2))
+        refused(name, role, lambda: ESTIMATORS[method](spec, data, NuisanceSet()))
+
+
+@pytest.mark.parametrize("name,role", ROLE_PAIRS)
+def test_the_influence_function_refuses_columns_without_a_declared_role(name, role):
+    spec, data = CATALOG[name](), dataset_without(role)
+    cols = ColumnSet.from_dataset(data)
+    refused(name, role, lambda: spec.eif_values(cols, NuisanceSet(), 0.0))
+    refused(name, role, lambda: spec.plugin_estimate(cols, NuisanceSet()))
+    refused(name, role, lambda: NuisanceSet().table(spec, cols))
+
+
+@pytest.mark.parametrize("name,role", [(name, role) for name, role in ROLE_PAIRS
+                                       if CATALOG[name].discrete_oracle])
+def test_the_oracle_refuses_a_law_without_a_declared_role(name, role):
+    spec, law = CATALOG[name](), law_without(role)
+    refused(name, role, lambda: spec.plugin_value(law))
+    refused(name, role, lambda: exact_nuisances(spec, law))
+
+
+@pytest.mark.parametrize("name", REJECTED)
+def test_a_rejected_functional_is_refused_before_its_roles(name):
+    spec, data = CATALOG[name](), dataset_without("outcome")
+    for call in (lambda: spec.validate_schema(data.schema),
+                 lambda: estimate(spec, data, folds=2),
+                 lambda: spec.plugin_value(law_without("outcome")),
+                 lambda: exact_nuisances(spec, law_without("outcome"))):
+        with pytest.raises(NotPathwiseDifferentiableError):
+            call()

@@ -156,6 +156,21 @@ class TestLearnerSettings:
         with pytest.raises(ValidationError, match="bandwidth must be 'auto' or positive"):
             LearnerSettings(bandwidth=bandwidth)
 
+    @pytest.mark.parametrize("key,value", [
+        ("outcome_degree", 1.5), ("outcome_degree", 2.0), ("propensity_degree", True),
+        ("propensity_degree", "2"), ("outcome_interactions", "no"),
+        ("propensity_interactions", 1), ("outcome_interactions", None),
+    ])
+    def test_a_wrongly_typed_value_is_refused(self, key, value):
+        expected = "an integer" if key.endswith("degree") else "true or false"
+        with pytest.raises(ValidationError) as caught:
+            LearnerSettings(**{key: value})
+        assert str(caught.value) == f"{key} must be {expected}, got {value!r}"
+
+    def test_numpy_integers_and_booleans_are_accepted(self):
+        settings = LearnerSettings(outcome_degree=np.int64(2), outcome_interactions=np.True_)
+        assert settings.outcome_degree == 2 and settings.outcome_interactions
+
     def test_a_bandwidth_sequence_of_positive_numbers_is_kept(self):
         assert LearnerSettings(bandwidth=(0.3, 0.5)).bandwidth == (0.3, 0.5)
 
