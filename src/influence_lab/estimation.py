@@ -717,6 +717,10 @@ def _eif(spec: Estimand, cols: ColumnSet, nuis) -> Callable[[float], np.ndarray]
 
 
 def _check_eif_magnitude(phi: np.ndarray) -> None:
+    bad = np.flatnonzero(~np.isfinite(phi))
+    if bad.size:
+        raise NumericalError(f"influence value at row {int(bad[0])} is {float(phi[bad[0]])}; "
+                             "a nuisance or the estimate is not finite")
     worst = float(np.max(np.abs(phi))) if phi.size else 0.0
     if worst > EIF_MAGNITUDE_BOUND:
         raise PositivityError(

@@ -24,6 +24,19 @@ joins the block before it: single-threaded OpenBLAS then reduces every row
 with the gemv kernel it uses on the whole matrix, while a short tail block (a
 single row above all) would be summed in another order.
 
+A pass runs its block loop with numpy's ufunc buffer at its minimum,
+``KERNEL_UFUNC_BUFSIZE`` elements.  At the default 8192 elements numpy
+copies both operands of the (rows, 1) - (n_train,) broadcast that starts
+an exponent through that buffer whenever n_train <= 8192 // 3 = 2730, which
+makes the subtraction three to four times slower per weight; at the minimum
+it makes no copy, at any n_train.  The setting cannot move a bit: a pass
+runs elementwise operations, row sums and means of contiguous rows, which
+are not buffered, and BLAS gemvs.  It is set inside the pass's
+``np.errstate`` block, and leaving that block, also by an exception,
+restores the caller's buffer size.  It stays inside the kernel passes
+because a small buffer slows other broadcasts, such as IRLS's
+``X.transpose(0, 2, 1) * w[:, None, :]``, two- to threefold.
+
 The least-squares and IRLS fits take a stack of designs, so that cross-fitting
 fits every fold of a slot in one call: ``fit_ols`` builds each member's normal
 equations on their own, then runs one stacked svd rank guard and one stacked
@@ -53,6 +66,8 @@ IRLS_MAX_ITER = 100
 SEPARATION_COEF_BOUND = 50.0
 KERNEL_WEIGHT_FLOOR = 1e-300
 KERNEL_BLOCK_ELEMENTS = 1 << 15
+KERNEL_UFUNC_BUFSIZE = 16  # numpy's minimum; see the module docstring
+KERNEL_GRADIENT_FLOOR = math.sqrt(np.finfo(float).tiny)
 MAX_POLY_DEGREE = 3
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _FLOAT_MAX = float(np.finfo(float).max)
@@ -529,6 +544,9 @@ class KernelRegressionFit:
         total, num = sums[0], sums[1]
         inv_h2 = None if axis is None else 1.0 / self._h[axis] ** 2
         with np.errstate(over="ignore", invalid="ignore"):  # see _kernel_blocks
+            # no buffered copy of the exponent's broadcast at n_train <= 2730;
+            # bit-neutral, and the errstate exit restores the caller's size
+            np.setbufsize(KERNEL_UFUNC_BUFSIZE)
             for rows, W, spare in _kernel_blocks(Q, self._F, self._h):
                 np.sum(W, axis=1, out=total[rows])
                 np.matmul(W, self._y, out=num[rows])
@@ -551,8 +569,19 @@ class KernelRegressionFit:
         return num / total
 
     def predict_grad(self, queries: np.ndarray, axis: int) -> np.ndarray:
-        """Analytic derivative of the prediction along one query coordinate."""
+        """Analytic derivative of the prediction along one query coordinate.
+
+        The quotient divides by the total weight squared, so a total below
+        ``KERNEL_GRADIENT_FLOOR`` = sqrt(smallest normal float), whose
+        square leaves the normal range and may underflow to 0, raises.
+        """
         total, num, total_d, num_d = self._sums(queries, axis)
+        faint = np.flatnonzero(total < KERNEL_GRADIENT_FLOOR)
+        if faint.size:
+            raise ExtrapolationError(
+                f"kernel weight too small for a gradient at query row {int(faint[0])}; "
+                "the point is too far from the training sample"
+            )
         return (num_d * total - num * total_d) / total**2
 
 
@@ -602,6 +631,7 @@ class DensityFit:
         norm = _INV_SQRT_2PI ** self._S.shape[1] / np.prod(self._h)
         inv_h2 = None if axis is None else 1.0 / self._h[axis] ** 2
         with np.errstate(over="ignore", invalid="ignore"):  # see _kernel_blocks
+            np.setbufsize(KERNEL_UFUNC_BUFSIZE)  # as in KernelRegressionFit._sums
             for rows, K, spare in _kernel_blocks(P, self._S, self._h):
                 np.multiply(K, norm, out=K)
                 if axis is not None:

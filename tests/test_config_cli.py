@@ -7,6 +7,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -596,6 +597,32 @@ folds = 1
         )
         assert cli_main(["estimate", "--config", write_config(tmp_path, text)]) == 1
         assert "is too small: 1/h^2 is not finite" in capsys.readouterr().err
+
+    def test_a_kernel_gradient_too_faint_to_square_exits_2(self, tmp_path, capsys):
+        # row 0's exposure 14 past the rest leaves a total kernel weight near
+        # 1e-170 at that row in its held-out fold: a prediction, but no gradient
+        dataset = DGPS["partially-linear"]().generate(200, 3)
+        values = np.array(dataset.values, dtype=float)
+        names = [c.name for c in dataset.schema.columns]
+        x = names.index("x")
+        values[0, x] = values[:, x].max() + 14.0
+        data = tmp_path / "obs.csv"
+        data.write_text(",".join(names) + "\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in values))
+        text = (
+            f"[data]\npath = {data}\nrole.z1 = covariate,continuous\n"
+            "role.z2 = covariate,continuous\nrole.x = exposure,continuous\n"
+            "role.y = outcome,continuous\n\n[estimand]\nname = average_derivative_effect\n\n"
+            "[learners]\noutcome_model = kernel\npropensity_model = kernel\nbandwidth = 0.5\n\n"
+            "[run]\nmethod = one-step\nfolds = 5\nseed = 0\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # boundary-mass warnings
+            code = cli_main(["estimate", "--config", write_config(tmp_path, text)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == ("influence-lab: error: fold 3: kernel weight too small for a gradient "
+                       "at query row 0; the point is too far from the training sample\n")
 
     @pytest.mark.parametrize("missing", ["outcome", "exposure", "mediator", "dgp"])
     def test_data_without_a_role_the_estimand_reads_exits_1(self, tmp_path, capsys, missing):

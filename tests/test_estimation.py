@@ -774,6 +774,19 @@ class TestGuards:
         with pytest.raises(PositivityError, match="influence values"):
             one_step(Ate(), data, nuis)
 
+    @pytest.mark.parametrize("method, row", [
+        (plugin, 2), (one_step, 2), (estimating_equation, 0), (tmle, 0),
+    ])
+    def test_non_finite_influence_values_raise_naming_the_first_row(self, method, row):
+        # the propensity is nan where z = 1, rows 2 and 3, and nan > EIF_MAGNITUDE_BOUND
+        # is false; a method whose estimate reads phi is nan at every row
+        base = _hand_nuisances(m1_by_z=(3.0, 6.0), m0_by_z=(1.0, 2.0))
+        nuis = NuisanceSet(outcome_mean=base.outcome_mean, propensity=lambda Z: np.where(
+            np.atleast_2d(Z)[:, 0] == 0.0, 0.5, np.nan))
+        data = _hand_dataset([1.0, 3.0, 2.0, 6.0])
+        with pytest.raises(NumericalError, match=f"^influence value at row {row} is nan;"):
+            method(Ate(), data, nuis)
+
     def test_plugin_reports_no_debiasing_applied(self):
         data = _hand_dataset([1.0, 4.0, 2.0, 6.0])
         nuis = _hand_nuisances(m1_by_z=(3.0, 6.0), m0_by_z=(1.0, 2.0))

@@ -683,9 +683,13 @@ def _block_rows(n_train):
 
 # n_train 300 gives 104-row blocks; n_train above KERNEL_BLOCK_ELEMENTS // 8
 # gives 8-row blocks.  The query counts straddle one block, and the tails of
-# 1-7 rows join the block before them.
+# 1-7 rows join the block before them.  n_train 800 to 5000 straddle
+# 8192 // 3 = 2730, up to which numpy's default ufunc buffer would copy the
+# exponent's broadcast: a pass, run at the minimum buffer, keeps every bit on
+# both sides.
 STREAM_QUERIES = {300: (1, 7, 8, 9, 103, 104, 105, 200, 2 * 104 + 1, 3 * 104 + 7),
-                  KERNEL_BLOCK_ELEMENTS // 8 + 1: (1, 7, 8, 9, 15, 16, 17, 3 * 8 + 5)}
+                  KERNEL_BLOCK_ELEMENTS // 8 + 1: (1, 7, 8, 9, 15, 16, 17, 3 * 8 + 5),
+                  **{n: (3 * _block_rows(n) + 11,) for n in (800, 1600, 2730, 2731, 5000)}}
 STREAM_CASES = [(d, n_train, n_query) for d in (0, 1, 2, 3)
                 for n_train, counts in STREAM_QUERIES.items() for n_query in counts]
 
@@ -736,6 +740,52 @@ class TestStreamedKernels:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    def test_every_pass_runs_at_the_minimum_ufunc_buffer(self, monkeypatch):
+        blocks, seen = learners._kernel_blocks, []
+
+        def recording_blocks(*args):
+            for block in blocks(*args):
+                seen.append(np.getbufsize())
+                yield block
+
+        monkeypatch.setattr(learners, "_kernel_blocks", recording_blocks)
+        F = np.linspace(0.0, 1.0, 40)[:, None]
+        regression, density = fit_kernel_regression(F, F[:, 0]), fit_kde(F)
+        regression.predict(F)
+        regression.predict_grad(F, 0)
+        density.density_at(F)
+        density.density_grad_at(F, 0)
+        assert seen == [learners.KERNEL_UFUNC_BUFSIZE] * 4
+
+    def test_a_pass_leaves_the_buffer_size_and_error_state_as_it_found_them(self):
+        F = np.linspace(0.0, 1.0, 50)[:, None]
+        regression, density = fit_kernel_regression(F, F[:, 0], bandwidth=0.05), fit_kde(F)
+        with np.errstate(divide="raise"):
+            np.setbufsize(4096)
+            found = np.getbufsize(), np.geterr()
+            regression.predict_grad(F, 0)
+            density.density_grad_at(F, 0)
+            assert (np.getbufsize(), np.geterr()) == found
+            with pytest.raises(ExtrapolationError):  # a pass that raises
+                regression.predict(np.array([[60.0]]))
+            assert (np.getbufsize(), np.geterr()) == found
+
+    def test_a_gradient_whose_squared_total_weight_underflows_raises(self):
+        # 28 bandwidths past the sample the total weight is about 1e-170: above
+        # KERNEL_WEIGHT_FLOOR, so the prediction stands, but its square is 0
+        x = np.linspace(0, 1, 50)
+        fit = fit_kernel_regression(x[:, None], x, bandwidth=0.05)
+        rows = KERNEL_BLOCK_ELEMENTS // 50
+        queries = np.full((3 * rows, 1), 0.5)
+        queries[2 * rows + 7] = 1.0 + 28 * 0.05
+        total = fit._sums(queries)[0][2 * rows + 7]
+        assert learners.KERNEL_WEIGHT_FLOOR < total < np.sqrt(np.finfo(float).tiny)
+        assert total**2 == 0.0
+        assert np.all(np.isfinite(fit.predict(queries)))
+        with pytest.raises(ExtrapolationError,
+                           match=f"too small for a gradient at query row {2 * rows + 7};"):
+            fit.predict_grad(queries, axis=0)
 
 
 @settings(max_examples=50, deadline=None)

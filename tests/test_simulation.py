@@ -237,6 +237,22 @@ class TestRunReplications:
         assert rep_index == 37
         assert "PositivityError" in message
 
+    def test_a_non_finite_influence_value_is_excluded_with_reason(self, monkeypatch):
+        poisoned = NormalMeanDgp().generate(30, hash64(5, 7)).values[0, 0]
+        terms = PopulationMean.eif_terms
+
+        def nan_in_replication_7(self, cols, nuis):
+            u, s = terms(self, cols, nuis)
+            return (np.where(np.arange(cols.n) == 4, np.nan, u) if u[0] == poisoned else u), s
+
+        monkeypatch.setattr(PopulationMean, "eif_terms", nan_in_replication_7)
+        report = run_replications(NormalMeanDgp(), PopulationMean(), n=30, R=150, seed=5,
+                                  folds=1)
+        assert report.completed == len(report.psi_hats) == 149
+        assert report.excluded == ((7, "NumericalError: influence value at row 4 is nan; "
+                                        "a nuisance or the estimate is not finite"),)
+        assert np.all(np.isfinite(report.psi_hats))
+
     def test_widespread_failure_aborts_the_run(self):
         dgp = _FlakyDgp(fail_seeds=frozenset(hash64(5, r) for r in range(10)))
         with pytest.raises(RunFailedError, match="rep 0"):
