@@ -779,7 +779,7 @@ class TestGuards:
     ])
     def test_non_finite_influence_values_raise_naming_the_first_row(self, method, row):
         # the propensity is nan where z = 1, rows 2 and 3, and nan > EIF_MAGNITUDE_BOUND
-        # is false; a method whose estimate reads phi is nan at every row
+        # is false; where the estimate itself reads phi, it is nan and so is every phi
         base = _hand_nuisances(m1_by_z=(3.0, 6.0), m0_by_z=(1.0, 2.0))
         nuis = NuisanceSet(outcome_mean=base.outcome_mean, propensity=lambda Z: np.where(
             np.atleast_2d(Z)[:, 0] == 0.0, 0.5, np.nan))
