@@ -18,11 +18,19 @@ density by (2 pi)^(-d/2) / prod(h), each taken once per pass.  A weight of
 normal range stays within 2e-15 * max(1, |exponent|) relative of the
 textbook exp(-0.5 * ((q - x) / h)^2), and tests/test_learners.py checks that
 bound.  Bandwidths whose factors are not finite are refused when a fit is
-made.  A block's row sums, means and gemvs write into n_query-long
-outputs.  Blocks hold a multiple of 8 rows and a tail of fewer than 8 rows
-joins the block before it: single-threaded OpenBLAS then reduces every row
-with the gemv kernel it uses on the whole matrix, while a short tail block (a
-single row above all) would be summed in another order.
+made.  A regression block's weight totals and numerators are both gemvs,
+W @ 1 and W @ y (and Wd @ 1, Wd @ y for a gradient), and a density block's
+are row means; each writes into n_query-long outputs.  Blocks hold a
+multiple of 8 rows, and a tail of fewer than 8 rows joins the block before
+it: single-threaded OpenBLAS then reduces every row with the gemv kernel it
+uses on the whole matrix, so a pass's bits do not depend on the block size,
+while a short tail block (a single row above all) would be summed in another
+order.  One gemm of W with the two columns [1, y] would not keep that: its
+rows change with the block's row count (OpenBLAS 0.3.31, n_train >= 1600).
+``KERNEL_BLOCK_ELEMENTS`` = 2^16 weights make a block and its spare buffer
+1 MiB, which an L2 cache holds.  Taking the totals by gemv instead of
+``np.sum(W, axis=1)`` moved 62 of the 485 values recorded in
+tests/pinned_estimates.json, by at most 4.44e-16 * max(1, |v|).
 
 A pass runs its block loop with numpy's ufunc buffer at its minimum,
 ``KERNEL_UFUNC_BUFSIZE`` elements.  At the default 8192 elements numpy
@@ -65,7 +73,7 @@ IRLS_SCORE_TOL = 1e-8
 IRLS_MAX_ITER = 100
 SEPARATION_COEF_BOUND = 50.0
 KERNEL_WEIGHT_FLOOR = 1e-300
-KERNEL_BLOCK_ELEMENTS = 1 << 15
+KERNEL_BLOCK_ELEMENTS = 1 << 16
 KERNEL_UFUNC_BUFSIZE = 16  # numpy's minimum; see the module docstring
 KERNEL_GRADIENT_FLOOR = math.sqrt(np.finfo(float).tiny)
 MAX_POLY_DEGREE = 3
@@ -78,18 +86,40 @@ def silverman_bandwidth(sample: np.ndarray) -> float:
 
     The sample standard deviation uses the n - 1 divisor.  If one of the
     two spread measures is zero the other is used; a sample with no spread
-    at all has no usable bandwidth and raises.
+    at all has no usable bandwidth and raises.  An sd whose squares
+    overflow (data near 1e154 and above) is infinite and yields to the IQR
+    without a numpy warning.
     """
     sample = np.asarray(sample, dtype=float).ravel()
     if sample.size < 2:
         raise SchemaError("bandwidth selection needs at least two points")
-    sd = float(np.std(sample, ddof=1))
-    q75, q25 = np.percentile(sample, [75.0, 25.0])
-    iqr_scale = float(q75 - q25) / 1.34
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = float(np.std(sample, ddof=1))
+    q75, q25 = _quartiles(sample)
+    iqr_scale = (q75 - q25) / 1.34
     candidates = [s for s in (sd, iqr_scale) if s > 0.0]
     if not candidates:
         raise SchemaError("sample has zero spread; no bandwidth exists")
     return 0.9 * min(candidates) * sample.size ** (-0.2)
+
+
+def _quartiles(sample: np.ndarray) -> tuple[float, float]:
+    """``np.percentile(sample, [75, 25])`` bit for bit, at a quarter of its
+    cost: one partition with the order statistics numpy's partition asks
+    for (the same set, so even the sign of a zero lands alike), then its
+    "linear" lerp.  A sample holding nan gives nan, as numpy does."""
+    n = sample.size
+    virtual = ((n - 1) * 0.75, (n - 1) * 0.25)
+    below = [math.floor(v) for v in virtual]
+    ordered = np.partition(sample, sorted({0, n - 1, *below, *(i + 1 for i in below)}))
+    if math.isnan(ordered[-1]):
+        return math.nan, math.nan
+    quartiles = []
+    for v, i in zip(virtual, below):
+        a, b, t = float(ordered[i]), float(ordered[i + 1]), v - i
+        d = b - a
+        quartiles.append(b - d * (1.0 - t) if t >= 0.5 else a + d * t)
+    return quartiles[0], quartiles[1]
 
 
 def _resolve_bandwidths(sample: np.ndarray, bandwidth, density: bool = False) -> np.ndarray:
@@ -530,6 +560,7 @@ class KernelRegressionFit:
             raise SchemaError("kernel regression needs at least two training rows")
         self._F = F
         self._y = y
+        self._ones = np.ones(y.size)  # weight totals are gemvs with it, as the numerators are
         self._h = _resolve_bandwidths(F, bandwidth)
 
     @property
@@ -537,8 +568,9 @@ class KernelRegressionFit:
         return self._h.copy()
 
     def _sums(self, queries: np.ndarray, axis: int | None = None) -> tuple[np.ndarray, ...]:
-        """Per query row: the kernel weights' total and their gemv with the
-        targets, plus the same two of their derivative along ``axis``."""
+        """Per query row: the kernel weights' gemvs with ones (their total)
+        and with the targets, plus the same two of their derivative along
+        ``axis``."""
         Q = np.atleast_2d(np.asarray(queries, dtype=float))
         sums = np.empty((2 if axis is None else 4, Q.shape[0]))
         total, num = sums[0], sums[1]
@@ -548,13 +580,13 @@ class KernelRegressionFit:
             # bit-neutral, and the errstate exit restores the caller's size
             np.setbufsize(KERNEL_UFUNC_BUFSIZE)
             for rows, W, spare in _kernel_blocks(Q, self._F, self._h):
-                np.sum(W, axis=1, out=total[rows])
+                np.matmul(W, self._ones, out=total[rows])
                 np.matmul(W, self._y, out=num[rows])
                 if axis is not None:
                     # dW/dq_axis = W * (x_axis - q_axis) / h_axis^2
                     slope = _slope(self._F[:, axis], Q[rows, axis], inv_h2, spare)
                     Wd = np.multiply(W, slope, out=slope)
-                    np.sum(Wd, axis=1, out=sums[2, rows])
+                    np.matmul(Wd, self._ones, out=sums[2, rows])
                     np.matmul(Wd, self._y, out=sums[3, rows])
         _require_finite(sums, "sum")
         if np.any(total < KERNEL_WEIGHT_FLOOR):

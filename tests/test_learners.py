@@ -1,4 +1,5 @@
 """Polynomial features, regression fits, kernel smoothers, and bandwidth rules."""
+import math
 import tracemalloc
 import warnings
 
@@ -46,6 +47,45 @@ class TestSilvermanBandwidth:
             silverman_bandwidth(np.array([1.0]))
         with pytest.raises(SchemaError, match="zero spread"):
             silverman_bandwidth(np.full(10, 3.0))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 3000),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        offset=st.sampled_from([0.0, -7.5, 1e4, 1e8]),
+        decimals=st.sampled_from([None, 0, 1]),  # rounding makes ties
+        zero_share=st.sampled_from([0.0, 0.3, 1.0]),  # +0.0 and -0.0 mixed
+    )
+    def test_quartiles_equal_numpys_percentile(self, n, seed, scale, offset, decimals,
+                                               zero_share):
+        rng = np.random.default_rng(seed)
+        sample = offset + scale * rng.normal(size=n)
+        if decimals is not None:
+            sample = np.round(sample, decimals)
+        zeros = rng.random(n) < zero_share
+        sample[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+        expected = np.percentile(sample, [75.0, 25.0])
+        assert np.array(learners._quartiles(sample)).tobytes() == expected.tobytes()
+
+    def test_quartiles_of_a_sample_holding_nan_are_nan(self):
+        sample = np.array([1.0, np.nan, 3.0, 0.5, 2.0])
+        assert np.all(np.isnan(np.percentile(sample, [75.0, 25.0])))
+        assert all(math.isnan(q) for q in learners._quartiles(sample))
+
+    def test_an_sd_that_overflows_yields_to_the_iqr_silently(self):
+        # at this scale the squared deviations overflow, so the sd is infinite
+        sample = np.random.default_rng(4).normal(size=50) * 1e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert np.std(sample, ddof=1) == np.inf
+            q75, q25 = np.percentile(sample, [75.0, 25.0])
+        expected = 0.9 * (float(q75 - q25) / 1.34) * 50 ** (-0.2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            bandwidth = silverman_bandwidth(sample)
+        assert [str(w.message) for w in caught] == []
+        assert bandwidth == expected
 
 
 class TestFeatureMap:
@@ -563,12 +603,12 @@ class TestBlockedKernelWeights:
         F, h, Q = _block_case(d, queries)
         y = np.sin(F).sum(axis=1)
         fit = fit_kernel_regression(F, y, bandwidth=h)
-        W = _broadcast_weights(Q, F, h)
-        total = W.sum(axis=1)
+        W, ones = _broadcast_weights(Q, F, h), np.ones(len(F))
+        total = W @ ones
         assert np.array_equal(fit.predict(Q), (W @ y) / total)
         for axis in range(d):
             Wd = W * _broadcast_slope(Q, F, h, axis)
-            grad = ((Wd @ y) * total - (W @ y) * Wd.sum(axis=1)) / total**2
+            grad = ((Wd @ y) * total - (W @ y) * (Wd @ ones)) / total**2
             assert np.array_equal(fit.predict_grad(Q, axis), grad)
 
     @pytest.mark.parametrize("d, queries", BLOCK_CASES)
@@ -587,7 +627,7 @@ class TestBlockedKernelWeights:
         fit = fit_kernel_regression(np.empty((40, 0)), y)
         Q = np.empty((7, 0))
         W = _broadcast_weights(Q, np.empty((40, 0)), fit.bandwidths)
-        assert np.array_equal(fit.predict(Q), (W @ y) / W.sum(axis=1))
+        assert np.array_equal(fit.predict(Q), (W @ y) / (W @ np.ones(40)))
         np.testing.assert_allclose(fit.predict(Q), np.full(7, y.mean()), rtol=1e-14)
 
     def test_extrapolation_names_the_global_query_row(self):
@@ -681,13 +721,15 @@ def _block_rows(n_train):
     return max(8, KERNEL_BLOCK_ELEMENTS // n_train // 8 * 8)
 
 
-# n_train 300 gives 104-row blocks; n_train above KERNEL_BLOCK_ELEMENTS // 8
+# n_train 300 gives 216-row blocks; n_train above KERNEL_BLOCK_ELEMENTS // 8
 # gives 8-row blocks.  The query counts straddle one block, and the tails of
 # 1-7 rows join the block before them.  n_train 800 to 5000 straddle
 # 8192 // 3 = 2730, up to which numpy's default ufunc buffer would copy the
 # exponent's broadcast: a pass, run at the minimum buffer, keeps every bit on
 # both sides.
-STREAM_QUERIES = {300: (1, 7, 8, 9, 103, 104, 105, 200, 2 * 104 + 1, 3 * 104 + 7),
+_R300 = _block_rows(300)
+STREAM_QUERIES = {300: (1, 7, 8, 9, _R300 - 1, _R300, _R300 + 1, _R300 + 96, 2 * _R300 + 1,
+                        3 * _R300 + 7),
                   KERNEL_BLOCK_ELEMENTS // 8 + 1: (1, 7, 8, 9, 15, 16, 17, 3 * 8 + 5),
                   **{n: (3 * _block_rows(n) + 11,) for n in (800, 1600, 2730, 2731, 5000)}}
 STREAM_CASES = [(d, n_train, n_query) for d in (0, 1, 2, 3)
@@ -703,15 +745,15 @@ class TestStreamedKernels:
         y = rng.normal(size=n_train)
         h = 0.6 + 0.2 * np.arange(d)
         regression, density = fit_kernel_regression(F, y, bandwidth=h), fit_kde(F, bandwidth=h)
-        W = _broadcast_weights(Q, F, h)
-        total = W.sum(axis=1)
+        W, ones = _broadcast_weights(Q, F, h), np.ones(n_train)
+        total = W @ ones
         assert np.array_equal(regression.predict(Q), (W @ y) / total)
         K = _broadcast_density(W, h)
         assert np.array_equal(density.density_at(Q), K.mean(axis=1))
         for axis in range(d):
             slope = _broadcast_slope(Q, F, h, axis)
             Wd = W * slope
-            grad = ((Wd @ y) * total - (W @ y) * Wd.sum(axis=1)) / total**2
+            grad = ((Wd @ y) * total - (W @ y) * (Wd @ ones)) / total**2
             assert np.array_equal(regression.predict_grad(Q, axis), grad)
             assert np.array_equal(density.density_grad_at(Q, axis), (K * slope).mean(axis=1))
 
@@ -726,6 +768,22 @@ class TestStreamedKernels:
         assert blocks[-1].stop == n_query
         assert all(b.stop - b.start == rows for b in blocks[:-1])
         assert len(blocks) == 1 or 8 <= blocks[-1].stop - blocks[-1].start < rows + 8
+
+    @pytest.mark.parametrize("n_train", [37, 800, 1600, 2731])
+    def test_passes_keep_their_bits_at_every_block_size(self, n_train, monkeypatch):
+        # each total and numerator is a gemv over whole 8-row groups, so it
+        # does not depend on where the blocks start
+        rng = np.random.default_rng(n_train)
+        F, y = rng.normal(size=(n_train, 2)), rng.normal(size=n_train)
+        fit = fit_kernel_regression(F, y, bandwidth=[0.6, 0.8])
+        for n_query in (37, 403):  # one block, or several with a ragged tail
+            Q = rng.normal(scale=0.8, size=(n_query, 2))
+            passes = []
+            for elements in (1 << 12, 1 << 15, 1 << 16, 1 << 18):
+                monkeypatch.setattr(learners, "KERNEL_BLOCK_ELEMENTS", elements)
+                passes.append(np.stack([fit.predict(Q), fit.predict_grad(Q, 0),
+                                        fit.predict_grad(Q, 1)]).tobytes())
+            assert passes == [passes[0]] * 4
 
     def test_predict_holds_no_query_by_train_matrix(self):
         # 4000 x 4000 weights would take 128 MB; the blocks take well under 1 MB
