@@ -142,11 +142,27 @@ class Observation:
         return self.values[self.schema.index_of(name)]
 
 
-class Dataset:
+class _RowMemo:
+    """The memo of values computed from an object's rows alone."""
+
+    _memo: dict
+
+    def derived(self, key, build: Callable[[], object]):
+        """The value ``build()`` computes from the rows alone, made once
+        under ``key`` and kept with them."""
+        found = self._memo.get(key)
+        if found is None:
+            found = self._memo[key] = build()
+        return found
+
+
+class Dataset(_RowMemo):
     """Immutable n-row collection of observations sharing one schema.
 
     Rows are stored as a read-only float array of shape (n, arity); the
-    per-row ``Observation`` view is materialized on demand.
+    per-row ``Observation`` view is materialized on demand.  The memo of
+    ``derived`` holds the role columns (``estimands.support_columns``), so
+    every estimator run on the dataset reads one set.
     """
 
     def __init__(self, schema: Schema, values: np.ndarray | Sequence[Sequence[float]]):
@@ -155,6 +171,7 @@ class Dataset:
         arr.setflags(write=False)
         self._schema = schema
         self._values = arr
+        self._memo: dict = {}
 
     @property
     def schema(self) -> Schema:
@@ -224,7 +241,7 @@ def cell_sums(cell: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return sums.reshape(weights.shape[:-1] + (-1,))
 
 
-class DiscreteDistribution:
+class DiscreteDistribution(_RowMemo):
     """Finite-support probability law: a support array of distinct atoms,
     checked against the schema once, plus a probability vector.
 
@@ -307,14 +324,6 @@ class DiscreteDistribution:
     @property
     def n_atoms(self) -> int:
         return self._values.shape[0]
-
-    def derived(self, key, build: Callable[[], object]):
-        """The value ``build()`` computes from the support alone, made once
-        per support under ``key`` and shared by every law on it."""
-        found = self._memo.get(key)
-        if found is None:
-            found = self._memo[key] = build()
-        return found
 
     def cells(self, *roles: str) -> tuple[np.ndarray, np.ndarray]:
         """Group the atoms by their values in the columns of ``roles``: the

@@ -285,7 +285,7 @@ class _ArmRegression:
             if mask.all():  # one level, as for m(1, Z) and m(0, Z): no masked copy
                 return predict(Z)
             if mask.any():
-                out[mask] = predict(Z[mask])
+                out[mask] = predict(Z.compress(mask, axis=0))
                 seen |= mask
         if not seen.all():
             bad = float(x[~seen][0])
@@ -304,7 +304,8 @@ def _fit_outcome_mean(fits: _FoldFits, k: int, binary_exposure: bool):
     t = fits.train
     if binary_exposure:
         arms = _fit_learners(fits, k, "outcome_mean", "outcome", lambda j: [
-            (t[j].Z[mask], t[j].y[mask]) for mask in fits.levels(j).values()
+            (t[j].Z.compress(mask, axis=0), t[j].y.compress(mask))
+            for mask in fits.levels(j).values()
         ])
         regressions = {}
         for (level, mask), fit in zip(fits.levels(k).items(), arms):
@@ -523,8 +524,10 @@ class CrossFittedNuisances:
     ``values`` holds, for each entry of the estimand's ``nuisance_values``,
     one array over the n sample rows; row i comes from the fits trained
     without row i's fold.  ``table`` hands it only to the estimand that was
-    fit, on the rows it was fit on.  ``probe`` evaluates a function-valued
-    slot at any other points as the equal-weight average over fold fits.
+    fit, on the rows it was fit on: the dataset's own role columns, ``cols``,
+    pass by identity, and any other set is compared column by column.
+    ``probe`` evaluates a function-valued slot at any other points as the
+    equal-weight average over fold fits.
     ``folds`` are the per-fold nuisance sets with pooled scalar slots; their
     propensity is raw, and the table and ``probe`` clip it to
     [trim, 1 - trim].
@@ -543,7 +546,8 @@ class CrossFittedNuisances:
 
     def table(self, spec: Estimand, cols: ColumnSet) -> dict:
         fitted = (self.cols.y, self.cols.x, self.cols.Z, self.cols.M)
-        same = all(np.array_equal(a, b) for a, b in zip((cols.y, cols.x, cols.Z, cols.M), fitted))
+        same = cols is self.cols or all(
+            np.array_equal(a, b) for a, b in zip((cols.y, cols.x, cols.Z, cols.M), fitted))
         if spec != self.spec or not same:
             raise ValidationError(
                 f"these nuisances were cross-fitted for {self.spec.name} on one "

@@ -186,7 +186,7 @@ class FeatureMap:
         blocks = [raw ** p for p in range(1, self.degree + 1)]
         if pairs:
             blocks.extend(
-                (raw[:, [a]] * raw[:, [b]]) for a in range(d) for b in range(a + 1, d)
+                (raw[:, a:a + 1] * raw[:, b:b + 1]) for a in range(d) for b in range(a + 1, d)
             )
         return np.hstack(blocks)
 

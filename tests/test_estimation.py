@@ -1,4 +1,5 @@
 """Cross-fitting machinery and the four estimators on hand-checkable data."""
+import json
 import math
 import warnings
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from influence_lab import (
+    ESTIMATORS,
     Ate,
     AverageDensity,
     AverageDerivativeEffect,
@@ -38,6 +40,7 @@ from influence_lab import (
     fit_kernel_regression,
     fit_logistic,
     fit_ols,
+    load_csv,
     make_folds,
     one_step,
     plugin,
@@ -385,6 +388,26 @@ class TestCrossFitting:
         with pytest.raises(ValidationError, match="serve only that pair"):
             one_step(Ate(), shuffled, nuis)
         assert nuis.table(Ate(), ColumnSet.from_dataset(data)) is nuis.values
+
+    def test_take_refuses_a_mask_and_gathers_as_advanced_indexing_does(self):
+        cols = ColumnSet.from_dataset(self._dataset())
+        # take would read a mask as the row indices 0 and 1, not as a selection
+        for rows in (cols.x == 1.0, np.array([True, False, True]), np.array([0.0, 2.0]), [1.5]):
+            with pytest.raises(ValidationError, match="rows must be integer indices"):
+                cols.take(rows)
+        for rows in (np.array([5, 0, 59, 5]), np.array([], dtype=int), [], np.array([-1, -60, 3]),
+                     np.arange(60)[::-1], np.array([2, 7], dtype=np.int32),
+                     np.array([3], dtype=np.uint8), [4, -2]):
+            got = cols.take(rows)
+            index = np.asarray(rows, dtype=np.intp)
+            assert got.n == index.size
+            for column, full in zip((got.y, got.x, got.Z, got.M), (cols.y, cols.x, cols.Z, cols.M)):
+                expected = full[index]
+                assert column.shape == expected.shape
+                assert column.tobytes() == expected.tobytes()
+        for rows in ([60], [-61]):
+            with pytest.raises(IndexError):
+                cols.take(rows)
 
     def test_fold_failures_name_the_fold(self):
         # Exposure perfectly separated by the covariate in every training
@@ -749,6 +772,73 @@ class TestNuisancePasses:
         )
         assert report.completed == 1 and "max_tmle_aipw_gap" in report.extras
         assert len(predict_calls) == 3 * 3
+
+
+class TestRoleColumns:
+    """A dataset's role columns are made once, and every fit and estimator
+    run on the dataset reads that one set."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+        from_matrix = ColumnSet.from_matrix
+
+        def counting(schema, values):
+            built.append(values.shape)
+            return from_matrix(schema, values)
+
+        monkeypatch.setattr(ColumnSet, "from_matrix", staticmethod(counting))
+        return built
+
+    @pytest.mark.parametrize("method", ["plugin", "one_step", "estimating_equation", "tmle"])
+    def test_one_set_per_estimate(self, method, built):
+        data = AteLinearDgp().generate(200, seed=3)
+        estimate(Ate(), data, method=method, folds=3, seed=1)
+        assert built == [data.values.shape]
+        cols = ColumnSet.from_dataset(data)
+        assert len(built) == 1
+        # y and x are views of the dataset's rows; Z and M are copies
+        assert np.shares_memory(cols.y, data.values) and np.shares_memory(cols.x, data.values)
+        assert cols.Z.shape == (200, 2) and cols.M.shape == (200, 0)
+        for column in (cols.Z, cols.M):
+            assert column.flags.c_contiguous
+        for column in (cols.y, cols.x, cols.Z, cols.M):
+            assert not column.flags.writeable
+
+    @pytest.mark.parametrize("method", ["one_step", "tmle"])
+    def test_one_set_per_replication(self, method, built):
+        report = run_replications(AteLinearDgp(), Ate(), method=method, n=200, R=3, folds=3,
+                                  seed=2)
+        assert report.completed == 3
+        assert built == [(200, 4)] * 3
+
+    def test_columns_of_a_writable_matrix_are_read_only(self):
+        values = np.arange(12.0).reshape(4, 3)
+        cols = ColumnSet.from_matrix(ZXY, values)
+        for column in (cols.y, cols.x, cols.Z, cols.M):
+            assert not column.flags.writeable
+        assert values.flags.writeable
+
+    @pytest.mark.parametrize("settings", [LearnerSettings(), KERNEL_LEARNERS],
+                             ids=["parametric", "kernel"])
+    def test_column_order_changes_no_bit(self, settings, tmp_path):
+        # the covariates of (z1, x, z2, y) are not adjacent, so Z is gathered
+        # from two places; every number equals the one in schema order
+        data = AteLinearDgp().generate(300, seed=8)
+        kinds = {c.name: (c.role, c.kind) for c in data.schema.columns}
+        reports = []
+        for names in (("z1", "z2", "x", "y"), ("z1", "x", "z2", "y")):
+            path = tmp_path / ("_".join(names) + ".csv")
+            order = [data.schema.index_of(name) for name in names]
+            np.savetxt(path, data.values[:, order], fmt="%.17g", delimiter=",",
+                       header=",".join(names), comments="")
+            loaded = load_csv(str(path), {name: kinds[name] for name in names})
+            assert loaded.values.tobytes() == data.values[:, order].tobytes()
+            reports.append([estimate(Ate(), loaded, method=method, settings=settings,
+                                     folds=3, seed=1) for method in ESTIMATORS])
+        for adjacent, apart in zip(*reports):
+            assert json.dumps(adjacent.to_json()) == json.dumps(apart.to_json())
+            assert adjacent.eif_values.tobytes() == apart.eif_values.tobytes()
 
 
 class TestNoCovariates:
