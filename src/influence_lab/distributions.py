@@ -15,7 +15,8 @@ so a cell total is a weighted ``np.bincount`` (``cell_sums``, for one row
 of weights or many); ``find_rows``, the lookup of rows among distinct keys,
 is its case of keys followed by queries.  What derives from the support
 alone, its groupings and its role columns, belongs to the support: it is
-computed once, in a memo that every law on that support shares.
+computed once, in a memo that every law on that support shares.  A dataset
+keeps its role columns in the same kind of memo (``derived``).
 """
 from __future__ import annotations
 
